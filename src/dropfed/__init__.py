@@ -6,86 +6,10 @@ participates (bias), batch noise (variance), and staleness.  Four server
 algorithms share one update law: plain averaging, averaging with memorized
 updates, correction-variable averaging that re-centers partial participation
 toward the full-population update, and control-variate local training.
-"""
 
-from .aggregation import (
-    ALGORITHMS,
-    RoundResult,
-    ServerState,
-    fedavg_round,
-    init_state,
-    memory_footprint,
-    mifa_round,
-    mimic_round,
-    play_round,
-    scaffold_round,
-)
-from .availability import (
-    AvailabilitySchedule,
-    load_schedule,
-    periodic_schedule,
-    round_robin_schedule,
-    schedule_from_text,
-    static_prob_schedule,
-    weighted_sample_schedule,
-)
-from .data import (
-    dump_dataset,
-    heterogeneity_stats,
-    load_dataset,
-    make_synthetic_classification,
-    partition_shards,
-)
-from .diagnostics import (
-    METRIC_COLUMNS,
-    RoundMetrics,
-    evaluate,
-    expected_update_error,
-    global_grad,
-    global_loss,
-    participation_bias,
-    read_metrics_csv,
-    update_variance,
-    update_variance_stderr,
-    uploads_per_round,
-    weighted_participation_bias,
-    write_metrics_csv,
-)
-from .errors import ConfigError, IntegrityError, NumericalError
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    TrialOutput,
-    build_rates,
-    build_schedule,
-    build_task,
-    compare_runs,
-    initial_model,
-    load_config,
-    run_experiment,
-    run_trial,
-)
-from .local_trainer import LocalConfig, local_train, sample_batch
-from .objectives import (
-    ClientDataset,
-    LogisticObjective,
-    MlpObjective,
-    Objective,
-    QuadraticObjective,
-    estimate_grad_variance,
-    global_optimum,
-    make_objective,
-)
-from .schedules import (
-    ConditionReport,
-    LrSchedule,
-    check_conditions,
-    constant_rates,
-    divergence_gain,
-    drift_gain,
-    exponential_rates,
-    feasible_inverse_time_scale,
-    inverse_time_rates,
-)
+Import from the submodules: dropfed.harness runs experiments, dropfed.cli is
+the command line, and dropfed.objectives, dropfed.aggregation and
+dropfed.local_trainer hold the stacked-client kernels and round rules.
+"""
 
 __version__ = "0.1.0"

@@ -15,130 +15,112 @@ assembled:
 * scaffold: clients correct every local step with control variates before
   uploading (two vectors per client per round cross the wire).
 
+Layout: a round's participants are a sorted id array and their uploads one
+(S, dim) array, row s belonging to client ids[s].  The per-client memory
+(mimic's corrections, mifa's last uploads, scaffold's control variates) is
+one (N, dim) array plus an (N,) array of the round each row was last
+written, -1 if never.  Local training of all participants, and of all
+replicas of a replayed round, runs in one lockstep pass (see local_trainer
+for the RNG rule: one stream per client and round, or per client, round and
+replica).  Averages add rows in id order, one at a time, so every path that
+averages the same rows agrees bit for bit.
+
 Round functions never mutate their input state; they return a fresh state.
 That makes deterministic replays (full-batch expectations, variance probes)
-a matter of calling the same function twice.
+a matter of calling them again on the same state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, IntegrityError
-from .local_trainer import LocalConfig, local_train, sample_batch
-from .objectives import Objective, ParamVector
+from .local_trainer import LocalConfig, draw_batches, local_train
+from .objectives import Objective, ParamVector, stack
 
 ALGORITHMS = ("fedavg", "fedprox", "mifa", "mimic", "scaffold")
 
-RngFactory = Callable[[int], np.random.Generator]
+RngFactory = Callable[..., np.random.Generator]
 
 
 @dataclass
 class ServerState:
-    """Global model plus whatever memory the chosen algorithm carries."""
+    """Global model plus whatever per-client memory the chosen algorithm carries."""
 
     algorithm: str
     w: np.ndarray
     num_clients: int
+    # (N, dim): mimic corrections, mifa memorized uploads or scaffold client
+    # variates; zero until written.  fedavg and fedprox leave it untouched.
+    rows: np.ndarray
+    # (N,): the round each row was last written, -1 if never.
+    written: np.ndarray
     round_index: int = 0
-    # mimic: per-client corrections and the round each was written.
-    corrections: dict[int, np.ndarray] = field(default_factory=dict)
-    correction_round: dict[int, int] = field(default_factory=dict)
-    # "server" or "client": where corrections physically live.  Purely a
-    # bookkeeping tag; the arithmetic is identical either way.
-    correction_site: str = "server"
-    # mifa: last upload per client and the round it was made.
-    memory: dict[int, np.ndarray] = field(default_factory=dict)
-    memory_round: dict[int, int] = field(default_factory=dict)
-    # scaffold: server and per-client control variates.
+    # scaffold only: the server control variate.
     server_variate: np.ndarray | None = None
-    client_variates: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class RoundResult:
-    """Applied update v_t, the per-client vectors behind it, and the new state."""
+    """Applied update v_t, the participants and their uploads, and the new state."""
 
     v: np.ndarray
-    uploads: dict[int, np.ndarray]
+    ids: np.ndarray
+    uploads: np.ndarray
     state: ServerState
 
 
-def init_state(
-    algorithm: str,
-    w0: ParamVector,
-    num_clients: int,
-    correction_site: str = "server",
-) -> ServerState:
+def init_state(algorithm: str, w0: ParamVector, num_clients: int) -> ServerState:
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if num_clients < 1:
         raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
-    if correction_site not in ("server", "client"):
-        raise ConfigError(f"correction_site must be server or client, got {correction_site}")
     w0 = np.array(w0, dtype=np.float64)
-    state = ServerState(algorithm, w0, num_clients, correction_site=correction_site)
-    if algorithm == "scaffold":
-        state.server_variate = np.zeros_like(w0)
-    return state
-
-
-def memory_footprint(state: ServerState) -> dict[str, int]:
-    """Vector counts held server-side vs client-side, for cost reporting."""
-    if state.algorithm == "mimic":
-        held = len(state.corrections)
-        return (
-            {"server": held, "client": 0}
-            if state.correction_site == "server"
-            else {"server": 0, "client": held}
-        )
-    if state.algorithm == "mifa":
-        return {"server": len(state.memory), "client": 0}
-    if state.algorithm == "scaffold":
-        return {"server": 1, "client": len(state.client_variates)}
-    return {"server": 0, "client": 0}
-
-
-def _mean(vectors: list[np.ndarray]) -> np.ndarray:
-    # Fixed-order sum then divide: the one accumulation order every mode and
-    # storage-site variant shares, so alternate paths agree bit-for-bit.
-    acc = vectors[0].copy()
-    for vec in vectors[1:]:
-        acc += vec
-    return acc / len(vectors)
-
-
-def fedavg_round(state: ServerState, uploads: dict[int, np.ndarray], eta: float) -> RoundResult:
-    ids = sorted(uploads)
-    v = _mean([uploads[i] for i in ids])
-    new = replace(state, w=state.w - eta * v, round_index=state.round_index + 1)
-    return RoundResult(v, dict(uploads), new)
-
-
-def mifa_round(state: ServerState, uploads: dict[int, np.ndarray], eta: float) -> RoundResult:
-    memory = dict(state.memory)
-    memory_round = dict(state.memory_round)
-    for i in sorted(uploads):
-        memory[i] = uploads[i]
-        memory_round[i] = state.round_index
-    missing = [i for i in range(state.num_clients) if i not in memory]
-    if missing:
-        raise IntegrityError(f"memorized updates missing for clients {missing}")
-    v = _mean([memory[i] for i in range(state.num_clients)])
-    new = replace(
-        state,
-        w=state.w - eta * v,
-        round_index=state.round_index + 1,
-        memory=memory,
-        memory_round=memory_round,
+    return ServerState(
+        algorithm, w0, num_clients,
+        rows=np.zeros((num_clients, w0.shape[0])),
+        written=np.full(num_clients, -1, dtype=np.int64),
+        server_variate=np.zeros_like(w0) if algorithm == "scaffold" else None,
     )
-    return RoundResult(v, dict(uploads), new)
 
 
-def mimic_round(state: ServerState, uploads: dict[int, np.ndarray], eta: float) -> RoundResult:
+def _mean(rows: np.ndarray) -> np.ndarray:
+    # Fixed-order running sum over the rows, then divide: the one
+    # accumulation order every path shares, so alternate paths agree
+    # bit-for-bit.  (sum(axis=0) is pairwise when dim == 1.)
+    return np.cumsum(rows, axis=-2)[..., -1, :] / rows.shape[-2]
+
+
+def _write(state: ServerState, ids: np.ndarray, values: np.ndarray) -> dict:
+    """Fresh rows and written arrays with the participants' rows replaced."""
+    rows = state.rows.copy()
+    rows[ids] = values
+    written = state.written.copy()
+    written[ids] = state.round_index
+    return {"rows": rows, "written": written}
+
+
+def _result(state, ids, uploads, v, eta, **changes) -> RoundResult:
+    new = replace(state, w=state.w - eta * v, round_index=state.round_index + 1, **changes)
+    return RoundResult(v, ids, uploads, new)
+
+
+def fedavg_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: float) -> RoundResult:
+    return _result(state, ids, uploads, _mean(uploads), eta)
+
+
+def mifa_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: float) -> RoundResult:
+    changes = _write(state, ids, uploads)
+    missing = np.flatnonzero(changes["written"] < 0)
+    if missing.size:
+        raise IntegrityError(f"memorized updates missing for clients {missing.tolist()}")
+    return _result(state, ids, uploads, _mean(changes["rows"]), eta, **changes)
+
+
+def mimic_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: float) -> RoundResult:
     """Correction-variable aggregation.
 
     Each participating upload is shifted by that client's stored correction
@@ -148,105 +130,75 @@ def mimic_round(state: ServerState, uploads: dict[int, np.ndarray], eta: float) 
     before the round, and a client absent since round t' contributes exactly
     the correction written at t'.
     """
-    ids = sorted(uploads)
-    zero = np.zeros_like(state.w)
-    v = _mean([uploads[i] + state.corrections.get(i, zero) for i in ids])
-    corrections = dict(state.corrections)
-    correction_round = dict(state.correction_round)
-    for i in ids:
-        corrections[i] = v - uploads[i]
-        correction_round[i] = state.round_index
-    new = replace(
-        state,
-        w=state.w - eta * v,
-        round_index=state.round_index + 1,
-        corrections=corrections,
-        correction_round=correction_round,
-    )
-    return RoundResult(v, dict(uploads), new)
+    v = _mean(uploads + state.rows[ids])
+    return _result(state, ids, uploads, v, eta, **_write(state, ids, v - uploads))
 
 
 def scaffold_round(
     state: ServerState,
-    objectives: list[Objective],
-    active: list[int],
-    cfg: LocalConfig,
+    ids: np.ndarray,
+    uploads: np.ndarray,
     eta: float,
-    rng_for: RngFactory,
-    *,
-    literal_anchor: bool = False,
-    full_batch: bool = False,
+    variates: np.ndarray | None = None,
 ) -> RoundResult:
-    """One round of control-variate training, local loop included.
+    """Average the control-variate-corrected uploads.
 
-    Default form keeps persistent variates: client i steps with
-    g_i(w_k) - c_i + c, uploads the average corrected gradient, and resets
-    c_i to the average of its raw gradients; the server variate absorbs
-    (1/N) sum of the participants' variate changes.  With literal_anchor the
-    variates are rebuilt inside the round from gradients at the broadcast
-    point: client i steps with g_i(w_k) - g_i(w_t) + mean_j g_j(w_t).
-    Either way each client ships two vectors per round.
+    With persistent variates, `variates` holds the participants' mean raw
+    gradients: they become the participants' control variates, and the
+    server variate absorbs (1/N) of their change.  None (variates rebuilt
+    inside the round from anchors) leaves every variate alone.
     """
-    ids = sorted(active)
-    # One batch stream per client per round, shared between the anchor draw
-    # (literal form only) and the K local steps, in that order.
-    rngs = {i: rng_for(i) for i in ids}
-    anchors: dict[int, np.ndarray] = {}
-    if literal_anchor:
-        for i in ids:
-            obj = objectives[i]
-            idx = (
-                np.arange(obj.dataset.n)
-                if full_batch
-                else sample_batch(rngs[i], obj.dataset.n, cfg.batch_size)
-            )
-            anchors[i] = obj.batch_grad(state.w, idx)
-        anchor_mean = _mean([anchors[i] for i in ids])
+    v = _mean(uploads)
+    if variates is None:
+        return _result(state, ids, uploads, v, eta)
+    change = np.cumsum(variates - state.rows[ids], axis=0)[-1]
+    return _result(
+        state, ids, uploads, v, eta,
+        server_variate=state.server_variate + change / state.num_clients,
+        **_write(state, ids, variates),
+    )
 
-    uploads: dict[int, np.ndarray] = {}
-    new_variates = dict(state.client_variates)
-    variate_shift = np.zeros_like(state.w)
-    zero = np.zeros_like(state.w)
-    for i in ids:
-        obj = objectives[i]
-        rng = rngs[i]
-        if literal_anchor:
-            shift = anchor_mean - anchors[i]
-        else:
-            shift = (state.server_variate if state.server_variate is not None else zero) - new_variates.get(i, zero)
-        w_loc = state.w.copy()
-        corrected_sum = np.zeros_like(state.w)
-        raw_sum = np.zeros_like(state.w)
-        for _ in range(cfg.steps):
-            idx = (
-                np.arange(obj.dataset.n)
-                if full_batch
-                else sample_batch(rng, obj.dataset.n, cfg.batch_size)
-            )
-            g = obj.batch_grad(w_loc, idx)
-            corrected = g + shift
-            w_loc = w_loc - cfg.lr * corrected
-            corrected_sum += corrected
-            raw_sum += g
-        uploads[i] = corrected_sum / cfg.steps
-        if not literal_anchor:
-            fresh = raw_sum / cfg.steps
-            variate_shift += fresh - new_variates.get(i, zero)
-            new_variates[i] = fresh
 
-    v = _mean([uploads[i] for i in ids])
-    new = replace(state, w=state.w - eta * v, round_index=state.round_index + 1)
-    if not literal_anchor:
-        new.client_variates = new_variates
-        new.server_variate = (
-            state.server_variate if state.server_variate is not None else zero
-        ) + variate_shift / state.num_clients
-    return RoundResult(v, uploads, new)
+_RULES = {"fedavg": fedavg_round, "fedprox": fedavg_round, "mifa": mifa_round, "mimic": mimic_round}
+
+
+def _population(state: ServerState, objectives, active) -> tuple[Objective, np.ndarray]:
+    population = stack(objectives)
+    if population.num_clients != state.num_clients:
+        raise ConfigError(
+            f"{population.num_clients} objectives for {state.num_clients} clients"
+        )
+    return population, np.array(sorted(active), dtype=np.int64)
+
+
+def _rounds(state, population, ids, cfg, eta, rngs, replicas, literal) -> list[RoundResult]:
+    """Train every (replica, participant) row in lockstep, then aggregate each replica.
+
+    Control variates are those of scaffold: persistent ones from the state,
+    or with `literal` anchors drawn first from each row's stream at the
+    broadcast point: client i steps with g_i(w_k) - g_i(w_t) + mean_j g_j(w_t).
+    """
+    rows = np.tile(ids, replicas)
+    dim = state.w.shape[0]
+    shift = None
+    if state.algorithm == "scaffold" and literal:
+        batch = draw_batches(population.n, rows, cfg.batch_size, rngs, 1)[0]
+        anchors = population.batch_grad(np.repeat(state.w[None], len(rows), axis=0), batch)
+        anchors = anchors.reshape(replicas, len(ids), dim)
+        shift = (_mean(anchors)[:, None] - anchors).reshape(len(rows), dim)
+    elif state.algorithm == "scaffold":
+        shift = np.tile(state.server_variate - state.rows[ids], (replicas, 1))
+    uploads, grad_means, _ = local_train(population, state.w, rows, cfg, rngs, shift)
+    per_replica = zip(uploads.reshape(replicas, len(ids), dim),
+                      grad_means.reshape(replicas, len(ids), dim))
+    if state.algorithm == "scaffold":
+        return [scaffold_round(state, ids, up, eta, None if literal else g) for up, g in per_replica]
+    return [_RULES[state.algorithm](state, ids, up, eta) for up, _ in per_replica]
 
 
 def play_round(
     state: ServerState,
-    objectives: list[Objective],
+    objectives: Objective | list[Objective],
     active: list[int],
     cfg: LocalConfig,
     eta: float,
@@ -257,41 +209,39 @@ def play_round(
 ) -> RoundResult:
     """Run one full round: local training on each active client, then aggregate.
 
-    An empty active set leaves the model untouched (v = 0) and just advances
-    the round counter.  full_batch swaps every batch draw for the whole
-    client dataset, which is how deterministic per-round expectations are
-    replayed; it consumes nothing from the rng streams.
+    rng_for(i) gives client i's batch stream.  An empty active set leaves
+    the model untouched (v = 0) and just advances the round counter.
+    full_batch swaps every batch draw for the whole client dataset, which is
+    how deterministic per-round expectations are replayed; it builds no
+    stream at all.
     """
-    if len(objectives) != state.num_clients:
-        raise ConfigError(
-            f"{len(objectives)} objectives for {state.num_clients} clients"
-        )
-    if not active:
+    population, ids = _population(state, objectives, active)
+    if not ids.size:
         new = replace(state, w=state.w.copy(), round_index=state.round_index + 1)
-        return RoundResult(np.zeros_like(state.w), {}, new)
+        return RoundResult(np.zeros_like(state.w), ids, np.zeros((0, state.w.shape[0])), new)
+    rngs = None if full_batch else [rng_for(i) for i in ids.tolist()]
+    return _rounds(state, population, ids, cfg, eta, rngs, 1, scaffold_literal)[0]
 
-    if state.algorithm == "scaffold":
-        return scaffold_round(
-            state,
-            objectives,
-            active,
-            cfg,
-            eta,
-            rng_for,
-            literal_anchor=scaffold_literal,
-            full_batch=full_batch,
-        )
 
-    uploads = {}
-    for i in sorted(active):
-        run_cfg = cfg
-        if full_batch:
-            run_cfg = replace(cfg, batch_size=objectives[i].dataset.n)
-        uploads[i], _ = local_train(objectives[i], state.w, run_cfg, rng_for(i))
-    if state.algorithm in ("fedavg", "fedprox"):
-        return fedavg_round(state, uploads, eta)
-    if state.algorithm == "mifa":
-        return mifa_round(state, uploads, eta)
-    if state.algorithm == "mimic":
-        return mimic_round(state, uploads, eta)
-    raise ConfigError(f"unknown algorithm {state.algorithm!r}")
+def replay_round(
+    state: ServerState,
+    objectives: Objective | list[Objective],
+    active: list[int],
+    cfg: LocalConfig,
+    eta: float,
+    rng_for: RngFactory,
+    replicas: int,
+    *,
+    scaffold_literal: bool = False,
+) -> np.ndarray:
+    """Applied updates (replicas, dim) of independent replays of one nonempty round.
+
+    All replicas train in one lockstep pass from `state`, which is not
+    advanced; rng_for(i, r) gives replica r's batch stream for client i.
+    """
+    population, ids = _population(state, objectives, active)
+    if not ids.size:
+        raise ConfigError("cannot replay an empty round")
+    rngs = [rng_for(i, r) for r in range(replicas) for i in ids.tolist()]
+    results = _rounds(state, population, ids, cfg, eta, rngs, replicas, scaffold_literal)
+    return np.array([res.v for res in results])

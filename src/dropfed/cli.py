@@ -91,8 +91,7 @@ def _cmd_check_schedule(args: argparse.Namespace) -> int:
 def _task_smoothness(cfg, seed: int) -> float:
     from .harness import build_task
 
-    objectives, _, _ = build_task(cfg, seed)
-    return max(o.smoothness for o in objectives)
+    return build_task(cfg, seed)[0].smoothness
 
 
 def _cmd_dump_availability(args: argparse.Namespace) -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .objectives import ClientDataset, Objective
+from .objectives import ClientDataset, Objective, stack
 from .rng import Seed, generator
 
 
@@ -87,15 +87,13 @@ def partition_shards(
     return out
 
 
-def heterogeneity_stats(objectives: list[Objective], probes: np.ndarray) -> np.ndarray:
+def heterogeneity_stats(objectives: Objective | list[Objective], probes: np.ndarray) -> np.ndarray:
     """Per-client max over probe points of ||grad f_i(w) - grad f(w)||."""
-    probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
-    worst = np.zeros(len(objectives))
-    for w in probes:
-        grads = [o.grad(w) for o in objectives]
-        center = np.mean(grads, axis=0)
-        for i, g in enumerate(grads):
-            worst[i] = max(worst[i], float(np.linalg.norm(g - center)))
+    population = stack(objectives)
+    worst = np.zeros(population.num_clients)
+    for w in np.atleast_2d(np.asarray(probes, dtype=np.float64)):
+        grads = population.client_grads(w)
+        worst = np.maximum(worst, np.linalg.norm(grads - np.mean(grads, axis=0), axis=1))
     return worst
 
 

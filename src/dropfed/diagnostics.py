@@ -9,6 +9,9 @@ central step at the broadcast model w_t:
   gradient and the global gradient; pure who-showed-up error.
 * update_variance: spread of the applied update across independent replays
   of the same round, batch noise only.
+
+The first two read the per-client gradients of one fused population pass
+(Objective.losses_and_grads), which also gives the round's loss.
 """
 
 from __future__ import annotations
@@ -24,30 +27,22 @@ from .errors import ConfigError
 from .objectives import ClientDataset, Objective, ParamVector
 
 
-def global_loss(objectives: list[Objective], w: ParamVector) -> float:
-    """Uniform average of the client losses."""
-    return float(np.mean([o.loss(w) for o in objectives]))
-
-
-def global_grad(objectives: list[Objective], w: ParamVector) -> np.ndarray:
-    return np.mean([o.grad(w) for o in objectives], axis=0)
-
-
-def expected_update_error(
-    v_expected: np.ndarray, objectives: list[Objective], w: ParamVector
-) -> float:
-    diff = v_expected - global_grad(objectives, w)
+def expected_update_error(v_expected: np.ndarray, grad: np.ndarray) -> float:
+    """Squared distance between an expected update and the global gradient."""
+    diff = v_expected - grad
     return float(np.dot(diff, diff))
 
 
-def participation_bias(
-    objectives: list[Objective], active: list[int], w: ParamVector
-) -> float:
-    if not active:
+def participation_bias(client_grads: np.ndarray, active: list[int]) -> float:
+    """Squared distance between the participants' mean gradient and the global one.
+
+    client_grads holds every client's full gradient, (N, dim), from one
+    population pass.
+    """
+    if not len(active):
         raise ConfigError("participation bias is undefined for an empty round")
-    part = np.mean([objectives[i].grad(w) for i in sorted(active)], axis=0)
-    diff = part - global_grad(objectives, w)
-    return float(np.dot(diff, diff))
+    part = np.mean(client_grads[sorted(active)], axis=0)
+    return expected_update_error(part, np.mean(client_grads, axis=0))
 
 
 def update_variance(samples: np.ndarray) -> float:

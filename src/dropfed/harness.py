@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as streams
-from .aggregation import ALGORITHMS, init_state, play_round
+from .aggregation import ALGORITHMS, init_state, play_round, replay_round
 from .availability import (
     AvailabilitySchedule,
     round_robin_schedule,
@@ -32,15 +32,15 @@ from .data import make_synthetic_classification, partition_shards
 from .diagnostics import (
     RoundMetrics,
     evaluate,
-    global_grad,
-    global_loss,
+    expected_update_error,
+    participation_bias,
     update_variance,
     weighted_participation_bias,
     write_metrics_csv,
 )
 from .errors import ConfigError, NumericalError
 from .local_trainer import LocalConfig
-from .objectives import ClientDataset, Objective, global_optimum, make_objective
+from .objectives import ClientDataset, Objective, global_optimum, make_objective, stack
 from .schedules import (
     ConditionReport,
     LrSchedule,
@@ -80,7 +80,6 @@ class ExperimentConfig:
     init: str = "zeros"
     init_scale: float = 1.0
     scaffold_anchor: str = "persistent"
-    correction_site: str = "server"
     # [availability]
     scenario: str = "static"
     tau_max: int = 10
@@ -164,7 +163,6 @@ _SECTION_FIELDS = {
         "batch_size": ("batch_size", int), "prox_mu": ("prox_mu", float),
         "init": ("init", str), "init_scale": ("init_scale", float),
         "scaffold_anchor": ("scaffold_anchor", str),
-        "correction_site": ("correction_site", str),
     },
     "availability": {
         "scenario": ("scenario", str), "tau_max": ("tau_max", int),
@@ -242,7 +240,7 @@ class TrialOutput:
 
 
 def run_trial(
-    objectives: list[Objective],
+    objectives: Objective | list[Objective],
     schedule: AvailabilitySchedule,
     rates: LrSchedule,
     algorithm: str,
@@ -257,10 +255,12 @@ def run_trial(
     expected_mode: str = "fullbatch",
     expected_replays: int = 64,
     scaffold_literal: bool = False,
-    correction_site: str = "server",
     audit_nu: float = 0.01,
 ) -> TrialOutput:
     """Run one seed end to end and measure every round.
+
+    The clients are stacked into one population; one fused pass per round
+    gives the loss, the gradient and the participants' mean gradient.
 
     Per-round columns describe the broadcast model w_t before the update;
     the *final* fields describe the model after the last round.  A non-finite
@@ -270,7 +270,8 @@ def run_trial(
         raise ConfigError(
             f"{rates.values.shape[0]} step sizes for {schedule.iterations} iterations"
         )
-    state = init_state(algorithm, w0, len(objectives), correction_site=correction_site)
+    population = stack(objectives)
+    state = init_state(algorithm, w0, population.num_clients)
     per_round_uploads = 2 if algorithm == "scaffold" else 1
     rows: list[RoundMetrics] = []
     out = TrialOutput(seed=master_seed, rows=rows, final_w=state.w)
@@ -280,44 +281,41 @@ def run_trial(
         active = list(schedule.active_sets[t])
         eta = float(rates.values[t])
         w = state.w
-        loss = global_loss(objectives, w)
-        grad = global_grad(objectives, w)
+        losses, client_grads = population.losses_and_grads(w)
+        loss = float(np.mean(losses))
+        grad = np.mean(client_grads, axis=0)
         grad_norm2 = float(grad @ grad)
         acc = math.nan
         if test_objective is not None and test_data is not None:
             measured = evaluate(test_objective, w, test_data)
             acc = math.nan if measured is None else measured
 
-        gamma = math.nan
-        e_t = math.nan
-        phi = math.nan
-        if active:
-            part = np.mean([objectives[i].grad(w) for i in active], axis=0)
-            gamma = float(np.dot(part - grad, part - grad))
+        gamma = e_t = phi = math.nan
 
         def train_rng(i: int, t: int = t) -> np.random.Generator:
             return streams.batch_stream(master_seed, i, t)
 
         result = play_round(
-            state, objectives, active, local_cfg, eta, train_rng,
+            state, population, active, local_cfg, eta, train_rng,
             scaffold_literal=scaffold_literal,
         )
 
         if active:
+            gamma = participation_bias(client_grads, active)
             if expected_mode == "fullbatch":
                 v_exp = play_round(
-                    state, objectives, active, local_cfg, eta, train_rng,
+                    state, population, active, local_cfg, eta, train_rng,
                     scaffold_literal=scaffold_literal, full_batch=True,
                 ).v
             else:
                 v_exp = _replay_updates(
-                    state, objectives, active, local_cfg, eta, master_seed, t,
+                    state, population, active, local_cfg, eta, master_seed, t,
                     expected_replays, scaffold_literal,
                 ).mean(axis=0)
-            e_t = float(np.dot(v_exp - grad, v_exp - grad))
+            e_t = expected_update_error(v_exp, grad)
             if phi_replays >= 2 and phi_every > 0 and t % phi_every == 0:
                 samples = _replay_updates(
-                    state, objectives, active, local_cfg, eta, master_seed, t,
+                    state, population, active, local_cfg, eta, master_seed, t,
                     phi_replays, scaffold_literal,
                 )
                 phi = update_variance(samples)
@@ -340,8 +338,8 @@ def run_trial(
     out.uploads_total = uploads_total
     out.max_staleness = schedule.max_staleness()
     if not out.failed:
-        out.final_loss = global_loss(objectives, state.w)
-        g = global_grad(objectives, state.w)
+        out.final_loss = population.loss(state.w)
+        g = population.grad(state.w)
         out.final_grad_norm2 = float(g @ g)
         if test_objective is not None and test_data is not None:
             measured = evaluate(test_objective, state.w, test_data)
@@ -352,44 +350,41 @@ def run_trial(
     out.weighted_bias = weighted_participation_bias(
         executed, np.array([r.gamma_t for r in rows])
     )
-    optimum = global_optimum(objectives)
+    optimum = global_optimum(population)
     if optimum is not None and not out.failed:
         out.optimum_distance = float(np.linalg.norm(state.w - optimum))
-        out.initial_gap = global_loss(objectives, w0) - global_loss(objectives, optimum)
+        out.initial_gap = population.loss(w0) - population.loss(optimum)
     if schedule.iterations >= 2:
         out.conditions = check_conditions(
             rates,
             schedule.sizes(),
             local_lr=local_cfg.lr,
-            smoothness=max(o.smoothness for o in objectives),
+            smoothness=population.smoothness,
             steps=local_cfg.steps,
             tau_max=max(1, out.max_staleness),
-            num_clients=len(objectives),
+            num_clients=population.num_clients,
             nu=audit_nu,
         )
     return out
 
 
 def _replay_updates(
-    state, objectives, active, local_cfg, eta, master_seed, t, count, scaffold_literal
+    state, population, active, local_cfg, eta, master_seed, t, count, scaffold_literal
 ) -> np.ndarray:
-    """Re-run one round `count` times with fresh batch draws; stack the updates."""
-    samples = np.empty((count, state.w.shape[0]))
-    for r in range(count):
-        def replay_rng(i: int, r: int = r) -> np.random.Generator:
-            return streams.replay_stream(master_seed, i, t, r)
+    """Replay one round `count` times with fresh batch draws, in one lockstep pass."""
+    def replay_rng(i: int, r: int) -> np.random.Generator:
+        return streams.replay_stream(master_seed, i, t, r)
 
-        samples[r] = play_round(
-            state, objectives, active, local_cfg, eta, replay_rng,
-            scaffold_literal=scaffold_literal,
-        ).v
-    return samples
+    return replay_round(
+        state, population, active, local_cfg, eta, replay_rng, count,
+        scaffold_literal=scaffold_literal,
+    )
 
 
 def build_task(
     cfg: ExperimentConfig, seed: int
-) -> tuple[list[Objective], Objective | None, ClientDataset | None]:
-    """Materialize one seed's client objectives and optional test-set evaluator."""
+) -> tuple[Objective, Objective | None, ClientDataset | None]:
+    """Materialize one seed's stacked client objective and optional test-set evaluator."""
     train = make_synthetic_classification(
         cfg.classes, cfg.per_class, cfg.dim, cfg.separation,
         streams.seed_for(seed, streams.DATA, 0),
@@ -402,7 +397,7 @@ def build_task(
         params = {"num_classes": cfg.classes, "reg": cfg.reg}
     elif cfg.task == "mlp":
         params = {"num_classes": cfg.classes, "reg": cfg.reg, "hidden": cfg.hidden}
-    objectives = [make_objective(cfg.task, ds, **params) for ds in clients]
+    objective = make_objective(cfg.task, clients, **params)
     test_objective = None
     test_data = None
     if cfg.task != "quadratic" and cfg.test_per_class > 0:
@@ -411,7 +406,7 @@ def build_task(
             streams.seed_for(seed, streams.DATA, 1),
         )
         test_objective = make_objective(cfg.task, test_data, **params)
-    return objectives, test_objective, test_data
+    return objective, test_objective, test_data
 
 
 def build_schedule(cfg: ExperimentConfig, seed: int) -> AvailabilitySchedule:
@@ -459,21 +454,21 @@ def resolve_outdir(out: str) -> Path:
 
 
 def _run_one_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> tuple[TrialOutput, Path]:
-    objectives, test_objective, test_data = build_task(cfg, seed)
+    population, test_objective, test_data = build_task(cfg, seed)
     schedule = build_schedule(cfg, seed)
     rates = build_rates(cfg, schedule)
     local_cfg = LocalConfig(
         steps=cfg.local_steps, lr=cfg.local_lr,
         batch_size=cfg.batch_size, prox_mu=cfg.prox_mu,
     )
-    w0 = initial_model(cfg, objectives[0].dim, seed)
+    w0 = initial_model(cfg, population.dim, seed)
     trial = run_trial(
-        objectives, schedule, rates, cfg.algorithm, local_cfg, w0, seed,
+        population, schedule, rates, cfg.algorithm, local_cfg, w0, seed,
         test_objective=test_objective, test_data=test_data,
         phi_replays=cfg.phi_replays, phi_every=cfg.phi_every,
         expected_mode=cfg.expected_mode, expected_replays=cfg.expected_replays,
         scaffold_literal=(cfg.scaffold_anchor == "within_round"),
-        correction_site=cfg.correction_site, audit_nu=cfg.nu,
+        audit_nu=cfg.nu,
     )
     csv_path = outdir / f"{cfg.algorithm}_{cfg.scenario}_seed{seed}.csv"
     write_metrics_csv(trial.rows, csv_path)

@@ -1,8 +1,20 @@
-"""Client-side training: K steps of mini-batch SGD from the broadcast model."""
+"""Client-side training: K steps of mini-batch SGD from the broadcast model.
+
+Training runs in lockstep over rows: the active clients of a round, or the
+active clients times the replicas of a replayed round.  Each step computes
+every row's batch gradient in one batched call on the stacked objective.
+
+RNG rule: every row has its own stream, one per (client, round) or per
+(client, round, replica).  A row draws its batches from that stream with
+sample_batch, in step order, and the draws are gathered afterwards, so a
+row's batches never depend on which other rows share the call.  Full-batch
+rows draw nothing and need no stream.
+"""
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,38 +56,66 @@ def sample_batch(rng: np.random.Generator, n: int, batch_size: int) -> np.ndarra
     return rng.choice(n, size=batch_size, replace=False)
 
 
+def draw_batches(
+    n: int,
+    clients: np.ndarray,
+    batch_size: int,
+    rngs: Sequence[np.random.Generator] | None,
+    count: int,
+) -> np.ndarray:
+    """Flat sample indices (count, rows, b) for rows of clients holding n samples.
+
+    Row s takes its `count` batches in order from rngs[s]; rngs None gives
+    every row the full batch and draws nothing.
+    """
+    if rngs is None:
+        local = np.broadcast_to(np.arange(n), (count, len(clients), n))
+    else:
+        local = np.array([[sample_batch(rng, n, batch_size) for rng in rngs] for _ in range(count)])
+    return np.asarray(clients)[:, None] * n + local
+
+
 def local_train(
     objective: Objective,
     w_start: ParamVector,
+    clients: np.ndarray,
     cfg: LocalConfig,
-    rng: np.random.Generator,
-) -> tuple[ParamVector, ParamVector]:
-    """Run K local steps; return (average uploaded gradient, final local model).
+    rngs: Sequence[np.random.Generator] | None,
+    shift: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run K local steps from w_start on every row at once.
 
-    Each step moves w by -lr * (batch_grad + prox_mu * (w - w_start)).  The
-    upload is the plain average of the sampled batch gradients, so the final
-    model satisfies w_final = w_start - lr * K * upload whenever prox_mu = 0.
-    With prox_mu > 0 the upload is defined through that same identity, i.e.
-    (w_start - w_final) / (lr * K), keeping the server update rule uniform.
+    Row s trains client clients[s] on batches from rngs[s] (None: full
+    batch).  A step moves it by -lr * (g + shift[s] + prox_mu * (w - w_start))
+    with g its batch gradient; shift (scaffold's variates) defaults to zero.
+    Returns uploads, mean raw batch gradients and final models, each (rows,
+    dim).  The upload is the mean corrected gradient, so w_final = w_start -
+    lr * K * upload when prox_mu = 0; with prox_mu > 0 the upload is defined
+    through that identity, keeping the server update rule uniform.
     """
     L = objective.smoothness
     if L > 0 and cfg.lr > 1.0 / (10.0 * L):
         # Identical message on purpose: the default warning filter then
-        # reports it once per process instead of once per client per round.
+        # reports it once per process instead of once per round.
         warnings.warn("local lr exceeds 1/(10 L); small-step analysis does not apply")
-    n = objective.dataset.n
-    w = np.array(w_start, dtype=np.float64)
-    start = w.copy()
+    batches = draw_batches(objective.n, clients, cfg.batch_size, rngs, cfg.steps)
+    start = np.repeat(np.asarray(w_start, dtype=np.float64)[None], len(clients), axis=0)
+    w = start
     grad_sum = np.zeros_like(w)
-    for _ in range(cfg.steps):
-        g = objective.batch_grad(w, sample_batch(rng, n, cfg.batch_size))
+    step_sum = grad_sum if shift is None else np.zeros_like(w)
+    for batch in batches:
+        g = objective.batch_grad(w, batch)
         grad_sum += g
+        if shift is not None:
+            g = g + shift
+            step_sum += g
         if cfg.prox_mu > 0.0:
             w = w - cfg.lr * (g + cfg.prox_mu * (w - start))
         else:
             w = w - cfg.lr * g
+    grad_mean = grad_sum / cfg.steps
     if cfg.prox_mu > 0.0:
         upload = (start - w) / (cfg.lr * cfg.steps)
     else:
-        upload = grad_sum / cfg.steps
-    return upload, w
+        upload = step_sum / cfg.steps
+    return upload, grad_mean, w

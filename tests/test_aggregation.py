@@ -11,11 +11,10 @@ from dropfed.aggregation import (
     ALGORITHMS,
     fedavg_round,
     init_state,
-    memory_footprint,
     mifa_round,
     mimic_round,
     play_round,
-    scaffold_round,
+    replay_round,
 )
 from dropfed.errors import ConfigError, IntegrityError
 from dropfed.local_trainer import LocalConfig
@@ -34,6 +33,12 @@ def rng_factory(salt):
     return lambda i: np.random.default_rng((salt, i))
 
 
+def as_rows(uploads):
+    """Sorted ids and (S, dim) rows of a {client: vector} dict."""
+    ids = np.array(sorted(uploads))
+    return ids, np.array([uploads[i] for i in ids], dtype=np.float64)
+
+
 FULL_CFG = LocalConfig(steps=1, lr=0.1, batch_size=1)
 
 
@@ -46,10 +51,10 @@ def test_init_state_validation():
         init_state("adam", np.zeros(2), 3)
     with pytest.raises(ConfigError):
         init_state("fedavg", np.zeros(2), 0)
-    with pytest.raises(ConfigError):
-        init_state("mimic", np.zeros(2), 3, correction_site="edge")
     st = init_state("scaffold", np.zeros(2), 3)
     np.testing.assert_array_equal(st.server_variate, np.zeros(2))
+    np.testing.assert_array_equal(st.rows, np.zeros((3, 2)))
+    np.testing.assert_array_equal(st.written, [-1, -1, -1])
     assert init_state("fedavg", np.zeros(2), 3).server_variate is None
     assert set(ALGORITHMS) == {"fedavg", "fedprox", "mifa", "mimic", "scaffold"}
 
@@ -92,7 +97,7 @@ def test_empty_round_is_a_no_op_on_the_model():
         st = init_state(algo, np.array([0.7]), 2)
         res = play_round(st, objs, [], FULL_CFG, 0.5, rng_factory(3))
         np.testing.assert_array_equal(res.v, [0.0])
-        assert res.uploads == {}
+        assert res.uploads.shape == (0, 1)
         np.testing.assert_array_equal(res.state.w, st.w)
         assert res.state.round_index == 1
         assert res.state.w is not st.w  # fresh array, not an alias
@@ -105,18 +110,13 @@ def test_rounds_do_not_mutate_input_state():
         # Prime one round so memory exists, then snapshot and replay.
         st = play_round(st, objs, [0, 1], FULL_CFG, 0.1, rng_factory(4), full_batch=True).state
         w_before = st.w.copy()
-        mem_before = {k: v.copy() for k, v in st.memory.items()}
-        cor_before = {k: v.copy() for k, v in st.corrections.items()}
-        var_before = {k: v.copy() for k, v in st.client_variates.items()}
+        rows_before = st.rows.copy()
+        written_before = st.written.copy()
         res1 = play_round(st, objs, [0], FULL_CFG, 0.1, rng_factory(5), full_batch=True)
         res2 = play_round(st, objs, [0], FULL_CFG, 0.1, rng_factory(5), full_batch=True)
         np.testing.assert_array_equal(st.w, w_before)
-        for k in mem_before:
-            np.testing.assert_array_equal(st.memory[k], mem_before[k])
-        for k in cor_before:
-            np.testing.assert_array_equal(st.corrections[k], cor_before[k])
-        for k in var_before:
-            np.testing.assert_array_equal(st.client_variates[k], var_before[k])
+        np.testing.assert_array_equal(st.rows, rows_before)
+        np.testing.assert_array_equal(st.written, written_before)
         # Replaying the identical round is bit-identical.
         np.testing.assert_array_equal(res1.state.w, res2.state.w)
         np.testing.assert_array_equal(res1.v, res2.v)
@@ -135,15 +135,15 @@ def test_mimic_hand_simulation():
     st = init_state("mimic", np.array([0.0]), 2)
     r0 = play_round(st, objs, [0, 1], FULL_CFG, 0.5, rng_factory(6), full_batch=True)
     np.testing.assert_array_equal(r0.v, [0.0])
-    np.testing.assert_array_equal(r0.state.corrections[0], [1.0])
-    np.testing.assert_array_equal(r0.state.corrections[1], [-1.0])
-    assert r0.state.correction_round == {0: 0, 1: 0}
+    np.testing.assert_array_equal(r0.state.rows, [[1.0], [-1.0]])
+    np.testing.assert_array_equal(r0.state.written, [0, 0])
     r1 = play_round(r0.state, objs, [0], FULL_CFG, 0.5, rng_factory(7), full_batch=True)
-    np.testing.assert_array_equal(r1.uploads[0], [-1.0])
+    np.testing.assert_array_equal(r1.ids, [0])
+    np.testing.assert_array_equal(r1.uploads, [[-1.0]])
     np.testing.assert_array_equal(r1.v, [0.0])
     # Absent client keeps its old correction and stamp.
-    np.testing.assert_array_equal(r1.state.corrections[1], [-1.0])
-    assert r1.state.correction_round == {0: 1, 1: 0}
+    np.testing.assert_array_equal(r1.state.rows[1], [-1.0])
+    np.testing.assert_array_equal(r1.state.written, [1, 0])
 
 
 def test_mimic_correction_identity_and_mean_preservation():
@@ -151,28 +151,24 @@ def test_mimic_correction_identity_and_mean_preservation():
     dim, n = 4, 6
     st = init_state("mimic", rng.normal(size=dim), n)
     # Seed corrections by a full round of random uploads.
-    uploads = {i: rng.normal(size=dim) for i in range(n)}
-    st = mimic_round(st, uploads, 0.1).state
+    st = mimic_round(st, np.arange(n), rng.normal(size=(n, dim)), 0.1).state
     for _ in range(20):
-        ids = sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False).tolist())
-        uploads = {i: rng.normal(size=dim) for i in ids}
-        before = np.mean([st.corrections[i] for i in ids], axis=0)
-        res = mimic_round(st, uploads, 0.1)
-        for i in ids:
-            # v - upload_i - correction_i = 0 after the write.
-            np.testing.assert_allclose(
-                res.v - uploads[i] - res.state.corrections[i], 0.0, atol=1e-12
-            )
-        after = np.mean([res.state.corrections[i] for i in ids], axis=0)
+        ids = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+        uploads = rng.normal(size=(len(ids), dim))
+        before = st.rows[ids].mean(axis=0)
+        res = mimic_round(st, ids, uploads, 0.1)
+        # v - upload_i - correction_i = 0 after the write.
+        np.testing.assert_allclose(res.v - uploads - res.state.rows[ids], 0.0, atol=1e-12)
+        after = res.state.rows[ids].mean(axis=0)
         np.testing.assert_allclose(after, before, atol=1e-10)
         st = res.state
 
 
 def test_mimic_first_round_matches_fedavg():
     rng = np.random.default_rng(9)
-    uploads = {i: rng.normal(size=3) for i in range(5)}
-    v_avg = fedavg_round(init_state("fedavg", np.zeros(3), 5), uploads, 0.2)
-    v_mim = mimic_round(init_state("mimic", np.zeros(3), 5), uploads, 0.2)
+    ids, uploads = np.arange(5), rng.normal(size=(5, 3))
+    v_avg = fedavg_round(init_state("fedavg", np.zeros(3), 5), ids, uploads, 0.2)
+    v_mim = mimic_round(init_state("mimic", np.zeros(3), 5), ids, uploads, 0.2)
     np.testing.assert_array_equal(v_avg.v, v_mim.v)
     np.testing.assert_array_equal(v_avg.state.w, v_mim.state.w)
 
@@ -193,19 +189,6 @@ def test_mimic_exact_on_quadratics_any_schedule():
         np.testing.assert_allclose(res.v, want, atol=1e-12)
 
 
-def test_mimic_correction_site_is_cosmetic():
-    objs = [point_client(1.0, 0), point_client(-1.0, 1), point_client(2.0, 2)]
-    on_server = init_state("mimic", np.zeros(1), 3, correction_site="server")
-    on_client = init_state("mimic", np.zeros(1), 3, correction_site="client")
-    schedule = [[0, 1, 2], [0], [2, 1], [1], [0, 2]]
-    for t, active in enumerate(schedule):
-        on_server = play_round(on_server, objs, active, FULL_CFG, 0.2, rng_factory(t), full_batch=True).state
-        on_client = play_round(on_client, objs, active, FULL_CFG, 0.2, rng_factory(t), full_batch=True).state
-    np.testing.assert_array_equal(on_server.w, on_client.w)
-    assert memory_footprint(on_server) == {"server": 3, "client": 0}
-    assert memory_footprint(on_client) == {"server": 0, "client": 3}
-
-
 # ---------------------------------------------------------------------------
 # mifa
 
@@ -220,16 +203,16 @@ def test_mifa_hand_simulation():
     r0 = play_round(st, objs, [0, 1], FULL_CFG, 0.5, rng_factory(20), full_batch=True)
     np.testing.assert_allclose(r0.v, [-2.0])
     np.testing.assert_allclose(r0.state.w, [1.0])
-    assert r0.state.memory_round == {0: 0, 1: 0}
+    np.testing.assert_array_equal(r0.state.written, [0, 0])
     r1 = play_round(r0.state, objs, [0], FULL_CFG, 0.5, rng_factory(21), full_batch=True)
     np.testing.assert_allclose(r1.v, [-1.5])
     np.testing.assert_allclose(r1.state.w, [1.75])
-    assert r1.state.memory_round == {0: 1, 1: 0}
-    np.testing.assert_allclose(r1.state.memory[1], [-3.0])  # untouched stale entry
+    np.testing.assert_array_equal(r1.state.written, [1, 0])
+    np.testing.assert_allclose(r1.state.rows[1], [-3.0])  # untouched stale entry
     r2 = play_round(r1.state, objs, [1], FULL_CFG, 0.5, rng_factory(22), full_batch=True)
     np.testing.assert_allclose(r2.v, [-0.625])
     np.testing.assert_allclose(r2.state.w, [2.0625])
-    assert r2.state.memory_round == {0: 1, 1: 2}
+    np.testing.assert_array_equal(r2.state.written, [1, 2])
 
 
 def test_mifa_requires_warm_memory():
@@ -242,10 +225,10 @@ def test_mifa_requires_warm_memory():
 def test_mifa_round_averages_all_buffers():
     st = init_state("mifa", np.zeros(2), 3)
     first = {i: np.full(2, float(i)) for i in range(3)}  # 0, 1, 2 -> mean 1
-    res = mifa_round(st, first, 1.0)
+    res = mifa_round(st, *as_rows(first), 1.0)
     np.testing.assert_array_equal(res.v, [1.0, 1.0])
     update = {1: np.full(2, 7.0)}  # buffers now 0, 7, 2 -> mean 3
-    res = mifa_round(res.state, update, 1.0)
+    res = mifa_round(res.state, *as_rows(update), 1.0)
     np.testing.assert_array_equal(res.v, [3.0, 3.0])
 
 
@@ -277,16 +260,15 @@ def test_scaffold_variate_bookkeeping():
     res = play_round(st, objs, [0, 1], FULL_CFG, 0.5, rng_factory(25), full_batch=True)
     # K = 1 full batch: each client's variate is its full gradient at w0,
     # and the server variate is their mean over N.
-    np.testing.assert_allclose(res.state.client_variates[0], [-1.0])
-    np.testing.assert_allclose(res.state.client_variates[1], [-3.0])
+    np.testing.assert_allclose(res.state.rows, [[-1.0], [-3.0]])
     np.testing.assert_allclose(res.state.server_variate, [-2.0])
-    assert memory_footprint(res.state) == {"server": 1, "client": 2}
+    np.testing.assert_array_equal(res.state.written, [0, 0])
     # Partial round: only the participant's variate moves; the server
     # variate absorbs 1/N of the change.
     r1 = play_round(res.state, objs, [0], FULL_CFG, 0.5, rng_factory(26), full_batch=True)
-    np.testing.assert_allclose(r1.state.client_variates[1], [-3.0])
+    np.testing.assert_allclose(r1.state.rows[1], [-3.0])
     g0_new = objs[0].grad(res.state.w)  # raw gradient, variate shift removed
-    np.testing.assert_allclose(r1.state.client_variates[0], g0_new)
+    np.testing.assert_allclose(r1.state.rows[0], g0_new)
     np.testing.assert_allclose(
         r1.state.server_variate, np.array([-2.0]) + (g0_new - np.array([-1.0])) / 2
     )
@@ -295,9 +277,10 @@ def test_scaffold_variate_bookkeeping():
 def test_scaffold_literal_anchor_leaves_variates_alone():
     objs = [point_client(1.0, 0), point_client(-1.0, 1)]
     st = init_state("scaffold", np.zeros(1), 2)
-    res = scaffold_round(st, objs, [0, 1], FULL_CFG, 0.2, rng_factory(27),
-                         literal_anchor=True, full_batch=True)
-    assert res.state.client_variates == {}
+    res = play_round(st, objs, [0, 1], FULL_CFG, 0.2, rng_factory(27),
+                     scaffold_literal=True, full_batch=True)
+    np.testing.assert_array_equal(res.state.rows, st.rows)
+    np.testing.assert_array_equal(res.state.written, [-1, -1])
     np.testing.assert_array_equal(res.state.server_variate, st.server_variate)
     assert len(res.uploads) == 2
 
@@ -319,14 +302,55 @@ def test_scaffold_drift_correction_pulls_toward_population_descent():
 
 
 # ---------------------------------------------------------------------------
-# memory footprints
+# written rows and replays
 
 
-def test_memory_footprint_by_algorithm():
-    assert memory_footprint(init_state("fedavg", np.zeros(1), 5)) == {"server": 0, "client": 0}
-    assert memory_footprint(init_state("fedprox", np.zeros(1), 5)) == {"server": 0, "client": 0}
+def test_written_rows_by_algorithm():
+    # mimic, mifa and scaffold stamp each participant's row with the round;
+    # fedavg and fedprox keep no per-client memory.
     objs = [point_client(float(i), i) for i in range(3)]
-    for algo, want in [("mimic", {"server": 3, "client": 0}), ("mifa", {"server": 3, "client": 0})]:
+    for algo in ALGORITHMS:
         st = init_state(algo, np.zeros(1), 3)
-        st = play_round(st, objs, [0, 1, 2], FULL_CFG, 0.1, rng_factory(30), full_batch=True).state
-        assert memory_footprint(st) == want
+        cfg = LocalConfig(steps=1, lr=0.1, batch_size=1, prox_mu=0.1 if algo == "fedprox" else 0.0)
+        st = play_round(st, objs, [0, 1, 2], cfg, 0.1, rng_factory(30), full_batch=True).state
+        st = play_round(st, objs, [1], cfg, 0.1, rng_factory(31), full_batch=True).state
+        want = [-1, -1, -1] if algo in ("fedavg", "fedprox") else [0, 1, 0]
+        np.testing.assert_array_equal(st.written, want)
+        assert np.any(st.rows != 0) == (algo not in ("fedavg", "fedprox"))
+
+
+def test_full_batch_builds_no_stream():
+    def refuse(*_):
+        raise AssertionError("full-batch rounds must not build a stream")
+
+    objs = [point_client(1.0, 0), point_client(-2.0, 1)]
+    cfg = LocalConfig(steps=3, lr=0.1, batch_size=1)
+    for algo in ALGORITHMS:
+        for literal in (False, True):
+            st = init_state(algo, np.array([0.3]), 2)
+            res = play_round(st, objs, [0, 1], cfg, 0.2, refuse,
+                             scaffold_literal=literal, full_batch=True)
+            assert res.state.round_index == 1
+
+
+def test_replay_round_matches_separate_rounds():
+    # All replicas in one lockstep pass equal one play_round per replica,
+    # bit for bit, and the state is not advanced.
+    rng = np.random.default_rng(32)
+    objs = [
+        QuadraticObjective(ClientDataset(rng.normal(size=(6, 2)) + i, np.zeros(6, dtype=int)))
+        for i in range(4)
+    ]
+    cfg = LocalConfig(steps=3, lr=0.1, batch_size=2)
+    for algo in ALGORITHMS:
+        for literal in (False, True):
+            st = init_state(algo, rng.normal(size=2), 4)
+            st = play_round(st, objs, [0, 1, 2, 3], cfg, 0.2, rng_factory(33)).state
+            replay_rng = lambda i, r: np.random.default_rng((34, i, r))
+            got = replay_round(st, objs, [3, 1], cfg, 0.2, replay_rng, 3,
+                               scaffold_literal=literal)
+            for r in range(3):
+                want = play_round(st, objs, [1, 3], cfg, 0.2, lambda i: replay_rng(i, r),
+                                  scaffold_literal=literal).v
+                np.testing.assert_array_equal(got[r], want)
+            assert st.round_index == 1

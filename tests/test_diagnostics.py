@@ -10,8 +10,6 @@ from dropfed.diagnostics import (
     RoundMetrics,
     evaluate,
     expected_update_error,
-    global_grad,
-    global_loss,
     participation_bias,
     read_metrics_csv,
     update_variance,
@@ -21,7 +19,7 @@ from dropfed.diagnostics import (
     write_metrics_csv,
 )
 from dropfed.errors import ConfigError
-from dropfed.objectives import ClientDataset, LogisticObjective, QuadraticObjective
+from dropfed.objectives import ClientDataset, LogisticObjective, QuadraticObjective, stack
 
 
 def point_client(m):
@@ -29,31 +27,37 @@ def point_client(m):
     return QuadraticObjective(ClientDataset(m[None, :], np.array([0])))
 
 
+def client_grads(objs, w):
+    return stack(objs).losses_and_grads(w)[1]
+
+
 def test_global_loss_and_grad():
-    objs = [point_client(0.0), point_client(2.0)]
+    population = stack([point_client(0.0), point_client(2.0)])
     w = np.array([0.0])
     # Losses 0 and 2, gradients 0 and -2.
-    assert global_loss(objs, w) == pytest.approx(1.0)
-    np.testing.assert_allclose(global_grad(objs, w), [-1.0])
+    losses, grads = population.losses_and_grads(w)
+    np.testing.assert_allclose(losses, [0.0, 2.0])
+    np.testing.assert_allclose(grads, [[0.0], [-2.0]])
+    assert population.loss(w) == pytest.approx(1.0)
+    np.testing.assert_allclose(population.grad(w), [-1.0])
 
 
 def test_participation_bias_hand_value():
     # Means 0 and 2 probed at w = 0: client-0 gradient 0, global gradient -1,
     # so activating only client 0 gives gamma = |0 - (-1)|^2 = 1.
-    objs = [point_client(0.0), point_client(2.0)]
-    w = np.array([0.0])
-    assert participation_bias(objs, [0], w) == pytest.approx(1.0)
-    assert participation_bias(objs, [1], w) == pytest.approx(1.0)
-    assert participation_bias(objs, [0, 1], w) == pytest.approx(0.0, abs=1e-15)
+    grads = client_grads([point_client(0.0), point_client(2.0)], np.array([0.0]))
+    assert participation_bias(grads, [0]) == pytest.approx(1.0)
+    assert participation_bias(grads, [1]) == pytest.approx(1.0)
+    assert participation_bias(grads, [0, 1]) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ConfigError):
-        participation_bias(objs, [], w)
+        participation_bias(grads, [])
 
 
 def test_participation_bias_independent_of_w_for_quadratics():
     # Quadratic gradients are w - m, so the participant/global gap is a
     # constant in w.
     objs = [point_client(0.0), point_client(2.0), point_client(5.0)]
-    vals = [participation_bias(objs, [0, 2], np.array([x])) for x in (-3.0, 0.0, 11.0)]
+    vals = [participation_bias(client_grads(objs, np.array([x])), [0, 2]) for x in (-3.0, 0.0, 11.0)]
     np.testing.assert_allclose(vals, vals[0])
 
 
@@ -64,11 +68,12 @@ def test_expected_update_error_decomposition_case():
     w = np.array([0.7])
     active = [0]
     v_exp = np.mean([objs[i].grad(w) for i in active], axis=0)
-    assert expected_update_error(v_exp, objs, w) == pytest.approx(
-        participation_bias(objs, active, w), abs=1e-15
+    grad = stack(objs).grad(w)
+    assert expected_update_error(v_exp, grad) == pytest.approx(
+        participation_bias(client_grads(objs, w), active), abs=1e-15
     )
     # A perfect update has zero error.
-    assert expected_update_error(global_grad(objs, w), objs, w) == 0.0
+    assert expected_update_error(grad, grad) == 0.0
 
 
 def test_update_variance_hand_value():
@@ -108,7 +113,7 @@ def test_evaluate_classification_and_regression():
     flipped = ClientDataset(features, labels[::-1].copy())
     assert evaluate(logit, np.array([3.0, 0.0]), flipped) == 0.0
     quad = point_client(0.0)
-    assert evaluate(quad, np.array([0.0]), quad.dataset) is None
+    assert evaluate(quad, np.array([0.0]), quad.datasets[0]) is None
 
 
 def test_uploads_per_round_doubles_for_control_variates():

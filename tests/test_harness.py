@@ -318,13 +318,13 @@ def test_load_config_inline_comments(tmp_path):
 def test_build_task_shapes_and_determinism():
     cfg = ExperimentConfig(task="logistic", classes=2, per_class=10, clients=4,
                            test_per_class=6)
-    objs, test_obj, test_data = build_task(cfg, seed=1)
-    assert len(objs) == 4
-    assert all(o.kind == "logistic" for o in objs)
-    assert all(o.dataset.n == 5 for o in objs)
+    population, test_obj, test_data = build_task(cfg, seed=1)
+    assert population.kind == "logistic"
+    assert population.num_clients == 4 and population.n == 5
+    assert population.features.shape == (4, 5, 2)
     assert test_obj is not None and test_data.n == 12
     again, _, _ = build_task(cfg, seed=1)
-    np.testing.assert_array_equal(objs[0].dataset.features, again[0].dataset.features)
+    np.testing.assert_array_equal(population.features, again.features)
     # Test pool differs from the training pool (different stream index).
     train_pool = make_synthetic_classification(2, 6, 2, 4.0, seed_for(1, DATA, 0))
     assert not np.array_equal(test_data.features[:6], train_pool.features[:6])

@@ -1,4 +1,8 @@
-"""Local SGD: hand-traced trajectories, the upload identity, and rng behavior."""
+"""Local SGD: hand-traced trajectories, the upload identity, and rng behavior.
+
+Most cases train one row; the lockstep cases check that rows train
+independently of each other.
+"""
 
 import warnings
 
@@ -6,12 +10,18 @@ import numpy as np
 import pytest
 
 from dropfed.errors import ConfigError
-from dropfed.local_trainer import LocalConfig, local_train, sample_batch
+from dropfed.local_trainer import LocalConfig, draw_batches, local_train, sample_batch
 from dropfed.objectives import ClientDataset, QuadraticObjective
 
 
 def one_point_objective(value=1.0):
     return QuadraticObjective(ClientDataset(np.array([[value]]), np.array([0])))
+
+
+def train_one(obj, w0, cfg, rng):
+    """(upload, final model) of a single row training client 0."""
+    upload, _, w_final = local_train(obj, w0, [0], cfg, [rng])
+    return upload[0], w_final[0]
 
 
 def test_two_step_hand_trace():
@@ -21,7 +31,7 @@ def test_two_step_hand_trace():
     # upload = (-1 - 0.9) / 2 = -0.95.
     obj = one_point_objective(1.0)
     cfg = LocalConfig(steps=2, lr=0.1, batch_size=1)
-    upload, w_final = local_train(obj, np.array([0.0]), cfg, np.random.default_rng(0))
+    upload, w_final = train_one(obj, np.array([0.0]), cfg, np.random.default_rng(0))
     np.testing.assert_allclose(upload, [-0.95])
     np.testing.assert_allclose(w_final, [0.19])
 
@@ -33,7 +43,7 @@ def test_upload_identity_no_prox():
     obj = QuadraticObjective(ClientDataset(pts, np.zeros(20, dtype=int)))
     cfg = LocalConfig(steps=7, lr=0.05, batch_size=4)
     w0 = rng.normal(size=3)
-    upload, w_final = local_train(obj, w0, cfg, np.random.default_rng(2))
+    upload, w_final = train_one(obj, w0, cfg, np.random.default_rng(2))
     np.testing.assert_allclose(w_final, w0 - cfg.lr * cfg.steps * upload, atol=1e-12)
 
 
@@ -44,7 +54,7 @@ def test_prox_hand_trace():
     # upload = (2 - 1.82) / (0.1 * 2) = 0.9 by the served identity.
     obj = one_point_objective(1.0)
     cfg = LocalConfig(steps=2, lr=0.1, batch_size=1, prox_mu=1.0)
-    upload, w_final = local_train(obj, np.array([2.0]), cfg, np.random.default_rng(0))
+    upload, w_final = train_one(obj, np.array([2.0]), cfg, np.random.default_rng(0))
     np.testing.assert_allclose(w_final, [1.82])
     np.testing.assert_allclose(upload, [0.9])
 
@@ -55,7 +65,7 @@ def test_prox_upload_identity_holds_by_construction():
     obj = QuadraticObjective(ClientDataset(pts, np.zeros(12, dtype=int)))
     cfg = LocalConfig(steps=5, lr=0.08, batch_size=3, prox_mu=0.5)
     w0 = rng.normal(size=2)
-    upload, w_final = local_train(obj, w0, cfg, np.random.default_rng(4))
+    upload, w_final = train_one(obj, w0, cfg, np.random.default_rng(4))
     np.testing.assert_allclose(w_final, w0 - cfg.lr * cfg.steps * upload, atol=1e-12)
 
 
@@ -64,8 +74,8 @@ def test_prox_zero_matches_plain_sgd():
     pts = rng.normal(size=(10, 2))
     obj = QuadraticObjective(ClientDataset(pts, np.zeros(10, dtype=int)))
     w0 = rng.normal(size=2)
-    plain = local_train(obj, w0, LocalConfig(steps=4, lr=0.1, batch_size=2), np.random.default_rng(7))
-    anchored = local_train(
+    plain = train_one(obj, w0, LocalConfig(steps=4, lr=0.1, batch_size=2), np.random.default_rng(7))
+    anchored = train_one(
         obj, w0, LocalConfig(steps=4, lr=0.1, batch_size=2, prox_mu=0.0), np.random.default_rng(7)
     )
     np.testing.assert_array_equal(plain[0], anchored[0])
@@ -78,7 +88,7 @@ def test_single_step_full_batch_is_plain_gradient():
     obj = QuadraticObjective(ClientDataset(pts, np.zeros(9, dtype=int)))
     w0 = rng.normal(size=2)
     cfg = LocalConfig(steps=1, lr=0.2, batch_size=9)
-    upload, w_final = local_train(obj, w0, cfg, np.random.default_rng(9))
+    upload, w_final = train_one(obj, w0, cfg, np.random.default_rng(9))
     np.testing.assert_array_equal(upload, obj.grad(w0))
     np.testing.assert_array_equal(w_final, w0 - 0.2 * obj.grad(w0))
 
@@ -89,9 +99,9 @@ def test_determinism_and_stream_separation():
     obj = QuadraticObjective(ClientDataset(pts, np.zeros(15, dtype=int)))
     cfg = LocalConfig(steps=6, lr=0.1, batch_size=2)
     w0 = np.zeros(2)
-    a = local_train(obj, w0, cfg, np.random.default_rng(42))
-    b = local_train(obj, w0, cfg, np.random.default_rng(42))
-    c = local_train(obj, w0, cfg, np.random.default_rng(43))
+    a = train_one(obj, w0, cfg, np.random.default_rng(42))
+    b = train_one(obj, w0, cfg, np.random.default_rng(42))
+    c = train_one(obj, w0, cfg, np.random.default_rng(43))
     np.testing.assert_array_equal(a[0], b[0])
     assert not np.array_equal(a[0], c[0])
 
@@ -124,10 +134,10 @@ def test_large_lr_warns_against_smoothness():
     obj = one_point_objective()  # L = 1, so the comfort zone is lr <= 0.1
     cfg = LocalConfig(steps=1, lr=0.5, batch_size=1)
     with pytest.warns(UserWarning, match="small-step"):
-        local_train(obj, np.array([0.0]), cfg, np.random.default_rng(0))
+        train_one(obj, np.array([0.0]), cfg, np.random.default_rng(0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        local_train(
+        train_one(
             obj, np.array([0.0]), LocalConfig(steps=1, lr=0.1, batch_size=1),
             np.random.default_rng(0),
         )
@@ -150,3 +160,43 @@ def test_local_config_is_frozen():
     cfg = LocalConfig()
     with pytest.raises(AttributeError):
         cfg.lr = 0.5
+
+
+def test_lockstep_rows_match_single_row_training():
+    # Three clients stacked, rows in any order and with repeats: each row
+    # trains exactly as it would alone, from its own stream.
+    rng = np.random.default_rng(14)
+    clients = [ClientDataset(rng.normal(size=(6, 2)), np.zeros(6, dtype=int)) for _ in range(3)]
+    population = QuadraticObjective(clients)
+    cfg = LocalConfig(steps=4, lr=0.1, batch_size=2)
+    w0 = rng.normal(size=2)
+    rows = [2, 0, 2, 1]
+    uploads, grads, w_final = local_train(
+        population, w0, rows, cfg, [np.random.default_rng(s) for s in range(4)]
+    )
+    for s, i in enumerate(rows):
+        upload, w_alone = train_one(QuadraticObjective(clients[i]), w0, cfg, np.random.default_rng(s))
+        np.testing.assert_array_equal(uploads[s], upload)
+        np.testing.assert_array_equal(grads[s], upload)
+        np.testing.assert_array_equal(w_final[s], w_alone)
+
+
+def test_shift_corrects_every_step_and_keeps_raw_mean():
+    # One point at 1, shift 0.5: corrected gradients w - 0.5 from w = 0 with
+    # lr 0.1 give -0.5, then -0.45; raw gradients -1, then -0.95.
+    obj = one_point_objective(1.0)
+    cfg = LocalConfig(steps=2, lr=0.1, batch_size=1)
+    upload, raw, w_final = local_train(obj, np.zeros(1), [0], cfg, None, shift=np.array([[0.5]]))
+    np.testing.assert_allclose(upload, [[-0.475]])
+    np.testing.assert_allclose(raw, [[-0.975]])
+    np.testing.assert_allclose(w_final, [[0.095]])
+
+
+def test_draw_batches_offsets_and_full_batch():
+    full = draw_batches(3, np.array([0, 2]), 5, None, 2)
+    assert full.shape == (2, 2, 3)
+    np.testing.assert_array_equal(full[1], [[0, 1, 2], [6, 7, 8]])
+    drawn = draw_batches(4, np.array([1]), 2, [np.random.default_rng(15)], 3)
+    ref = np.random.default_rng(15)
+    want = [4 + sample_batch(ref, 4, 2) for _ in range(3)]
+    np.testing.assert_array_equal(drawn[:, 0], want)

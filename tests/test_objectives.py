@@ -300,7 +300,7 @@ def test_global_optimum_is_mean_of_client_means():
         pts = rng.normal(size=(3 + i, 2)) + i
         objs.append(QuadraticObjective(ClientDataset(pts, np.zeros(3 + i, dtype=int))))
     w_star = global_optimum(objs)
-    np.testing.assert_allclose(w_star, np.mean([o.mean for o in objs], axis=0))
+    np.testing.assert_allclose(w_star, np.mean([o.optimum for o in objs], axis=0))
     # The averaged gradient must vanish there.
     avg_grad = np.mean([o.grad(w_star) for o in objs], axis=0)
     np.testing.assert_allclose(avg_grad, 0.0, atol=1e-14)
