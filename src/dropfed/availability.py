@@ -1,79 +1,65 @@
 """Client availability: who participates at each global iteration.
 
-Schedules are materialized up front as explicit active sets, so training,
-diagnostics, and exported artifacts all see the identical participation
-pattern.  Every generator forces full participation at iteration 0; later
-rounds follow the scenario's own law.
+A schedule is materialized up front as one boolean mask of shape (T, N):
+mask[t, i] is True when client i is active at iteration t.  Training,
+diagnostics, and exported artifacts all read that one mask, so they see the
+identical participation pattern.  Every generator forces full participation
+at iteration 0 (static_prob_schedule can switch that off to study cold
+starts); later rounds follow the scenario's own law.
+
+A client's staleness is the gap between two of its consecutive
+appearances.  A first appearance has no earlier one and adds nothing, so a
+cold start needs no special case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError
+from .errors import ConfigError
 from .rng import Seed, generator
 
 
 @dataclass
 class AvailabilitySchedule:
-    """Active client sets for iterations 0..T-1 over clients 0..N-1."""
+    """Active clients for iterations 0..T-1 over clients 0..N-1, as a (T, N) mask."""
 
-    num_clients: int
-    active_sets: tuple[tuple[int, ...], ...]
+    mask: np.ndarray
     kind: str = "custom"
-    _last_seen: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.mask.dtype != np.bool_ or self.mask.ndim != 2:
+            raise ConfigError(f"need a 2-D boolean mask, got {self.mask.dtype} {self.mask.shape}")
         if self.num_clients < 1:
             raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}")
-        cleaned = []
-        for t, ids in enumerate(self.active_sets):
-            ids = tuple(sorted(int(i) for i in ids))
-            if len(set(ids)) != len(ids):
-                raise ConfigError(f"iteration {t}: duplicate client ids {ids}")
-            if ids and (ids[0] < 0 or ids[-1] >= self.num_clients):
-                raise ConfigError(f"iteration {t}: client id out of range in {ids}")
-            cleaned.append(ids)
-        self.active_sets = tuple(cleaned)
-        # last_seen[t, i]: most recent iteration before t where i was active,
-        # or -1 when there is none.
-        last = np.full((len(cleaned) + 1, self.num_clients), -1, dtype=np.int64)
-        for t, ids in enumerate(cleaned):
-            last[t + 1] = last[t]
-            for i in ids:
-                last[t + 1, i] = t
-        self._last_seen = last
 
     @property
     def iterations(self) -> int:
-        return len(self.active_sets)
+        return self.mask.shape[0]
+
+    @property
+    def num_clients(self) -> int:
+        return self.mask.shape[1]
+
+    @property
+    def active_sets(self) -> tuple[tuple[int, ...], ...]:
+        """Each round's active client ids in ascending order, derived from the mask."""
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.mask)
 
     def sizes(self) -> np.ndarray:
-        return np.array([len(s) for s in self.active_sets], dtype=np.int64)
-
-    def staleness(self, t: int, client: int) -> int:
-        """Iterations since the client's previous appearance; 0 at t = 0."""
-        if not 0 <= t < self.iterations:
-            raise ConfigError(f"iteration {t} outside [0, {self.iterations})")
-        if not 0 <= client < self.num_clients:
-            raise ConfigError(f"client {client} outside [0, {self.num_clients})")
-        if t == 0:
-            return 0
-        prev = int(self._last_seen[t, client])
-        if prev < 0:
-            raise IntegrityError(f"client {client} never active before iteration {t}")
-        return t - prev
+        return np.count_nonzero(self.mask, axis=1)
 
     def max_staleness(self) -> int:
-        """Largest staleness over all (t, i) with i active at t."""
-        worst = 0
-        for t, ids in enumerate(self.active_sets):
-            for i in ids:
-                worst = max(worst, self.staleness(t, i))
-        return worst
+        """Largest gap between consecutive appearances of one client; 0 if none."""
+        seen = np.flatnonzero(self.mask.T)  # client * T + round, by client then round
+        gaps = np.diff(seen)
+        # The step into a client's first appearance comes from another client.
+        firsts = np.searchsorted(seen, np.arange(1, self.num_clients) * self.iterations)
+        gaps[firsts[(firsts > 0) & (firsts < seen.size)] - 1] = 0
+        return int(gaps.max(initial=0))
 
     def to_text(self) -> str:
         """One line per iteration, comma-separated active client ids."""
@@ -83,29 +69,14 @@ class AvailabilitySchedule:
         Path(path).write_text(self.to_text())
 
 
-def schedule_from_text(text: str, num_clients: int, kind: str = "custom") -> AvailabilitySchedule:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines = lines[:-1]
-    sets = []
-    for line in lines:
-        line = line.strip()
-        sets.append(tuple(int(v) for v in line.split(",")) if line else ())
-    return AvailabilitySchedule(num_clients, tuple(sets), kind=kind)
-
-
-def load_schedule(path: str | Path, num_clients: int) -> AvailabilitySchedule:
-    return schedule_from_text(Path(path).read_text(), num_clients)
-
-
-def periodic_schedule(periods: list[int], iterations: int) -> AvailabilitySchedule:
+def periodic_schedule(periods: np.ndarray | list[int], iterations: int) -> AvailabilitySchedule:
     """Client i participates exactly when t is a multiple of periods[i]."""
-    if any(p < 1 for p in periods):
-        raise ConfigError(f"periods must be >= 1, got {periods}")
-    sets = tuple(
-        tuple(i for i, p in enumerate(periods) if t % p == 0) for t in range(iterations)
-    )
-    return AvailabilitySchedule(len(periods), sets, kind="round_robin")
+    periods = np.asarray(periods, dtype=np.int64)
+    if np.any(periods < 1):
+        raise ConfigError(f"periods must be >= 1, got {periods.tolist()}")
+    distinct, column = np.unique(periods, return_inverse=True)
+    mask = (np.arange(iterations)[:, None] % distinct == 0)[:, column]
+    return AvailabilitySchedule(mask, kind="round_robin")
 
 
 def round_robin_schedule(
@@ -119,8 +90,7 @@ def round_robin_schedule(
     if tau_max < 1:
         raise ConfigError(f"tau_max must be >= 1, got {tau_max}")
     draws = generator(seed).integers(0, tau_max + 1, size=num_clients)
-    periods = [max(1, int(u)) for u in draws]
-    return periodic_schedule(periods, iterations)
+    return periodic_schedule(np.maximum(1, draws), iterations)
 
 
 def static_prob_schedule(
@@ -133,19 +103,16 @@ def static_prob_schedule(
     """Independent coin flips: each client joins each round with probability prob.
 
     Rounds may be empty.  force_full_start keeps the conventional full round
-    at t = 0; switch it off to study cold starts.
+    at t = 0; switch it off to study cold starts.  The flips of all drawn
+    rounds come from one call, row by row, so they are the doubles a
+    per-round draw of N would take, in the same order.
     """
     if not 0.0 < prob <= 1.0:
         raise ConfigError(f"prob must be in (0, 1], got {prob}")
-    rng = generator(seed)
-    sets = []
-    for t in range(iterations):
-        if t == 0 and force_full_start:
-            sets.append(tuple(range(num_clients)))
-            continue
-        draws = rng.random(num_clients)
-        sets.append(tuple(np.nonzero(draws <= prob)[0].tolist()))
-    return AvailabilitySchedule(num_clients, tuple(sets), kind="static")
+    first = 1 if force_full_start else 0
+    mask = np.ones((iterations, num_clients), dtype=bool)
+    mask[first:] = generator(seed).random((max(iterations - first, 0), num_clients)) <= prob
+    return AvailabilitySchedule(mask, kind="static")
 
 
 def weighted_sample_schedule(
@@ -155,7 +122,8 @@ def weighted_sample_schedule(
 
     Each round draws fresh weights uniform on [1, 10] and selects without
     replacement: one sequential draw proportional to the remaining weights,
-    renormalizing after each pick.
+    renormalizing after each pick.  A round's draws interleave with the
+    next round's weights, so rounds are drawn one at a time.
     """
     count = int(round(ratio * num_clients))
     if not 1 <= count <= num_clients:
@@ -163,16 +131,13 @@ def weighted_sample_schedule(
             f"ratio {ratio} selects {count} of {num_clients} clients; need 1..{num_clients}"
         )
     rng = generator(seed)
-    sets: list[tuple[int, ...]] = [tuple(range(num_clients))]
-    for _ in range(1, iterations):
+    mask = np.zeros((iterations, num_clients), dtype=bool)
+    mask[:1] = True
+    for row in mask[1:]:
         weights = rng.uniform(1.0, 10.0, size=num_clients)
         remaining = list(range(num_clients))
-        picked = []
-        for _ in range(count):
-            w = weights[remaining]
-            edges = np.cumsum(w)
-            j = int(np.searchsorted(edges, rng.random() * edges[-1], side="right"))
-            j = min(j, len(remaining) - 1)
-            picked.append(remaining.pop(j))
-        sets.append(tuple(picked))
-    return AvailabilitySchedule(num_clients, tuple(sets[:iterations]), kind="weighted")
+        for u in rng.random(count):
+            edges = np.cumsum(weights[remaining])
+            j = int(np.searchsorted(edges, u * edges[-1], side="right"))
+            row[remaining.pop(min(j, len(remaining) - 1))] = True
+    return AvailabilitySchedule(mask, kind="weighted")

@@ -127,6 +127,19 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"duplicate seeds in {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
+        if self.phi_replays == 1 or self.phi_replays < 0:
+            raise ConfigError(f"phi_replays must be 0 (off) or >= 2, got {self.phi_replays}")
+        if self.expected_mode == "mc" and self.expected_replays < 1:
+            raise ConfigError(
+                f"expected_mode = mc needs expected_replays >= 1, got {self.expected_replays}"
+            )
+        if self.algorithm == "mifa" and self.scenario == "static" and not self.force_full_start:
+            raise ConfigError(
+                "mifa needs every client's update before it aggregates; "
+                "use force_full_start = true with scenario = static"
+            )
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
@@ -278,7 +291,7 @@ def run_trial(
     uploads_total = 0
 
     for t in range(schedule.iterations):
-        active = list(schedule.active_sets[t])
+        active = np.flatnonzero(schedule.mask[t]).tolist()
         eta = float(rates.values[t])
         w = state.w
         losses, client_grads = population.losses_and_grads(w)

@@ -1,21 +1,19 @@
-"""Availability schedules: hand-checked patterns, staleness, and persistence."""
+"""Availability schedules: hand-checked patterns, staleness, text, and properties."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dropfed.availability import (
     AvailabilitySchedule,
-    load_schedule,
     periodic_schedule,
     round_robin_schedule,
-    schedule_from_text,
     static_prob_schedule,
     weighted_sample_schedule,
 )
-from dropfed.errors import ConfigError, IntegrityError
-from dropfed.rng import AVAILABILITY, seed_for
+from dropfed.errors import ConfigError
+from dropfed.rng import AVAILABILITY, generator, seed_for
 
 
 def test_periodic_two_client_pattern():
@@ -28,51 +26,45 @@ def test_periodic_two_client_pattern():
 
 
 def test_periodic_staleness_hand_values():
-    sched = periodic_schedule([1, 3], 7)
-    # client 1 active at t = 0, 3, 6.
-    assert sched.staleness(0, 1) == 0
-    assert sched.staleness(1, 1) == 1
-    assert sched.staleness(2, 1) == 2
-    assert sched.staleness(3, 1) == 3
-    assert sched.staleness(4, 1) == 1
-    assert sched.staleness(6, 1) == 3
-    # client 0 is active every round, so staleness stays at 1 after t = 0.
-    assert all(sched.staleness(t, 0) == 1 for t in range(1, 7))
-    assert sched.max_staleness() == 3
+    # periods [1, 3]: client 1 is active at t = 0, 3, 6, client 0 every round.
+    assert periodic_schedule([1, 3], 7).max_staleness() == 3
+    # periods [2, 5]: gaps are 2 for client 0 and 5 for client 1 (t = 0, 5, 10).
+    assert periodic_schedule([2, 5], 12).max_staleness() == 5
+    # Before client 1 reappears, only client 0's gaps count.
+    assert periodic_schedule([2, 5], 5).max_staleness() == 2
+    assert periodic_schedule([1, 3], 1).max_staleness() == 0
 
 
-def test_staleness_bounds_and_errors():
-    sched = periodic_schedule([1, 2], 4)
-    with pytest.raises(ConfigError):
-        sched.staleness(4, 0)
-    with pytest.raises(ConfigError):
-        sched.staleness(-1, 0)
-    with pytest.raises(ConfigError):
-        sched.staleness(0, 2)
-
-
-def test_never_seen_client_raises_integrity_error():
-    # Client 1 appears at t = 2 with no prior round: its memory would be
-    # undefined, which is an integrity problem rather than a config typo.
-    sched = schedule_from_text("0\n0\n0,1\n", num_clients=2)
-    with pytest.raises(IntegrityError):
-        sched.staleness(2, 1)
+def test_first_appearance_adds_no_staleness():
+    # Client 1 first appears at t = 2 and again at t = 5: one gap of 3.
+    # Its first appearance is no gap; client 0's gaps are 1.
+    mask = np.zeros((6, 2), dtype=bool)
+    mask[:, 0] = True
+    mask[[2, 5], 1] = True
+    assert AvailabilitySchedule(mask).max_staleness() == 3
+    mask[5, 1] = False
+    assert AvailabilitySchedule(mask).max_staleness() == 1
+    assert AvailabilitySchedule(np.zeros((4, 3), dtype=bool)).max_staleness() == 0
 
 
 def test_schedule_validation():
     with pytest.raises(ConfigError):
-        AvailabilitySchedule(0, ((),))
+        AvailabilitySchedule(np.zeros((1, 0), dtype=bool))
     with pytest.raises(ConfigError):
-        AvailabilitySchedule(2, ((0, 0),))
+        AvailabilitySchedule(np.zeros((2, 2), dtype=np.int64))
     with pytest.raises(ConfigError):
-        AvailabilitySchedule(2, ((0, 2),))
+        AvailabilitySchedule(np.zeros(3, dtype=bool))
     with pytest.raises(ConfigError):
-        AvailabilitySchedule(2, ((-1,),))
+        periodic_schedule([], 4)
+    with pytest.raises(ConfigError):
+        periodic_schedule([1, 0], 4)
 
 
 def test_schedule_sorts_ids():
-    sched = AvailabilitySchedule(4, ((3, 0, 2),))
-    assert sched.active_sets == ((0, 2, 3),)
+    sched = AvailabilitySchedule(np.array([[True, False, True, True], [False] * 4]))
+    assert sched.active_sets == ((0, 2, 3), ())
+    assert sched.num_clients == 4
+    assert sched.iterations == 2
 
 
 def test_round_robin_respects_tau_max():
@@ -149,34 +141,114 @@ def test_weighted_sample_covers_all_clients_eventually():
     assert sched.max_staleness() >= 1
 
 
-def test_text_roundtrip_including_empty_rounds():
-    sched = AvailabilitySchedule(3, ((0, 1, 2), (), (1,), (0, 2)))
-    text = sched.to_text()
-    assert text == "0,1,2\n\n1\n0,2\n"
-    back = schedule_from_text(text, 3)
-    assert back.active_sets == sched.active_sets
-
-
-def test_save_and_load(tmp_path):
-    sched = static_prob_schedule(5, 40, 0.4, seed_for(8, AVAILABILITY))
+def test_text_including_empty_rounds(tmp_path):
+    mask = np.array([[1, 1, 1], [0, 0, 0], [0, 1, 0], [1, 0, 1]], dtype=bool)
+    sched = AvailabilitySchedule(mask)
+    assert sched.to_text() == "0,1,2\n\n1\n0,2\n"
     path = tmp_path / "sched.txt"
     sched.save(path)
-    back = load_schedule(path, 5)
-    assert back.active_sets == sched.active_sets
-    np.testing.assert_array_equal(back.sizes(), sched.sizes())
+    assert path.read_text() == sched.to_text()
+
+
+def _max_gap_reference(mask: np.ndarray) -> int:
+    """Per-client walk: the largest gap between consecutive appearances."""
+    worst = 0
+    for i in range(mask.shape[1]):
+        last = None
+        for t in range(mask.shape[0]):
+            if mask[t, i]:
+                if last is not None:
+                    worst = max(worst, t - last)
+                last = t
+    return worst
+
+
+def _static_reference(n, iters, prob, seed, force_full_start) -> np.ndarray:
+    """Reference for the one-call draw: one rng.random(n) per drawn round."""
+    rng = generator(seed)
+    rows = np.ones((iters, n), dtype=bool)
+    for t in range(iters):
+        if not (t == 0 and force_full_start):
+            rows[t] = rng.random(n) <= prob
+    return rows
+
+
+def _weighted_reference(n, iters, ratio, seed) -> list[tuple[int, ...]]:
+    """Reference for the per-round draw of picks: one scalar rng.random() per pick."""
+    count = int(round(ratio * n))
+    rng = generator(seed)
+    sets = [tuple(range(n))]
+    for _ in range(1, iters):
+        weights = rng.uniform(1.0, 10.0, size=n)
+        remaining = list(range(n))
+        picked = []
+        for _ in range(count):
+            edges = np.cumsum(weights[remaining])
+            j = int(np.searchsorted(edges, rng.random() * edges[-1], side="right"))
+            picked.append(remaining.pop(min(j, len(remaining) - 1)))
+        sets.append(tuple(sorted(picked)))
+    return sets[:iters]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    iters=st.integers(min_value=1, max_value=60),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_max_staleness_matches_per_client_walk(n, iters, density, seed):
+    mask = generator(seed).random((iters, n)) < density
+    sched = AvailabilitySchedule(mask)
+    assert sched.max_staleness() == _max_gap_reference(mask)
+    np.testing.assert_array_equal(sched.sizes(), mask.sum(axis=1))
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    n=st.integers(min_value=1, max_value=10),
-    tau=st.integers(min_value=1, max_value=8),
-    iters=st.integers(min_value=1, max_value=60),
+    n=st.integers(min_value=1, max_value=1000),
+    tau=st.integers(min_value=1, max_value=20),
+    iters=st.integers(min_value=1, max_value=1000),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_round_robin_staleness_property(n, tau, iters, seed):
+    # Up to the audit_scale benchmark's 1000 clients x 1000 rounds.
     sched = round_robin_schedule(n, iters, tau, seed)
     assert sched.max_staleness() <= tau
-    assert sched.active_sets[0] == tuple(range(n))
+    assert sched.mask[0].all()
+    np.testing.assert_array_equal(sched.sizes(), sched.mask.sum(axis=1))
+    if n * iters <= 2000:
+        assert sched.max_staleness() == _max_gap_reference(sched.mask)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=200),
+    iters=st.integers(min_value=1, max_value=200),
+    prob=st.floats(min_value=0.01, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    force_full_start=st.booleans(),
+)
+def test_static_mask_matches_per_round_draws(n, iters, prob, seed, force_full_start):
+    # Up to twice the logistic_wide benchmark's 100 clients x 20 rounds each way.
+    sched = static_prob_schedule(n, iters, prob, seed, force_full_start)
+    want = _static_reference(n, iters, prob, seed, force_full_start)
+    np.testing.assert_array_equal(sched.mask, want)
+    np.testing.assert_array_equal(sched.sizes(), want.sum(axis=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=30),
+    iters=st.integers(min_value=1, max_value=30),
+    ratio=st.floats(min_value=0.05, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_weighted_mask_matches_per_pick_draws(n, iters, ratio, seed):
+    assume(1 <= int(round(ratio * n)) <= n)
+    sched = weighted_sample_schedule(n, iters, ratio, seed)
+    assert sched.active_sets == tuple(_weighted_reference(n, iters, ratio, seed))
+    np.testing.assert_array_equal(sched.sizes(), sched.mask.sum(axis=1))
 
 
 @settings(max_examples=30, deadline=None)

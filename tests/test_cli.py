@@ -165,3 +165,62 @@ def test_summary_is_wellformed_ini_after_cli_run(tmp_path):
     ini.read(outdir / "summary.txt")
     assert ini["run"]["algorithm"] == "fedavg"
     assert "uploads_budget" in ini["aggregate"]
+
+
+def _config_with(tmp_path, algorithm="fedavg", **sections):
+    """write_config's file with extra `key = value` lines added to given sections."""
+    cfg_path, out = write_config(tmp_path, algorithm=algorithm)
+    text = cfg_path.read_text()
+    for section, lines in sections.items():
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{lines}\n")
+    cfg_path.write_text(text)
+    return cfg_path, out
+
+
+@pytest.mark.parametrize("command", ["run", "check-schedule"])
+def test_cold_start_runs_fedavg(tmp_path, capsys, command):
+    cfg_path, _ = _config_with(tmp_path, availability="force_full_start = false")
+    assert main([command, str(cfg_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "check-schedule"])
+def test_cold_start_mifa_is_a_config_error(tmp_path, capsys, command):
+    cfg_path, out = _config_with(tmp_path, algorithm="mifa",
+                                 availability="force_full_start = false")
+    assert main([command, str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mifa") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["run", str(cfg_path), "--seed-override", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "seeds must be >= 0" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_negative_seed_in_config_is_a_config_error(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path)
+    cfg_path.write_text(cfg_path.read_text().replace("seeds = 1, 2", "seeds = 1, -2"))
+    assert main(["check-schedule", str(cfg_path)]) == 1
+    assert "seeds must be >= 0" in capsys.readouterr().err
+
+
+def test_single_phi_replay_is_a_config_error(tmp_path, capsys):
+    cfg_path, out = _config_with(tmp_path, run="phi_replays = 1\nphi_every = 2")
+    assert main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "phi_replays must be 0 (off) or >= 2" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_mc_expectation_without_replays_is_a_config_error(tmp_path, capsys):
+    cfg_path, out = _config_with(tmp_path, run="expected_mode = mc\nexpected_replays = 0")
+    assert main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "needs expected_replays >= 1" in err and err.count("\n") == 1
+    assert not out.exists()

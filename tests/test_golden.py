@@ -1,9 +1,14 @@
 """Golden outputs: small runs of every task x algorithm against stored files.
 
-The files under tests/data/golden/ were written by the code before the
+The run files under tests/data/golden/ were written by the code before the
 stacked-client refactor.  Each case re-runs its config and compares every
 CSV and summary.txt with them: integers and flags exactly, floats to 1e-12
 relative, NaN where NaN was.
+
+The schedule files under tests/data/golden/availability/ were written by the
+code before availability schedules became one boolean mask: the text of
+`dropfed dump-availability` for every seed and the standard output of
+`dropfed check-schedule`.  They are compared byte for byte.
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -12,16 +17,20 @@ re-takes the stored files from the code on PYTHONPATH.
 
 from __future__ import annotations
 
+import io
 import math
 import shutil
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from dropfed.cli import main
 from dropfed.harness import ExperimentConfig, run_experiment
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+SCHEDULES = GOLDEN / "availability"
 
 RTOL = 1e-12
 
@@ -128,10 +137,81 @@ def test_golden_outputs(name, tmp_path):
     assert not problems, "\n".join(problems[:20])
 
 
+SCHEDULE_CONFIG = """\
+[task]
+kind = logistic
+classes = 3
+per_class = 20
+dim = 2
+reg = 0.01
+
+[partition]
+clients = 12
+
+[federation]
+algorithm = mimic
+iterations = 40
+local_steps = 3
+local_lr = 0.05
+batch_size = 2
+
+[availability]
+{availability}
+
+[rates]
+kind = inverse_time
+scale = 0.5
+beta = 10.0
+
+[run]
+seeds = 1, 2, 3
+"""
+
+# Case -> ([availability] lines, whether check-schedule output is stored).
+# The cold start is stored as schedule text only: the audit of a cold start
+# raised before schedules became a mask.
+SCHEDULE_CASES = {
+    "round_robin": ("scenario = round_robin\ntau_max = 5", True),
+    "weighted": ("scenario = weighted\nratio = 0.25", True),
+    "static": ("scenario = static\nprob = 0.3\nforce_full_start = true", True),
+    "static_cold": ("scenario = static\nprob = 0.3\nforce_full_start = false", False),
+}
+
+
+def _schedule_outputs(name: str, out: Path) -> None:
+    """Write one case's schedule files and check-schedule stdout into out."""
+    availability, audited = SCHEDULE_CASES[name]
+    out.mkdir(parents=True, exist_ok=True)
+    config = out.parent / f"{name}.ini"
+    config.write_text(SCHEDULE_CONFIG.format(availability=availability))
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert main(["dump-availability", str(config), "--out", str(out)]) == 0
+        if audited:
+            audit = io.StringIO()
+            with redirect_stdout(audit):
+                assert main(["check-schedule", str(config)]) == 0
+            (out / "check-schedule.txt").write_text(audit.getvalue())
+    finally:
+        config.unlink()
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_CASES))
+def test_golden_schedules(name, tmp_path):
+    _schedule_outputs(name, tmp_path / name)
+    stored = sorted(p.name for p in (SCHEDULES / name).iterdir())
+    assert sorted(p.name for p in (tmp_path / name).iterdir()) == stored
+    for f in stored:
+        assert (tmp_path / name / f).read_bytes() == (SCHEDULES / name / f).read_bytes(), f
+
+
 def write_golden() -> None:
-    shutil.rmtree(GOLDEN, ignore_errors=True)
     for name in sorted(CASES):
+        shutil.rmtree(GOLDEN / name, ignore_errors=True)
         _run(name, GOLDEN / name)
+    for name in sorted(SCHEDULE_CASES):
+        shutil.rmtree(SCHEDULES / name, ignore_errors=True)
+        _schedule_outputs(name, SCHEDULES / name)
 
 
 if __name__ == "__main__":
