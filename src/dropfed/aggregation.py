@@ -20,10 +20,11 @@ Layout: a round's participants are a sorted id array and their uploads one
 (mimic's corrections, mifa's last uploads, scaffold's control variates) is
 one (N, dim) array plus an (N,) array of the round each row was last
 written, -1 if never.  Local training of all participants, and of all
-replicas of a replayed round, runs in one lockstep pass (see local_trainer
-for the RNG rule: one stream per client and round, or per client, round and
-replica).  Averages add rows in id order, one at a time, so every path that
-averages the same rows agrees bit for bit.
+replicas of a replayed round, runs in one lockstep pass.  Every row keeps
+its own batch stream, one per client and round, or per client, round and
+replica; a round draws all rows' batches in one call before training (see
+local_trainer).  Averages add rows in id order, one at a time, so every path
+that averages the same rows agrees bit for bit.
 
 Round functions never mutate their input state; they return a fresh state.
 That makes deterministic replays (full-batch expectations, variance probes)
@@ -40,10 +41,13 @@ import numpy as np
 from .errors import ConfigError, IntegrityError
 from .local_trainer import LocalConfig, draw_batches, local_train
 from .objectives import Objective, ParamVector, stack
+from .rng import StreamKey
 
 ALGORITHMS = ("fedavg", "fedprox", "mifa", "mimic", "scaffold")
 
-RngFactory = Callable[..., np.random.Generator]
+# rng_for(i) or rng_for(i, r) names row i's (replica r's) batch stream: a
+# StreamKey, whose rows are drawn in one vectorised pass, or a Generator.
+RngFactory = Callable[..., StreamKey | np.random.Generator]
 
 
 @dataclass
@@ -174,21 +178,25 @@ def _population(state: ServerState, objectives, active) -> tuple[Objective, np.n
 def _rounds(state, population, ids, cfg, eta, rngs, replicas, literal) -> list[RoundResult]:
     """Train every (replica, participant) row in lockstep, then aggregate each replica.
 
-    Control variates are those of scaffold: persistent ones from the state,
-    or with `literal` anchors drawn first from each row's stream at the
-    broadcast point: client i steps with g_i(w_k) - g_i(w_t) + mean_j g_j(w_t).
+    Every row's batches are drawn in one call before training.  Control
+    variates are those of scaffold: persistent ones from the state, or with
+    `literal` anchors taken on batch 0 of each row's stream at the broadcast
+    point, ahead of its K training batches: client i steps with
+    g_i(w_k) - g_i(w_t) + mean_j g_j(w_t).
     """
     rows = np.tile(ids, replicas)
     dim = state.w.shape[0]
+    anchored = state.algorithm == "scaffold" and literal
+    batches = draw_batches(population.n, rows, cfg.batch_size, rngs, cfg.steps + anchored)
     shift = None
-    if state.algorithm == "scaffold" and literal:
-        batch = draw_batches(population.n, rows, cfg.batch_size, rngs, 1)[0]
-        anchors = population.batch_grad(np.repeat(state.w[None], len(rows), axis=0), batch)
+    if anchored:
+        anchors = population.batch_grad(np.repeat(state.w[None], len(rows), axis=0), batches[0])
         anchors = anchors.reshape(replicas, len(ids), dim)
         shift = (_mean(anchors)[:, None] - anchors).reshape(len(rows), dim)
+        batches = batches[1:]
     elif state.algorithm == "scaffold":
         shift = np.tile(state.server_variate - state.rows[ids], (replicas, 1))
-    uploads, grad_means, _ = local_train(population, state.w, rows, cfg, rngs, shift)
+    uploads, grad_means, _ = local_train(population, state.w, batches, cfg, shift)
     per_replica = zip(uploads.reshape(replicas, len(ids), dim),
                       grad_means.reshape(replicas, len(ids), dim))
     if state.algorithm == "scaffold":
@@ -209,7 +217,7 @@ def play_round(
 ) -> RoundResult:
     """Run one full round: local training on each active client, then aggregate.
 
-    rng_for(i) gives client i's batch stream.  An empty active set leaves
+    rng_for(i) names client i's batch stream.  An empty active set leaves
     the model untouched (v = 0) and just advances the round counter.
     full_batch swaps every batch draw for the whole client dataset, which is
     how deterministic per-round expectations are replayed; it builds no
@@ -237,7 +245,7 @@ def replay_round(
     """Applied updates (replicas, dim) of independent replays of one nonempty round.
 
     All replicas train in one lockstep pass from `state`, which is not
-    advanced; rng_for(i, r) gives replica r's batch stream for client i.
+    advanced; rng_for(i, r) names replica r's batch stream for client i.
     """
     population, ids = _population(state, objectives, active)
     if not ids.size:

@@ -45,6 +45,7 @@ def _load_with_overrides(args: argparse.Namespace):
         cfg = replace(cfg, out=args.out)
     if getattr(args, "workers", None) is not None:
         cfg = replace(cfg, workers=args.workers)
+    cfg.check_partition()
     return cfg
 
 

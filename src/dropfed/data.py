@@ -1,9 +1,8 @@
-"""Synthetic datasets, label-shard partitioning, and plain-text persistence."""
+"""Synthetic datasets and label-shard partitioning."""
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -95,30 +94,3 @@ def heterogeneity_stats(objectives: Objective | list[Objective], probes: np.ndar
         grads = population.client_grads(w)
         worst = np.maximum(worst, np.linalg.norm(grads - np.mean(grads, axis=0), axis=1))
     return worst
-
-
-def dump_dataset(dataset: ClientDataset, path: str | Path) -> None:
-    """One sample per line: label then features, space-separated decimal text."""
-    with open(path, "w") as fh:
-        for label, row in zip(dataset.labels, dataset.features):
-            fh.write(" ".join([str(int(label))] + [repr(float(v)) for v in row]) + "\n")
-
-
-def load_dataset(path: str | Path, client_id: int = -1) -> ClientDataset:
-    labels = []
-    rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 2:
-                raise ConfigError(f"{path}:{line_no}: expected label plus features")
-            labels.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    if not rows:
-        raise ConfigError(f"{path}: no samples")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ConfigError(f"{path}: inconsistent feature counts {sorted(widths)}")
-    return ClientDataset(np.array(rows), np.array(labels, dtype=np.int64), client_id)

@@ -78,12 +78,6 @@ def evaluate(objective: Objective, w: ParamVector, dataset: ClientDataset) -> fl
     return float(np.mean(pred == dataset.labels))
 
 
-def uploads_per_round(algorithm: str, sizes: np.ndarray) -> np.ndarray:
-    """Client->server vector transmissions each round; control variates double it."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    return sizes * (2 if algorithm == "scaffold" else 1)
-
-
 @dataclass
 class RoundMetrics:
     """One CSV row; field order is the file's column order."""

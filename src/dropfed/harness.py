@@ -143,6 +143,21 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
+    def check_partition(self) -> None:
+        """Reject a shard count that does not divide the data, before any is built.
+
+        Not part of __post_init__: a config that only builds schedules needs
+        no partition.
+        """
+        if self.clients < 1 or self.shards_per_client < 1:
+            raise ConfigError("clients and shards_per_client must be >= 1")
+        shards = self.clients * self.shards_per_client
+        if self.classes * self.per_class % shards:
+            raise ConfigError(
+                f"{self.classes * self.per_class} samples (classes * per_class) "
+                f"cannot split into {shards} equal shards"
+            )
+
     def fingerprint(self) -> str:
         """Hash of everything that defines the task, data, and participation.
 
@@ -305,8 +320,8 @@ def run_trial(
 
         gamma = e_t = phi = math.nan
 
-        def train_rng(i: int, t: int = t) -> np.random.Generator:
-            return streams.batch_stream(master_seed, i, t)
+        def train_rng(i: int, t: int = t) -> streams.StreamKey:
+            return streams.batch_key(master_seed, i, t)
 
         result = play_round(
             state, population, active, local_cfg, eta, train_rng,
@@ -385,8 +400,8 @@ def _replay_updates(
     state, population, active, local_cfg, eta, master_seed, t, count, scaffold_literal
 ) -> np.ndarray:
     """Replay one round `count` times with fresh batch draws, in one lockstep pass."""
-    def replay_rng(i: int, r: int) -> np.random.Generator:
-        return streams.replay_stream(master_seed, i, t, r)
+    def replay_rng(i: int, r: int) -> streams.StreamKey:
+        return streams.replay_key(master_seed, i, t, r)
 
     return replay_round(
         state, population, active, local_cfg, eta, replay_rng, count,
@@ -500,6 +515,7 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every seed, write per-seed CSVs plus one summary.txt, aggregate."""
+    cfg.check_partition()
     outdir = resolve_outdir(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.workers > 1:

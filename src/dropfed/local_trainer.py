@@ -5,10 +5,12 @@ active clients times the replicas of a replayed round.  Each step computes
 every row's batch gradient in one batched call on the stacked objective.
 
 RNG rule: every row has its own stream, one per (client, round) or per
-(client, round, replica).  A row draws its batches from that stream with
-sample_batch, in step order, and the draws are gathered afterwards, so a
-row's batches never depend on which other rows share the call.  Full-batch
-rows draw nothing and need no stream.
+(client, round, replica), and takes its batches from it in step order, so a
+row's batches never depend on which other rows share the call.  The caller
+draws every row's batches up front with draw_batches: rows named by a
+StreamKey in one vectorised pass that equals per-row sample_batch calls,
+rows given a Generator with sample_batch itself.  Full-batch rows draw
+nothing and need no stream.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .objectives import Objective, ParamVector
+from .rng import StreamKey, draw_without_replacement
 
 
 @dataclass(frozen=True)
@@ -43,11 +46,11 @@ class LocalConfig:
             raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
 
 
-def sample_batch(rng: np.random.Generator, n: int, batch_size: int) -> np.ndarray:
+def sample_batch(rng: np.random.Generator | None, n: int, batch_size: int) -> np.ndarray:
     """Uniform batch without replacement; the full index range when it covers n.
 
-    The full-batch case draws nothing from rng, so deterministic replays do
-    not need a matching generator state.
+    The full-range case draws nothing from rng, so it takes rng None, and
+    deterministic replays do not need a matching generator state.
     """
     if batch_size > n:
         warnings.warn(f"batch_size {batch_size} exceeds dataset size {n}; clamping")
@@ -60,46 +63,57 @@ def draw_batches(
     n: int,
     clients: np.ndarray,
     batch_size: int,
-    rngs: Sequence[np.random.Generator] | None,
+    sources: Sequence[StreamKey] | Sequence[np.random.Generator] | None,
     count: int,
 ) -> np.ndarray:
     """Flat sample indices (count, rows, b) for rows of clients holding n samples.
 
-    Row s takes its `count` batches in order from rngs[s]; rngs None gives
-    every row the full batch and draws nothing.
+    Row s takes its `count` batches in order from sources[s].  Keys are
+    drawn for all rows in one pass (rng.draw_without_replacement); a row
+    that pass cannot reproduce, or a Generator, draws with sample_batch.
+    sources None, or a batch that covers n, gives every row the full range.
     """
-    if rngs is None:
-        local = np.broadcast_to(np.arange(n), (count, len(clients), n))
+    clients = np.asarray(clients)
+    if sources is None or batch_size >= n:
+        full = np.arange(n) if sources is None else sample_batch(None, n, batch_size)
+        local = np.broadcast_to(full, (count, len(clients), n))
+    elif isinstance(sources[0], StreamKey):
+        local, exact = draw_without_replacement(sources, n, batch_size, count)
+        for s in np.flatnonzero(~exact):
+            rng = sources[s].generator()
+            local[s] = [sample_batch(rng, n, batch_size) for _ in range(count)]
+        local = local.transpose(1, 0, 2)
     else:
-        local = np.array([[sample_batch(rng, n, batch_size) for rng in rngs] for _ in range(count)])
-    return np.asarray(clients)[:, None] * n + local
+        local = np.array([[sample_batch(rng, n, batch_size) for rng in sources] for _ in range(count)])
+    return clients[:, None] * n + local
 
 
 def local_train(
     objective: Objective,
     w_start: ParamVector,
-    clients: np.ndarray,
+    batches: np.ndarray,
     cfg: LocalConfig,
-    rngs: Sequence[np.random.Generator] | None,
     shift: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run K local steps from w_start on every row at once.
 
-    Row s trains client clients[s] on batches from rngs[s] (None: full
-    batch).  A step moves it by -lr * (g + shift[s] + prox_mu * (w - w_start))
-    with g its batch gradient; shift (scaffold's variates) defaults to zero.
-    Returns uploads, mean raw batch gradients and final models, each (rows,
-    dim).  The upload is the mean corrected gradient, so w_final = w_start -
-    lr * K * upload when prox_mu = 0; with prox_mu > 0 the upload is defined
-    through that identity, keeping the server update rule uniform.
+    batches (K, rows, b) holds each row's flat sample indices for each step,
+    as draw_batches gives them.  A step moves row s by -lr * (g + shift[s] +
+    prox_mu * (w - w_start)) with g its batch gradient; shift (scaffold's
+    variates) defaults to zero.  Returns uploads, mean raw batch gradients
+    and final models, each (rows, dim).  The upload is the mean corrected
+    gradient, so w_final = w_start - lr * K * upload when prox_mu = 0; with
+    prox_mu > 0 the upload is defined through that identity, keeping the
+    server update rule uniform.
     """
+    if len(batches) != cfg.steps:
+        raise ValueError(f"{len(batches)} batches for {cfg.steps} local steps")
     L = objective.smoothness
     if L > 0 and cfg.lr > 1.0 / (10.0 * L):
         # Identical message on purpose: the default warning filter then
         # reports it once per process instead of once per round.
         warnings.warn("local lr exceeds 1/(10 L); small-step analysis does not apply")
-    batches = draw_batches(objective.n, clients, cfg.batch_size, rngs, cfg.steps)
-    start = np.repeat(np.asarray(w_start, dtype=np.float64)[None], len(clients), axis=0)
+    start = np.repeat(np.asarray(w_start, dtype=np.float64)[None], batches.shape[1], axis=0)
     w = start
     grad_sum = np.zeros_like(w)
     step_sum = grad_sum if shift is None else np.zeros_like(w)

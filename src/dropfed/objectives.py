@@ -455,22 +455,3 @@ def global_optimum(objectives: Objective | Sequence[Objective]) -> ParamVector |
     if len(dims) != 1:
         raise ConfigError(f"objectives disagree on dimension: {sorted(dims)}")
     return np.mean(np.concatenate([o.means for o in objectives]), axis=0)
-
-
-def estimate_grad_variance(
-    objective: Objective,
-    w: ParamVector,
-    batch_size: int,
-    draws: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte Carlo E||batch grad - full grad||^2 with its standard error."""
-    full = objective.grad(w)
-    n = objective.n
-    b = min(int(batch_size), n)
-    samples = np.empty(draws)
-    for r in range(draws):
-        idx = rng.choice(n, size=b, replace=False)
-        diff = objective.batch_grad(w, idx) - full
-        samples[r] = np.dot(diff, diff)
-    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(draws))

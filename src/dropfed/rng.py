@@ -3,9 +3,24 @@
 Every consumer of randomness gets its own counter-based generator keyed by
 (purpose, *indices), so adding or removing one consumer (say, a diagnostic
 that replays a round) never shifts the draws seen by any other consumer.
+
+Mini-batches are drawn in bulk.  A StreamKey names one batch stream
+without building it, and draw_without_replacement serves many keys in one
+vectorised pass: per key it gives exactly what `count` calls of
+key.generator().choice(n, size, replace=False) would give.  It does so by
+redoing numpy's own steps (SeedSequence's hash, Philox words, Lemire's
+bounded draw, Floyd's selection and the shuffle) on whole arrays; rows that
+need a branch it does not redo are flagged for the caller to draw from the
+real stream.  The equality was checked against numpy 2.4.6 and is pinned by
+tests/test_rng.py.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,3 +66,164 @@ def replay_stream(
 ) -> np.random.Generator:
     """Batch stream for diagnostic replays; disjoint from training streams."""
     return stream(master_seed, REPLAY, client, iteration, replica)
+
+
+class StreamKey(NamedTuple):
+    """The slot of one stream, (master seed, (purpose, *indices)), not yet built."""
+
+    master_seed: int
+    spawn_key: tuple[int, ...]
+
+    def generator(self) -> np.random.Generator:
+        return stream(self.master_seed, *self.spawn_key)
+
+
+def batch_key(master_seed: int, client: int, iteration: int) -> StreamKey:
+    """Key of batch_stream(master_seed, client, iteration)."""
+    return StreamKey(master_seed, (BATCH, client, iteration))
+
+
+def replay_key(master_seed: int, client: int, iteration: int, replica: int) -> StreamKey:
+    """Key of replay_stream(master_seed, client, iteration, replica)."""
+    return StreamKey(master_seed, (REPLAY, client, iteration, replica))
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_steps(h: int, mult: int, count: int) -> np.ndarray:
+    """(count, 2) uint32: the hash constant before and after each of count steps."""
+    steps = []
+    for _ in range(count):
+        steps.append((h, h * mult & _MASK32))
+        h = steps[-1][1]
+    return np.array(steps, dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=256)
+def _run_pool(master_seed: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's pool after the master seed's words, and its hash constant.
+
+    This part of the hash depends on the master seed alone: it is the pool
+    of SeedSequence(master_seed), since numpy hashes a short seed as if
+    padded with zeros to the pool size, exactly as it pads a seed that a
+    spawn key follows.  Each of the 4 + 12 + 4 * (words - 4) hash steps so
+    far multiplied the constant by _MULT_A.
+    """
+    words = max(1, -(-master_seed.bit_length() // 32))
+    steps = 16 + 4 * max(0, words - 4)
+    pool = np.random.SeedSequence(master_seed).pool.copy()
+    pool.flags.writeable = False  # the cached pool is shared by every caller
+    return pool, _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
+
+
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 4)
+
+
+def _philox_keys(master_seed: int, spawn: np.ndarray) -> list[list[int]]:
+    """Philox(SeedSequence(master_seed, spawn_key=row)) keys for spawn words (R, m)."""
+    pool, h = _run_pool(master_seed)
+    # Spawn word c goes into pool word d with hash step 4 c + d.
+    steps = _hash_steps(h, _MULT_A, 4 * spawn.shape[1]).reshape(-1, 4, 2)
+    mixed = (spawn[:, :, None] ^ steps[:, :, 0]) * steps[:, :, 1]
+    mixed ^= mixed >> 16
+    mixed *= np.uint32(_MIX_R)
+    for c in range(spawn.shape[1]):
+        pool = _MIX_L * pool - mixed[:, c]
+        pool ^= pool >> 16
+    state = (pool ^ _STATE_STEPS[:, 0]) * _STATE_STEPS[:, 1]
+    state ^= state >> 16
+    return state.astype("<u4").view("<u8").tolist()
+
+
+def _raw_words(keys: list[list[int]], count: int) -> np.ndarray:
+    """(R, count) first 64-bit outputs of a fresh Philox under each key.
+
+    One Philox, made for this call, is re-keyed for every row: setting its
+    state is far cheaper than seeding a new one.
+    """
+    bitgen = np.random.Philox(0)
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    out = np.empty((len(keys), count), dtype=np.uint64)
+    for r, key in enumerate(keys):
+        state["state"]["key"] = key
+        bitgen.state = state
+        out[r] = bitgen.random_raw(count)
+    return out
+
+
+def _batches_from_words(
+    words: np.ndarray, n: int, size: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Turn each row's Philox words into count choices, as Generator.choice does.
+
+    A choice takes size bounded 32-bit draws for Floyd's selection, then
+    size - 1 for the shuffle, low half of each word first.  Returns the
+    indices (R, count, size) and whether each row used no rejected draw;
+    after a rejection numpy draws again, so such a row is not reproduced.
+    """
+    rows = words.shape[0]
+    u32 = words.astype("<u8", copy=False).view("<u4")
+    u32 = u32[:, : count * (2 * size - 1)].reshape(rows * count, 2 * size - 1)
+    excl = np.concatenate([np.arange(n - size + 1, n + 1), np.arange(size, 1, -1)])
+    m = u32 * excl.astype(np.uint64)
+    # Lemire: the draw is m >> 32, unless the low word falls below 2**32 mod excl.
+    exact = ~(m.astype(np.uint32) < (1 << 32) % excl).reshape(rows, -1).any(axis=1)
+    val = (m >> 32).astype(np.int64)
+    # Floyd: step k draws v_k in [0, j_k] with j_k = n - size + k and takes
+    # j_k instead when v_k is already taken.  v_k is taken iff an earlier
+    # draw equals it, or it is some j_m (m < k) and step m took j_m.
+    v = val[:, :size]
+    order = np.argsort(v, axis=1, kind="stable")
+    ordered = np.take_along_axis(v, order, axis=1)
+    taken = np.zeros(v.shape, dtype=bool)
+    np.put_along_axis(taken, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
+    k = np.arange(size)
+    link = v - (n - size)
+    link = np.where((link >= 0) & (link < k), link, k)
+    at = np.arange(rows * count)[:, None]
+    for _ in range(int(size - 1).bit_length()):  # pointer jumping along links
+        taken |= taken[at, link]
+        link = link[at, link]
+    idx = np.where(taken, k + (n - size), v)
+    at = at[:, 0]
+    for col, i in enumerate(range(size - 1, 0, -1)):  # Fisher-Yates, last slot first
+        j = val[:, size + col]
+        idx[:, i], idx[at, j] = idx[at, j], idx[:, i].copy()
+    return idx.reshape(rows, count, size), exact
+
+
+def draw_without_replacement(
+    keys: Sequence[StreamKey], n: int, size: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (R, count, size): row r as count calls of keys[r].generator().choice.
+
+    Each call is choice(n, size, replace=False), 1 <= size < n.  Also returns
+    exact (R,): rows marked False hold no valid draws, and the caller must
+    draw them from keys[r].generator().  That happens on a rejected bounded
+    draw (odds about n / 2**32 per draw), on numpy's tail-shuffle branch
+    (n > 10000 and size > n // 50), for a spawn word >= 2**32, or when the
+    keys do not share one master seed and one nonempty spawn-key length.
+    """
+    rows = len(keys)
+    none = np.zeros((rows, count, size), dtype=np.int64), np.zeros(rows, dtype=bool)
+    if not rows or n > _MASK32 or (n > 10000 and size > n // 50):
+        return none
+    try:
+        spawn = np.array([key.spawn_key for key in keys], dtype=np.uint64)
+    except (OverflowError, ValueError):  # a negative or huge word, or ragged keys
+        return none
+    master_seed = operator.index(keys[0].master_seed)
+    if (spawn.ndim != 2 or not spawn.shape[1] or master_seed < 0
+            or any(key.master_seed != master_seed for key in keys)):
+        return none
+    wide = (spawn > _MASK32).any(axis=1)
+    philox_keys = _philox_keys(master_seed, spawn.astype(np.uint32))
+    raw = _raw_words(philox_keys, -(-count * (2 * size - 1) // 2))
+    idx, exact = _batches_from_words(raw, n, size, count)
+    return idx, exact & ~wide

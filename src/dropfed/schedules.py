@@ -89,14 +89,13 @@ def inverse_time_rates(
     if scale <= 0 or beta <= 0:
         raise ConfigError("scale and beta must be > 0")
     sizes = np.asarray(sizes, dtype=np.int64)
-    values = np.empty(len(sizes))
-    substituted = []
-    for t, s in enumerate(sizes):
-        if s > 0:
-            values[t] = scale * s / (t + beta)
-        else:
-            values[t] = values[t - 1] if t > 0 else scale * num_clients / beta
-            substituted.append(t)
+    rounds = np.arange(len(sizes))
+    filled = sizes > 0
+    # Each round reads the rate of the last nonempty round up to it, if any.
+    source = np.maximum.accumulate(np.where(filled, rounds, -1))
+    values = (scale * sizes / (rounds + beta))[source]
+    values[source < 0] = scale * num_clients / beta
+    substituted = np.flatnonzero(~filled).tolist()
     return LrSchedule("inverse_time", values, tuple(substituted))
 
 

@@ -195,6 +195,20 @@ def test_cold_start_mifa_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "check-schedule"])
+def test_uneven_shards_are_a_config_error_before_data(tmp_path, capsys, monkeypatch, command):
+    # 20 samples cannot be dealt as 4 clients x 3 shards; no data is built.
+    def refuse(*_args):
+        raise AssertionError("data built for a config that cannot be partitioned")
+
+    monkeypatch.setattr("dropfed.harness.make_synthetic_classification", refuse)
+    cfg_path, out = _config_with(tmp_path, partition="shards_per_client = 3")
+    assert main([command, str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: 20 samples (classes * per_class) cannot split into 12 equal shards\n"
+    assert not out.exists()
+
+
 def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
     cfg_path, out = write_config(tmp_path)
     assert main(["run", str(cfg_path), "--seed-override", "-1"]) == 1

@@ -1,4 +1,4 @@
-"""Dataset generation, shard partitioning, and text round-trips."""
+"""Dataset generation and shard partitioning."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropfed.data import (
-    dump_dataset,
     heterogeneity_stats,
-    load_dataset,
     make_synthetic_classification,
     partition_shards,
 )
@@ -136,28 +134,3 @@ def test_heterogeneity_stats_takes_max_over_probes():
     other = QuadraticObjective(ClientDataset(pts + 3.0, np.zeros(2, dtype=int)))
     worst = heterogeneity_stats([same, other], np.array([[1.0]]))
     np.testing.assert_allclose(worst, [1.5, 1.5])
-
-
-def test_dump_load_roundtrip(tmp_path):
-    ds = make_synthetic_classification(3, 7, 4, 2.0, seed_for(12, DATA, 0))
-    path = tmp_path / "pool.txt"
-    dump_dataset(ds, path)
-    back = load_dataset(path, client_id=3)
-    np.testing.assert_array_equal(back.features, ds.features)  # repr round-trips exactly
-    np.testing.assert_array_equal(back.labels, ds.labels)
-    assert back.client_id == 3
-
-
-def test_load_dataset_validation(tmp_path):
-    empty = tmp_path / "empty.txt"
-    empty.write_text("\n\n")
-    with pytest.raises(ConfigError):
-        load_dataset(empty)
-    short = tmp_path / "short.txt"
-    short.write_text("1\n")
-    with pytest.raises(ConfigError):
-        load_dataset(short)
-    ragged = tmp_path / "ragged.txt"
-    ragged.write_text("0 1.0 2.0\n1 3.0\n")
-    with pytest.raises(ConfigError):
-        load_dataset(ragged)

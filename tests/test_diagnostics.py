@@ -14,7 +14,6 @@ from dropfed.diagnostics import (
     read_metrics_csv,
     update_variance,
     update_variance_stderr,
-    uploads_per_round,
     weighted_participation_bias,
     write_metrics_csv,
 )
@@ -114,14 +113,6 @@ def test_evaluate_classification_and_regression():
     assert evaluate(logit, np.array([3.0, 0.0]), flipped) == 0.0
     quad = point_client(0.0)
     assert evaluate(quad, np.array([0.0]), quad.datasets[0]) is None
-
-
-def test_uploads_per_round_doubles_for_control_variates():
-    sizes = np.array([10, 5, 0])
-    np.testing.assert_array_equal(uploads_per_round("fedavg", sizes), [10, 5, 0])
-    np.testing.assert_array_equal(uploads_per_round("mimic", sizes), [10, 5, 0])
-    np.testing.assert_array_equal(uploads_per_round("mifa", sizes), [10, 5, 0])
-    np.testing.assert_array_equal(uploads_per_round("scaffold", sizes), [20, 10, 0])
 
 
 def test_metrics_csv_roundtrip_and_format(tmp_path):

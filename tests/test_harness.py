@@ -406,6 +406,16 @@ def test_run_experiment_writes_expected_files(tmp_path):
     assert "passed" in ini["trial.1.conditions"]
 
 
+def test_uneven_shards_fail_before_any_output(tmp_path):
+    cfg = quick_cfg(tmp_path / "uneven", shards_per_client=3)
+    with pytest.raises(ConfigError, match="cannot split into 12 equal shards"):
+        run_experiment(cfg)
+    assert not (tmp_path / "uneven").exists()
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        quick_cfg(tmp_path, shards_per_client=0).check_partition()
+    quick_cfg(tmp_path, shards_per_client=5).check_partition()  # 20 samples, 20 shards
+
+
 def test_run_experiment_repeats_byte_identically(tmp_path):
     r1 = run_experiment(quick_cfg(tmp_path / "a"))
     r2 = run_experiment(quick_cfg(tmp_path / "b"))

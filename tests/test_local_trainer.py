@@ -19,8 +19,9 @@ def one_point_objective(value=1.0):
 
 
 def train_one(obj, w0, cfg, rng):
-    """(upload, final model) of a single row training client 0."""
-    upload, _, w_final = local_train(obj, w0, [0], cfg, [rng])
+    """(upload, final model) of a single row training client 0 on batches from rng."""
+    batches = draw_batches(obj.n, [0], cfg.batch_size, [rng], cfg.steps)
+    upload, _, w_final = local_train(obj, w0, batches, cfg)
     return upload[0], w_final[0]
 
 
@@ -171,9 +172,9 @@ def test_lockstep_rows_match_single_row_training():
     cfg = LocalConfig(steps=4, lr=0.1, batch_size=2)
     w0 = rng.normal(size=2)
     rows = [2, 0, 2, 1]
-    uploads, grads, w_final = local_train(
-        population, w0, rows, cfg, [np.random.default_rng(s) for s in range(4)]
-    )
+    rngs = [np.random.default_rng(s) for s in range(4)]
+    batches = draw_batches(population.n, rows, cfg.batch_size, rngs, cfg.steps)
+    uploads, grads, w_final = local_train(population, w0, batches, cfg)
     for s, i in enumerate(rows):
         upload, w_alone = train_one(QuadraticObjective(clients[i]), w0, cfg, np.random.default_rng(s))
         np.testing.assert_array_equal(uploads[s], upload)
@@ -186,10 +187,18 @@ def test_shift_corrects_every_step_and_keeps_raw_mean():
     # lr 0.1 give -0.5, then -0.45; raw gradients -1, then -0.95.
     obj = one_point_objective(1.0)
     cfg = LocalConfig(steps=2, lr=0.1, batch_size=1)
-    upload, raw, w_final = local_train(obj, np.zeros(1), [0], cfg, None, shift=np.array([[0.5]]))
+    batches = draw_batches(obj.n, [0], cfg.batch_size, None, cfg.steps)
+    upload, raw, w_final = local_train(obj, np.zeros(1), batches, cfg, shift=np.array([[0.5]]))
     np.testing.assert_allclose(upload, [[-0.475]])
     np.testing.assert_allclose(raw, [[-0.975]])
     np.testing.assert_allclose(w_final, [[0.095]])
+
+
+def test_local_train_takes_one_batch_per_step():
+    obj = one_point_objective()
+    cfg = LocalConfig(steps=3, lr=0.1, batch_size=1)
+    with pytest.raises(ValueError, match="2 batches for 3 local steps"):
+        local_train(obj, np.zeros(1), draw_batches(obj.n, [0], 1, None, 2), cfg)
 
 
 def test_draw_batches_offsets_and_full_batch():

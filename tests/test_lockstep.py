@@ -2,14 +2,16 @@
 
 A batched gradient row must not depend on the other rows of its call, and
 lockstep training of every participant must reproduce a plain per-client
-loop over dict-held server memory, for all five aggregation rules.
+loop over dict-held server memory, for all five aggregation rules.  Rounds
+whose rng_for returns stream keys (batches drawn for all rows in one pass)
+must equal the same rounds given each key's Generator.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropfed.aggregation import ALGORITHMS, init_state, play_round
+from dropfed.aggregation import ALGORITHMS, init_state, play_round, replay_round
 from dropfed.local_trainer import LocalConfig, sample_batch
 from dropfed.objectives import (
     ClientDataset,
@@ -18,6 +20,7 @@ from dropfed.objectives import (
     QuadraticObjective,
     stack,
 )
+from dropfed.rng import batch_key, replay_key
 
 KINDS = ("quadratic", "binary", "softmax", "mlp")
 
@@ -150,3 +153,49 @@ def test_lockstep_training_matches_per_client_loop(
             state = res.state
         if algo == "scaffold" and not literal:
             np.testing.assert_allclose(state.server_variate, mem["c"], rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**64),
+    clients=st.integers(2, 5),
+    n=st.integers(2, 9),
+    steps=st.integers(1, 3),
+    replicas=st.integers(1, 3),
+    data=st.data(),
+)
+def test_keyed_rounds_equal_generator_rounds(kind, seed, clients, n, steps, replicas, data):
+    rng = np.random.default_rng(seed % 2**32)
+    objs = client_objectives(kind, rng, clients, n, 2)
+    population = stack(objs)
+    batch_size = data.draw(st.integers(1, n))
+    w0 = rng.normal(size=population.dim) * 0.5
+    schedule = [list(range(clients))] + [
+        sorted(rng.choice(clients, size=rng.integers(1, clients + 1), replace=False).tolist())
+        for _ in range(2)
+    ]
+    for algo, literal in VARIANTS:
+        cfg = LocalConfig(steps=steps, lr=0.05, batch_size=batch_size,
+                          prox_mu=0.3 if algo == "fedprox" else 0.0)
+        state = init_state(algo, w0, clients)
+        for t, active in enumerate(schedule):
+            keyed = play_round(state, population, active, cfg, 0.3,
+                               lambda i, t=t: batch_key(seed, i, t), scaffold_literal=literal)
+            built = play_round(state, population, active, cfg, 0.3,
+                               lambda i, t=t: batch_key(seed, i, t).generator(),
+                               scaffold_literal=literal)
+            np.testing.assert_array_equal(keyed.v, built.v)
+            np.testing.assert_array_equal(keyed.state.w, built.state.w)
+            np.testing.assert_array_equal(keyed.state.rows, built.state.rows)
+            if algo == "scaffold":
+                np.testing.assert_array_equal(keyed.state.server_variate, built.state.server_variate)
+            np.testing.assert_array_equal(
+                replay_round(state, population, active, cfg, 0.3,
+                             lambda i, r, t=t: replay_key(seed, i, t, r), replicas,
+                             scaffold_literal=literal),
+                replay_round(state, population, active, cfg, 0.3,
+                             lambda i, r, t=t: replay_key(seed, i, t, r).generator(), replicas,
+                             scaffold_literal=literal),
+            )
+            state = keyed.state

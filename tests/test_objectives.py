@@ -16,7 +16,6 @@ from dropfed.objectives import (
     LogisticObjective,
     MlpObjective,
     QuadraticObjective,
-    estimate_grad_variance,
     global_optimum,
     make_objective,
 )
@@ -133,24 +132,13 @@ def test_quadratic_variance_independent_of_w():
     rng = np.random.default_rng(3)
     ds = small_dataset(rng, n=8, dim=2)
     obj = QuadraticObjective(ds)
-    probe = np.random.default_rng(4)
-    est1, _ = estimate_grad_variance(obj, np.zeros(2), 3, 200, np.random.default_rng(9))
-    est2, _ = estimate_grad_variance(obj, probe.normal(size=2) * 10, 3, 200, np.random.default_rng(9))
-    assert est1 == pytest.approx(est2)
-
-
-def test_estimate_grad_variance_matches_analytic():
-    rng = np.random.default_rng(23)
-    ds = small_dataset(rng, n=10, dim=2)
-    obj = QuadraticObjective(ds)
-    w = np.zeros(obj.dim)
-    for b in (1, 3, 5):
-        mean, stderr = estimate_grad_variance(obj, w, b, 2000, np.random.default_rng(b))
-        exact = obj.grad_variance(b)
-        assert abs(mean - exact) < 4 * stderr + 1e-12
-    # Full batch: only summation-order noise remains (choice permutes indices).
-    mean, stderr = estimate_grad_variance(obj, w, 10, 50, np.random.default_rng(0))
-    assert mean < 1e-28
+    w1, w2 = np.zeros(2), np.random.default_rng(4).normal(size=2) * 10
+    for _ in range(20):
+        idx = rng.choice(8, size=3, replace=False)
+        np.testing.assert_allclose(
+            obj.batch_grad(w1, idx) - obj.grad(w1), obj.batch_grad(w2, idx) - obj.grad(w2),
+            atol=1e-12,
+        )
 
 
 # ---------------------------------------------------------------------------

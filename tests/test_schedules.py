@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropfed.errors import ConfigError, NumericalError
 from dropfed.schedules import (
@@ -84,6 +86,39 @@ def test_inverse_time_values_and_substitution():
         inverse_time_rates(0.0, 10.0, sizes, 10)
     with pytest.raises(ConfigError):
         inverse_time_rates(1.0, 0.0, sizes, 10)
+
+
+def inverse_time_loop(scale, beta, sizes, num_clients):
+    """The per-round definition: carry the previous rate across empty rounds."""
+    values, substituted = np.empty(len(sizes)), []
+    for t, s in enumerate(sizes):
+        if s > 0:
+            values[t] = scale * s / (t + beta)
+        else:
+            values[t] = values[t - 1] if t > 0 else scale * num_clients / beta
+            substituted.append(t)
+    return values, tuple(substituted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scale=st.floats(1e-3, 1e3),
+    beta=st.floats(1e-2, 1e3),
+    num_clients=st.integers(1, 1000),
+    runs=st.lists(st.tuples(st.booleans(), st.integers(1, 60)), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inverse_time_rates_equal_the_per_round_loop(scale, beta, num_clients, runs, seed):
+    # Alternating runs of empty and nonempty rounds, possibly starting empty.
+    rng = np.random.default_rng(seed)
+    sizes = np.concatenate([
+        rng.integers(1, num_clients + 1, size=length) if filled else np.zeros(length, dtype=int)
+        for filled, length in runs
+    ])
+    sched = inverse_time_rates(scale, beta, sizes, num_clients)
+    values, substituted = inverse_time_loop(scale, beta, sizes, num_clients)
+    assert sched.values.tobytes() == values.tobytes()
+    assert sched.substituted == substituted
 
 
 def test_inverse_time_growth_ratio_is_universal():
