@@ -7,8 +7,10 @@ algorithms share one update law: plain averaging, averaging with memorized
 updates, correction-variable averaging that re-centers partial participation
 toward the full-population update, and control-variate local training.
 
-Import from the submodules: dropfed.harness runs experiments, dropfed.cli is
-the command line, and dropfed.objectives, dropfed.aggregation and
+Import from the submodules: dropfed.config holds ExperimentConfig and the
+config file loader, dropfed.harness runs trials and experiments,
+dropfed.summary writes summary.txt and compares runs, dropfed.cli is the
+command line, and dropfed.objectives, dropfed.aggregation and
 dropfed.local_trainer hold the stacked-client kernels and round rules.
 """
 

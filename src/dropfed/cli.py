@@ -1,39 +1,33 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure, 141 (128 +
+SIGPIPE) when standard output is closed before everything was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
+from dataclasses import replace
 
+from .config import load_config, parse_seeds
 from .errors import ConfigError, NumericalError
 from .harness import (
+    audit_schedule,
     build_rates,
     build_schedule,
-    compare_runs,
-    load_config,
+    build_task,
     resolve_outdir,
     run_experiment,
 )
-from .schedules import check_conditions
-
-
-def _parse_seed_list(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"bad seed list {raw!r}") from exc
+from .summary import compare_runs
 
 
 def _load_with_overrides(args: argparse.Namespace):
-    from dataclasses import replace
-
     cfg = load_config(args.config)
     if getattr(args, "seed_override", None) is not None:
-        cfg = replace(cfg, seeds=_parse_seed_list(args.seed_override))
+        cfg = replace(cfg, seeds=parse_seeds(args.seed_override))
     if getattr(args, "trials", None) is not None:
         if args.trials < 1:
             raise ConfigError(f"--trials must be >= 1, got {args.trials}")
@@ -72,27 +66,15 @@ def _cmd_check_schedule(args: argparse.Namespace) -> int:
     for seed in cfg.seeds:
         schedule = build_schedule(cfg, seed)
         rates = build_rates(cfg, schedule)
-        smoothness = _task_smoothness(cfg, seed)
-        report = check_conditions(
-            rates,
-            schedule.sizes(),
-            local_lr=cfg.local_lr,
-            smoothness=smoothness,
-            steps=cfg.local_steps,
-            tau_max=max(1, schedule.max_staleness()),
-            num_clients=cfg.clients,
-            nu=cfg.nu,
+        report = audit_schedule(
+            rates, schedule, schedule.max_staleness(), local_lr=cfg.local_lr,
+            steps=cfg.local_steps, smoothness=build_task(cfg, seed)[0].smoothness,
+            num_clients=cfg.clients, nu=cfg.nu,
         )
         print(f"seed {seed}:")
         for line in report.summary_lines():
             print(f"  {line}")
     return 0
-
-
-def _task_smoothness(cfg, seed: int) -> float:
-    from .harness import build_task
-
-    return build_task(cfg, seed)[0].smoothness
 
 
 def _cmd_dump_availability(args: argparse.Namespace) -> int:
@@ -152,6 +134,12 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone (`| head`): send what is still buffered nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

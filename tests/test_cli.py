@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, overrides, and exit codes."""
 
 import configparser
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,7 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.ini")]) == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_numerical_error_exit_code(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path, eta0=1e8, iterations=60)
     assert main(["run", str(cfg_path)]) == 2
@@ -238,3 +243,22 @@ def test_mc_expectation_without_replays_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "needs expected_replays >= 1" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # 600 seeds print over 100 kB, more than a pipe holds, so the writer
+    # still has output left when the reader goes away after the first line.
+    cfg_path, _ = write_config(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    seeds = ",".join(str(s) for s in range(600))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dropfed.cli", "check-schedule", str(cfg_path),
+         "--seed-override", seeds],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"seed 0:\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err and err == b""

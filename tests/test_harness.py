@@ -8,26 +8,24 @@ import numpy as np
 import pytest
 
 from dropfed.availability import periodic_schedule
+from dropfed.config import ExperimentConfig, load_config
 from dropfed.data import make_synthetic_classification
+from dropfed.diagnostics import evaluate
 from dropfed.errors import ConfigError
 from dropfed.harness import (
-    ComparisonRow,
-    ExperimentConfig,
     build_rates,
     build_schedule,
     build_task,
-    compare_runs,
     initial_model,
-    load_config,
-    render_summary,
     resolve_outdir,
     run_experiment,
     run_trial,
 )
 from dropfed.local_trainer import LocalConfig
-from dropfed.objectives import ClientDataset, QuadraticObjective, global_optimum
+from dropfed.objectives import ClientDataset, QuadraticObjective, global_optimum, make_objective
 from dropfed.rng import DATA, seed_for
 from dropfed.schedules import constant_rates, inverse_time_rates
+from dropfed.summary import ComparisonRow, compare_runs, render_summary
 
 
 def point_clients(means):
@@ -86,6 +84,7 @@ def test_trial_rejects_mismatched_rates():
         run_trial(objs, sched, constant_rates(0.1, 4), "fedavg", K1, np.zeros(1), 1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_trial_flags_divergence():
     objs = point_clients([[0.0], [2.0]])
     T = 60
@@ -318,19 +317,36 @@ def test_load_config_inline_comments(tmp_path):
 def test_build_task_shapes_and_determinism():
     cfg = ExperimentConfig(task="logistic", classes=2, per_class=10, clients=4,
                            test_per_class=6)
-    population, test_obj, test_data = build_task(cfg, seed=1)
+    population, test_data = build_task(cfg, seed=1)
     assert population.kind == "logistic"
     assert population.num_clients == 4 and population.n == 5
     assert population.features.shape == (4, 5, 2)
-    assert test_obj is not None and test_data.n == 12
-    again, _, _ = build_task(cfg, seed=1)
+    assert test_data.n == 12
+    again, _ = build_task(cfg, seed=1)
     np.testing.assert_array_equal(population.features, again.features)
     # Test pool differs from the training pool (different stream index).
     train_pool = make_synthetic_classification(2, 6, 2, 4.0, seed_for(1, DATA, 0))
     assert not np.array_equal(test_data.features[:6], train_pool.features[:6])
     quad_cfg = ExperimentConfig(test_per_class=6)
-    _, no_test, _ = build_task(quad_cfg, seed=1)
+    _, no_test = build_task(quad_cfg, seed=1)
     assert no_test is None
+
+
+@pytest.mark.parametrize("task", ["logistic", "mlp"])
+def test_accuracy_is_measured_on_the_test_set(task):
+    # The training population predicts the test pool exactly as an
+    # objective built on that pool would.
+    cfg = ExperimentConfig(task=task, classes=3, per_class=10, clients=3, test_per_class=7,
+                           iterations=4, init="normal")
+    population, test_data = build_task(cfg, seed=2)
+    sched = build_schedule(cfg, seed=2)
+    w0 = initial_model(cfg, population.dim, seed=2)
+    trial = run_trial(population, sched, build_rates(cfg, sched), "fedavg", K1, w0, 2,
+                      test_data=test_data)
+    reference = make_objective(task, test_data, **population.params)
+    assert trial.rows[0].acc == evaluate(reference, w0, test_data)
+    assert trial.final_acc == evaluate(reference, trial.final_w, test_data)
+    assert not math.isnan(trial.final_acc)
 
 
 def test_build_schedule_dispatch():
@@ -444,6 +460,7 @@ def test_output_root_env(tmp_path, monkeypatch):
     assert resolve_outdir("runs/x") == Path("runs/x")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_summary_survives_diverged_trials(tmp_path):
     # Infinities from a blown-up run must not poison the aggregate lines.
     cfg = quick_cfg(tmp_path / "boom", eta0=1e8, iterations=60, seeds=(1,))
