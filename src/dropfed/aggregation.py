@@ -15,16 +15,18 @@ assembled:
 * scaffold: clients correct every local step with control variates before
   uploading (two vectors per client per round cross the wire).
 
-Layout: a round's participants are a sorted id array and their uploads one
-(S, dim) array, row s belonging to client ids[s].  The per-client memory
-(mimic's corrections, mifa's last uploads, scaffold's control variates) is
-one (N, dim) array plus an (N,) array of the round each row was last
-written, -1 if never.  Local training of all participants, and of all
-replicas of a replayed round, runs in one lockstep pass.  Every row keeps
-its own batch stream, one per client and round, or per client, round and
-replica; a round draws all rows' batches in one call before training (see
-local_trainer).  Averages add rows in id order, one at a time, so every path
-that averages the same rows agrees bit for bit.
+Layout: S seeds run in lockstep as one state, w (S, dim) (one seed may keep
+w 1-D), with seed s's client i at row s * N + i of the stacked population
+and of the per-client memory (mimic's corrections, mifa's last uploads,
+scaffold's control variates): one (S * N, dim) array plus the round each
+row was last written, -1 if never.  A round's participants are a sorted id
+array and their uploads one (R, dim) array.  Each seed aggregates over its
+own rows with its own step size; a seed with no participant keeps its
+model.  Local training of every participant, and of every replica of a
+replayed round, runs in one lockstep pass, each row with its own batch
+stream per client and round (and replica), all drawn in one call (see
+local_trainer).  Averages add rows in id order, one at a time, so every
+path that averages the same rows agrees bit for bit.
 
 Round functions never mutate their input state; they return a fresh state.
 That makes deterministic replays (full-batch expectations, variance probes)
@@ -48,6 +50,7 @@ ALGORITHMS = ("fedavg", "fedprox", "mifa", "mimic", "scaffold")
 # rng_for(i) or rng_for(i, r) names row i's (replica r's) batch stream: a
 # StreamKey, whose rows are drawn in one vectorised pass, or a Generator.
 RngFactory = Callable[..., StreamKey | np.random.Generator]
+Rate = float | np.ndarray  # a step size for every seed of a state, or one for all
 
 
 @dataclass
@@ -55,21 +58,25 @@ class ServerState:
     """Global model plus whatever per-client memory the chosen algorithm carries."""
 
     algorithm: str
-    w: np.ndarray
-    num_clients: int
-    # (N, dim): mimic corrections, mifa memorized uploads or scaffold client
-    # variates; zero until written.  fedavg and fedprox leave it untouched.
+    w: np.ndarray  # (dim,) for one seed, or (S, dim) for S seeds in lockstep
+    num_clients: int  # per seed
+    # (S * N, dim): mimic corrections, mifa memorized uploads or scaffold
+    # client variates; zero until written.  fedavg and fedprox leave it untouched.
     rows: np.ndarray
-    # (N,): the round each row was last written, -1 if never.
-    written: np.ndarray
+    written: np.ndarray  # (S * N,): the round each row was last written, -1 if never
     round_index: int = 0
-    # scaffold only: the server control variate.
+    # scaffold only: the server control variate, shaped like w.
     server_variate: np.ndarray | None = None
+
+    @property
+    def models(self) -> np.ndarray:
+        """w as (S, dim)."""
+        return self.w.reshape(-1, self.w.shape[-1])
 
 
 @dataclass(frozen=True)
 class RoundResult:
-    """Applied update v_t, the participants and their uploads, and the new state."""
+    """Applied update v_t (shaped like w), the participants and their uploads, and the new state."""
 
     v: np.ndarray
     ids: np.ndarray
@@ -78,24 +85,43 @@ class RoundResult:
 
 
 def init_state(algorithm: str, w0: ParamVector, num_clients: int) -> ServerState:
+    """Fresh state for one seed's model w0 (dim,), or for S seeds' models (S, dim)."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if num_clients < 1:
         raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
     w0 = np.array(w0, dtype=np.float64)
+    seeds, dim = w0.reshape(-1, w0.shape[-1]).shape
     return ServerState(
         algorithm, w0, num_clients,
-        rows=np.zeros((num_clients, w0.shape[0])),
-        written=np.full(num_clients, -1, dtype=np.int64),
+        rows=np.zeros((seeds * num_clients, dim)),
+        written=np.full(seeds * num_clients, -1, dtype=np.int64),
         server_variate=np.zeros_like(w0) if algorithm == "scaffold" else None,
     )
 
 
-def _mean(rows: np.ndarray) -> np.ndarray:
-    # Fixed-order running sum over the rows, then divide: the one
-    # accumulation order every path shares, so alternate paths agree
-    # bit-for-bit.  (sum(axis=0) is pairwise when dim == 1.)
-    return np.cumsum(rows, axis=-2)[..., -1, :] / rows.shape[-2]
+def _sums(groups: np.ndarray, values: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums (count, dim) of the rows of values in each of count sorted groups, and their sizes.
+
+    Every sum adds its rows in order, one at a time: the one accumulation
+    order all paths share, so alternate paths agree bit for bit (sum(axis=0)
+    is pairwise when dim == 1).  Several groups go into a zero-padded
+    (count, largest size, dim) block, and each sum is read at its group's
+    last real row: summing on into the padding could turn a -0.0 into 0.0.
+    An empty group sums to zero.
+    """
+    sizes = np.bincount(groups, minlength=count)
+    padded = np.zeros((count, max(1, sizes.max()), values.shape[-1]))
+    padded[groups, np.arange(len(groups)) - (np.cumsum(sizes) - sizes)[groups]] = values
+    return np.cumsum(padded, axis=1)[np.arange(count), np.maximum(sizes - 1, 0)], sizes
+
+
+def _means(groups: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """Each group's mean (count, dim); zero for an empty group."""
+    if count == 1:
+        return np.cumsum(values, axis=0)[-1:] / len(values)
+    sums, sizes = _sums(groups, values, count)
+    return sums / np.maximum(sizes, 1)[:, None]
 
 
 def _write(state: ServerState, ids: np.ndarray, values: np.ndarray) -> dict:
@@ -108,23 +134,30 @@ def _write(state: ServerState, ids: np.ndarray, values: np.ndarray) -> dict:
 
 
 def _result(state, ids, uploads, v, eta, **changes) -> RoundResult:
-    new = replace(state, w=state.w - eta * v, round_index=state.round_index + 1, **changes)
-    return RoundResult(v, ids, uploads, new)
+    """Apply each seed's update v (S, dim) with its step size (eta: one, or one per seed)."""
+    w = (state.models - np.asarray(eta)[..., None] * v).reshape(state.w.shape)
+    new = replace(state, w=w, round_index=state.round_index + 1, **changes)
+    return RoundResult(v.reshape(state.w.shape), ids, uploads, new)
 
 
-def fedavg_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: float) -> RoundResult:
-    return _result(state, ids, uploads, _mean(uploads), eta)
+def fedavg_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate) -> RoundResult:
+    v = _means(ids // state.num_clients, uploads, len(state.models))
+    return _result(state, ids, uploads, v, eta)
 
 
-def mifa_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: float) -> RoundResult:
+def mifa_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate) -> RoundResult:
+    """Average every memorized upload of each seed that has a participant."""
     changes = _write(state, ids, uploads)
-    missing = np.flatnonzero(changes["written"] < 0)
+    n, seeds = state.num_clients, len(state.models)
+    playing = np.bincount(ids // n, minlength=seeds) > 0
+    missing = np.flatnonzero((changes["written"] < 0) & np.repeat(playing, n))
     if missing.size:
         raise IntegrityError(f"memorized updates missing for clients {missing.tolist()}")
-    return _result(state, ids, uploads, _mean(changes["rows"]), eta, **changes)
+    memory = _sums(np.arange(seeds * n) // n, changes["rows"], seeds)[0] / n
+    return _result(state, ids, uploads, np.where(playing[:, None], memory, 0.0), eta, **changes)
 
 
-def mimic_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: float) -> RoundResult:
+def mimic_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate) -> RoundResult:
     """Correction-variable aggregation.
 
     Each participating upload is shifted by that client's stored correction
@@ -134,15 +167,13 @@ def mimic_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: f
     before the round, and a client absent since round t' contributes exactly
     the correction written at t'.
     """
-    v = _mean(uploads + state.rows[ids])
-    return _result(state, ids, uploads, v, eta, **_write(state, ids, v - uploads))
+    owner = ids // state.num_clients
+    v = _means(owner, uploads + state.rows[ids], len(state.models))
+    return _result(state, ids, uploads, v, eta, **_write(state, ids, v[owner] - uploads))
 
 
 def scaffold_round(
-    state: ServerState,
-    ids: np.ndarray,
-    uploads: np.ndarray,
-    eta: float,
+    state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate,
     variates: np.ndarray | None = None,
 ) -> RoundResult:
     """Average the control-variate-corrected uploads.
@@ -152,14 +183,14 @@ def scaffold_round(
     server variate absorbs (1/N) of their change.  None (variates rebuilt
     inside the round from anchors) leaves every variate alone.
     """
-    v = _mean(uploads)
+    v = _means(ids // state.num_clients, uploads, len(state.models))
     if variates is None:
         return _result(state, ids, uploads, v, eta)
-    change = np.cumsum(variates - state.rows[ids], axis=0)[-1]
+    change = _sums(ids // state.num_clients, variates - state.rows[ids], len(state.models))[0]
+    server = state.server_variate.reshape(change.shape) + change / state.num_clients
     return _result(
         state, ids, uploads, v, eta,
-        server_variate=state.server_variate + change / state.num_clients,
-        **_write(state, ids, variates),
+        server_variate=server.reshape(state.w.shape), **_write(state, ids, variates),
     )
 
 
@@ -168,11 +199,9 @@ _RULES = {"fedavg": fedavg_round, "fedprox": fedavg_round, "mifa": mifa_round, "
 
 def _population(state: ServerState, objectives, active) -> tuple[Objective, np.ndarray]:
     population = stack(objectives)
-    if population.num_clients != state.num_clients:
-        raise ConfigError(
-            f"{population.num_clients} objectives for {state.num_clients} clients"
-        )
-    return population, np.array(sorted(active), dtype=np.int64)
+    if population.num_clients != len(state.rows):
+        raise ConfigError(f"{population.num_clients} objectives for {len(state.rows)} clients")
+    return population, np.sort(np.asarray(active, dtype=np.int64))
 
 
 def _rounds(state, population, ids, cfg, eta, rngs, replicas, literal) -> list[RoundResult]:
@@ -182,21 +211,25 @@ def _rounds(state, population, ids, cfg, eta, rngs, replicas, literal) -> list[R
     variates are those of scaffold: persistent ones from the state, or with
     `literal` anchors taken on batch 0 of each row's stream at the broadcast
     point, ahead of its K training batches: client i steps with
-    g_i(w_k) - g_i(w_t) + mean_j g_j(w_t).
+    g_i(w_k) - g_i(w_t) + mean_j g_j(w_t), the mean over its seed's
+    participants in its replica.
     """
     rows = np.tile(ids, replicas)
-    dim = state.w.shape[0]
+    seeds = len(state.models)
+    owner = rows // state.num_clients
+    start = state.models[owner]
     anchored = state.algorithm == "scaffold" and literal
     batches = draw_batches(population.n, rows, cfg.batch_size, rngs, cfg.steps + anchored)
     shift = None
     if anchored:
-        anchors = population.batch_grad(np.repeat(state.w[None], len(rows), axis=0), batches[0])
-        anchors = anchors.reshape(replicas, len(ids), dim)
-        shift = (_mean(anchors)[:, None] - anchors).reshape(len(rows), dim)
+        anchors = population.batch_grad(start, batches[0])
+        groups = np.repeat(np.arange(replicas) * seeds, len(ids)) + owner
+        shift = _means(groups, anchors, replicas * seeds)[groups] - anchors
         batches = batches[1:]
     elif state.algorithm == "scaffold":
-        shift = np.tile(state.server_variate - state.rows[ids], (replicas, 1))
-    uploads, grad_means, _ = local_train(population, state.w, batches, cfg, shift)
+        shift = state.server_variate.reshape(seeds, -1)[owner] - state.rows[rows]
+    uploads, grad_means, _ = local_train(population, start, batches, cfg, shift)
+    dim = start.shape[1]
     per_replica = zip(uploads.reshape(replicas, len(ids), dim),
                       grad_means.reshape(replicas, len(ids), dim))
     if state.algorithm == "scaffold":
@@ -205,47 +238,37 @@ def _rounds(state, population, ids, cfg, eta, rngs, replicas, literal) -> list[R
 
 
 def play_round(
-    state: ServerState,
-    objectives: Objective | list[Objective],
-    active: list[int],
-    cfg: LocalConfig,
-    eta: float,
-    rng_for: RngFactory,
-    *,
-    scaffold_literal: bool = False,
+    state: ServerState, objectives: Objective | list[Objective], active: list[int] | np.ndarray,
+    cfg: LocalConfig, eta: Rate, rng_for: RngFactory, *, scaffold_literal: bool = False,
     full_batch: bool = False,
 ) -> RoundResult:
     """Run one full round: local training on each active client, then aggregate.
 
-    rng_for(i) names client i's batch stream.  An empty active set leaves
-    the model untouched (v = 0) and just advances the round counter.
-    full_batch swaps every batch draw for the whole client dataset, which is
-    how deterministic per-round expectations are replayed; it builds no
-    stream at all.
+    With S seeds, active holds rows of the stacked population (seed s's
+    client i is s * N + i) and eta one step size per seed.  rng_for(i)
+    names row i's batch stream.  An empty active set leaves the model
+    untouched (v = 0) and just advances the round counter, as it does for
+    each seed without participants.  full_batch swaps every batch draw for
+    the whole client dataset, which is how deterministic per-round
+    expectations are replayed; it builds no stream at all.
     """
     population, ids = _population(state, objectives, active)
     if not ids.size:
         new = replace(state, w=state.w.copy(), round_index=state.round_index + 1)
-        return RoundResult(np.zeros_like(state.w), ids, np.zeros((0, state.w.shape[0])), new)
+        return RoundResult(np.zeros_like(state.w), ids, np.zeros((0, state.w.shape[-1])), new)
     rngs = None if full_batch else [rng_for(i) for i in ids.tolist()]
     return _rounds(state, population, ids, cfg, eta, rngs, 1, scaffold_literal)[0]
 
 
 def replay_round(
-    state: ServerState,
-    objectives: Objective | list[Objective],
-    active: list[int],
-    cfg: LocalConfig,
-    eta: float,
-    rng_for: RngFactory,
-    replicas: int,
-    *,
+    state: ServerState, objectives: Objective | list[Objective], active: list[int] | np.ndarray,
+    cfg: LocalConfig, eta: Rate, rng_for: RngFactory, replicas: int, *,
     scaffold_literal: bool = False,
 ) -> np.ndarray:
-    """Applied updates (replicas, dim) of independent replays of one nonempty round.
+    """Applied updates (replicas, *w.shape) of independent replays of one nonempty round.
 
     All replicas train in one lockstep pass from `state`, which is not
-    advanced; rng_for(i, r) names replica r's batch stream for client i.
+    advanced; rng_for(i, r) names replica r's batch stream for row i.
     """
     population, ids = _population(state, objectives, active)
     if not ids.size:

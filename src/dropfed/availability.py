@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ConfigError
 from .rng import Seed, generator
 
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass
 class AvailabilitySchedule:
@@ -53,13 +55,21 @@ class AvailabilitySchedule:
         return np.count_nonzero(self.mask, axis=1)
 
     def max_staleness(self) -> int:
-        """Largest gap between consecutive appearances of one client; 0 if none."""
-        seen = np.flatnonzero(self.mask.T)  # client * T + round, by client then round
-        gaps = np.diff(seen)
-        # The step into a client's first appearance comes from another client.
-        firsts = np.searchsorted(seen, np.arange(1, self.num_clients) * self.iterations)
-        gaps[firsts[(firsts > 0) & (firsts < seen.size)] - 1] = 0
-        return int(gaps.max(initial=0))
+        """Largest gap between consecutive appearances of one client; 0 if none.
+
+        Clients are taken in blocks of about _BLOCK_CELLS mask cells, so the
+        pass never holds an array with one element per schedule entry.
+        """
+        worst, width = 0, max(1, _BLOCK_CELLS // self.iterations)
+        for c in range(0, self.num_clients, width):
+            block = self.mask[:, c : c + width]
+            seen = np.flatnonzero(block.T)  # client * T + round, by client then round
+            gaps = np.diff(seen)
+            # The step into a client's first appearance comes from another client.
+            firsts = np.searchsorted(seen, np.arange(1, block.shape[1]) * self.iterations)
+            gaps[firsts[(firsts > 0) & (firsts < seen.size)] - 1] = 0
+            worst = max(worst, int(gaps.max(initial=0)))
+        return worst
 
     def to_text(self) -> str:
         """One line per iteration, comma-separated active client ids."""
@@ -94,11 +104,7 @@ def round_robin_schedule(
 
 
 def static_prob_schedule(
-    num_clients: int,
-    iterations: int,
-    prob: float,
-    seed: Seed,
-    force_full_start: bool = True,
+    num_clients: int, iterations: int, prob: float, seed: Seed, force_full_start: bool = True
 ) -> AvailabilitySchedule:
     """Independent coin flips: each client joins each round with probability prob.
 

@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment and write metrics CSVs")
     add_common(p_run)
-    p_run.add_argument("--workers", type=int, help="seeds to run concurrently")
+    p_run.add_argument("--workers", type=int, help="accepted and checked (>= 1), but seeds always "
+                       "run in one lockstep pass: it changes neither outputs nor speed")
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="rank finished runs at a matched upload budget")

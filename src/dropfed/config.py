@@ -14,9 +14,18 @@ from pathlib import Path
 
 from .aggregation import ALGORITHMS
 from .errors import ConfigError
+from .local_trainer import LocalConfig
 
-SCENARIOS = ("round_robin", "static", "weighted")
-RATE_KINDS = ("constant", "exponential", "inverse_time")
+# The allowed values of each option that names a choice.
+CHOICES = {
+    "task": ("quadratic", "logistic", "mlp"),
+    "algorithm": ALGORITHMS,
+    "init": ("zeros", "normal"),
+    "scaffold_anchor": ("persistent", "within_round"),
+    "scenario": ("round_robin", "static", "weighted"),
+    "rate_kind": ("constant", "exponential", "inverse_time"),
+    "expected_mode": ("fullbatch", "mc"),
+}
 
 
 @dataclass
@@ -62,20 +71,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.task not in ("quadratic", "logistic", "mlp"):
-            raise ConfigError(f"unknown task {self.task!r}")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.rate_kind not in RATE_KINDS:
-            raise ConfigError(f"unknown rate kind {self.rate_kind!r}")
-        if self.expected_mode not in ("fullbatch", "mc"):
-            raise ConfigError(f"expected_mode must be fullbatch or mc")
-        if self.init not in ("zeros", "normal"):
-            raise ConfigError(f"init must be zeros or normal, got {self.init!r}")
-        if self.scaffold_anchor not in ("persistent", "within_round"):
-            raise ConfigError("scaffold_anchor must be persistent or within_round")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.algorithm == "fedprox" and self.prox_mu <= 0:
             raise ConfigError("fedprox needs prox_mu > 0")
         if self.algorithm != "fedprox" and self.prox_mu > 0:
@@ -101,6 +99,10 @@ class ExperimentConfig:
             )
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        self.local_config()  # its own checks, before any work
+
+    def local_config(self) -> LocalConfig:
+        return LocalConfig(self.local_steps, self.local_lr, self.batch_size, self.prox_mu)
 
     def check_partition(self) -> None:
         """Reject a shard count that does not divide the data, before any is built.

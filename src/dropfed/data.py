@@ -25,11 +25,7 @@ def _class_means(num_classes: int, dim: int, separation: float) -> np.ndarray:
 
 
 def make_synthetic_classification(
-    num_classes: int,
-    per_class: int,
-    dim: int,
-    separation: float,
-    seed: Seed,
+    num_classes: int, per_class: int, dim: int, separation: float, seed: Seed
 ) -> ClientDataset:
     """Gaussian blobs with unit covariance, one blob per class.
 
@@ -56,10 +52,7 @@ def make_synthetic_classification(
 
 
 def partition_shards(
-    dataset: ClientDataset,
-    clients: int,
-    shards_per_client: int,
-    seed: Seed,
+    dataset: ClientDataset, clients: int, shards_per_client: int, seed: Seed
 ) -> list[ClientDataset]:
     """Split a dataset into label-sorted shards and deal them out to clients.
 

@@ -139,5 +139,4 @@ def weighted_participation_bias(etas: np.ndarray, gammas: np.ndarray) -> float:
     keep = ~np.isnan(gammas)
     if not keep.any():
         return math.nan
-    mass = etas[keep].sum()
-    return float((etas[keep] * gammas[keep]).sum() / mass)
+    return float((etas[keep] * gammas[keep]).sum() / etas[keep].sum())

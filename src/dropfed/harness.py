@@ -1,4 +1,4 @@
-"""Experiment orchestration: one seed's trial loop and the run over all seeds.
+"""Experiment orchestration: the lockstep trial loop over a run's seeds.
 
 A run is: build a synthetic task, deal it to clients, draw an availability
 schedule, then iterate broadcast -> local training -> aggregation while
@@ -9,9 +9,9 @@ diagnostics can replay any round without disturbing the training draws.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +50,7 @@ from .schedules import (
 from .summary import render_summary
 
 OUTPUT_ROOT_ENV = "DROPFED_OUT"
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -74,128 +75,154 @@ class TrialOutput:
     conditions: ConditionReport | None = None
 
 
+@dataclass
+class SeedTask:
+    """One seed's inputs: its clients, schedule, step sizes, first model and test set."""
+
+    seed: int
+    population: Objective
+    schedule: AvailabilitySchedule
+    rates: LrSchedule
+    w0: np.ndarray
+    test_data: ClientDataset | None = None
+
+    def accuracy(self, w: np.ndarray) -> float:
+        measured = None if self.test_data is None else evaluate(self.population, w, self.test_data)
+        return math.nan if measured is None else measured
+
+
+def run_trial(
+    objectives: Objective | list[Objective], schedule: AvailabilitySchedule, rates: LrSchedule,
+    algorithm: str, local_cfg: LocalConfig, w0: np.ndarray, master_seed: int, *,
+    test_data: ClientDataset | None = None, **options,
+) -> TrialOutput:
+    """Run one seed end to end: run_trials on that seed alone, with its keyword options."""
+    task = SeedTask(master_seed, stack(objectives), schedule, rates, w0, test_data)
+    return run_trials([task], algorithm, local_cfg, **options)[0]
+
+
 # A diverging model overflows on its way to the non-finite values that the
 # loop's isfinite check records as the failure; those overflows are expected.
 @np.errstate(over="ignore", invalid="ignore")
-def run_trial(
-    objectives: Objective | list[Objective],
-    schedule: AvailabilitySchedule,
-    rates: LrSchedule,
-    algorithm: str,
-    local_cfg: LocalConfig,
-    w0: np.ndarray,
-    master_seed: int,
-    *,
-    test_data: ClientDataset | None = None,
-    phi_replays: int = 0,
-    phi_every: int = 0,
-    expected_mode: str = "fullbatch",
-    expected_replays: int = 64,
-    scaffold_literal: bool = False,
-    audit_nu: float = 0.01,
-) -> TrialOutput:
-    """Run one seed end to end and measure every round.
+def run_trials(
+    tasks: list[SeedTask], algorithm: str, local_cfg: LocalConfig, *, phi_replays: int = 0,
+    phi_every: int = 0, expected_mode: str = "fullbatch", expected_replays: int = 64,
+    scaffold_literal: bool = False, audit_nu: float = 0.01,
+) -> list[TrialOutput]:
+    """Run every seed's trial in one lockstep pass and measure every round.
 
-    The clients are stacked into one population; one fused pass per round
-    gives the loss, the gradient and the participants' mean gradient.
+    The seeds share N, T and the client data shape.  Their clients are
+    stacked into one population, seed s's client i at row s * N + i, so a
+    round trains every seed's participants in one call, and replays them in
+    one call per kind of replay.  The population pass (loss, gradient and
+    the participants' mean gradient), the evaluation and the smoothness
+    stay per seed.
 
     Per-round columns describe the broadcast model w_t before the update;
-    the *final* fields describe the model after the last round.  A non-finite
-    model aborts the trial at that round and marks it failed.
+    the *final* fields describe the model after the last round.  A seed
+    whose model turns non-finite stops at that round and is marked failed;
+    its rows drop out of the later rounds, and the other seeds go on.
     """
-    if rates.values.shape[0] != schedule.iterations:
-        raise ConfigError(
-            f"{rates.values.shape[0]} step sizes for {schedule.iterations} iterations"
-        )
-    population = stack(objectives)
-    state = init_state(algorithm, w0, population.num_clients)
-    per_round_uploads = 2 if algorithm == "scaffold" else 1
-    rows: list[RoundMetrics] = []
-    out = TrialOutput(seed=master_seed, rows=rows, final_w=state.w)
-    uploads_total = 0
+    for task in tasks:
+        if len(task.rates.values) != task.schedule.iterations:
+            raise ConfigError(f"{len(task.rates.values)} step sizes for {task.schedule.iterations} "
+                              "iterations")
+    seeds = [task.seed for task in tasks]
+    n = tasks[0].population.num_clients
+    population = stack([task.population for task in tasks])
+    masks = np.stack([task.schedule.mask for task in tasks])  # (S, T, N)
+    rates = np.stack([task.rates.values for task in tasks])  # (S, T)
+    state = init_state(algorithm, np.stack([task.w0 for task in tasks]), n)
+    smoothness = [task.population.smoothness for task in tasks]
+    steep = ", ".join(f"seed {s} (L = {L:.6g}, 1/(10 L) = {1 / (10 * L):.6g})"
+                      for s, L in zip(seeds, smoothness) if L > 0 and local_cfg.lr > 1 / (10 * L))
+    if steep:
+        log.warning("local lr %r exceeds 1/(10 L), so small-step analysis does not apply, for %s",
+                    local_cfg.lr, steep)
+    outs = [TrialOutput(seed=task.seed, rows=[], final_w=task.w0) for task in tasks]
+    live = np.ones(len(tasks), dtype=bool)
+    uploads = [0] * len(tasks)
 
-    def accuracy(w: np.ndarray) -> float:
-        measured = None if test_data is None else evaluate(population, w, test_data)
-        return math.nan if measured is None else measured
-
-    for t in range(schedule.iterations):
-        active = np.flatnonzero(schedule.mask[t]).tolist()
-        eta = float(rates.values[t])
-        w = state.w
-        losses, client_grads = population.losses_and_grads(w)
-        loss = float(np.mean(losses))
-        grad = np.mean(client_grads, axis=0)
-        grad_norm2 = float(grad @ grad)
-        acc = accuracy(w)
-
-        gamma = e_t = phi = math.nan
+    for t in range(masks.shape[1]):
+        playing = masks[:, t] & live[:, None]
+        rows = np.flatnonzero(playing)
+        eta = rates[:, t]
 
         def train_rng(i: int, t: int = t) -> streams.StreamKey:
-            return streams.batch_key(master_seed, i, t)
+            return streams.batch_key(seeds[i // n], i % n, t)
+
+        def replays(count: int, t: int = t) -> np.ndarray:
+            return _replay_updates(
+                state, population, rows, local_cfg, eta, seeds, t, count, scaffold_literal
+            )
 
         result = play_round(
-            state, population, active, local_cfg, eta, train_rng,
-            scaffold_literal=scaffold_literal,
+            state, population, rows, local_cfg, eta, train_rng, scaffold_literal=scaffold_literal,
         )
-
-        if active:
-            gamma = participation_bias(client_grads, active)
+        expected = samples = None
+        if rows.size:
             if expected_mode == "fullbatch":
-                v_exp = play_round(
-                    state, population, active, local_cfg, eta, train_rng,
+                expected = play_round(
+                    state, population, rows, local_cfg, eta, train_rng,
                     scaffold_literal=scaffold_literal, full_batch=True,
                 ).v
             else:
-                v_exp = _replay_updates(
-                    state, population, active, local_cfg, eta, master_seed, t,
-                    expected_replays, scaffold_literal,
-                ).mean(axis=0)
-            e_t = expected_update_error(v_exp, grad)
+                expected = replays(expected_replays)
             if phi_replays >= 2 and phi_every > 0 and t % phi_every == 0:
-                samples = _replay_updates(
-                    state, population, active, local_cfg, eta, master_seed, t,
-                    phi_replays, scaffold_literal,
+                samples = replays(phi_replays)
+        for k in np.flatnonzero(live):
+            task, w, active = tasks[k], state.models[k], np.flatnonzero(playing[k]).tolist()
+            losses, client_grads = task.population.losses_and_grads(w)
+            grad = np.mean(client_grads, axis=0)
+            gamma = e_t = phi = math.nan
+            uploads[k] += len(active) * (2 if algorithm == "scaffold" else 1)
+            if active:
+                gamma = participation_bias(client_grads, active)
+                # Each seed's replays as one contiguous (replicas, dim) block,
+                # so that their mean and variance add in the one-seed order.
+                v_exp = expected[k] if expected_mode == "fullbatch" else (
+                    np.ascontiguousarray(expected[:, k]).mean(axis=0))
+                e_t = expected_update_error(v_exp, grad)
+                if samples is not None:
+                    phi = update_variance(np.ascontiguousarray(samples[:, k]))
+            outs[k].rows.append(
+                RoundMetrics(
+                    t=t, loss=float(np.mean(losses)), grad_norm2=float(grad @ grad), E_t=e_t,
+                    gamma_t=gamma, phi_hat=phi, n_active=len(active), uploads=uploads[k],
+                    acc=task.accuracy(w), eta_t=float(eta[k]),
                 )
-                phi = update_variance(samples)
-
-        uploads_total += len(active) * per_round_uploads
-        rows.append(
-            RoundMetrics(
-                t=t, loss=loss, grad_norm2=grad_norm2, E_t=e_t, gamma_t=gamma,
-                phi_hat=phi, n_active=len(active), uploads=uploads_total,
-                acc=acc, eta_t=eta,
             )
-        )
         state = result.state
-        if not np.all(np.isfinite(state.w)):
-            out.failed = True
-            out.failure_round = t
-            break
+        for k in np.flatnonzero(live & ~np.isfinite(state.models).all(axis=1)):
+            outs[k].failed, outs[k].failure_round, live[k] = True, t, False
+            outs[k].final_w = state.models[k]
 
-    out.final_w = state.w
-    out.uploads_total = uploads_total
-    out.max_staleness = schedule.max_staleness()
-    if not out.failed:
-        out.final_loss = population.loss(state.w)
-        g = population.grad(state.w)
-        out.final_grad_norm2 = float(g @ g)
-        out.final_acc = accuracy(state.w)
-    out.min_grad_norm2 = min((r.grad_norm2 for r in rows), default=math.nan)
-    executed = rates.values[: len(rows)]
-    out.rate_mass = float(executed.sum())
-    out.weighted_bias = weighted_participation_bias(
-        executed, np.array([r.gamma_t for r in rows])
-    )
-    optimum = global_optimum(population)
-    if optimum is not None and not out.failed:
-        out.optimum_distance = float(np.linalg.norm(state.w - optimum))
-        out.initial_gap = population.loss(w0) - population.loss(optimum)
-    if schedule.iterations >= 2:
-        out.conditions = audit_schedule(
-            rates, schedule, out.max_staleness, local_lr=local_cfg.lr, steps=local_cfg.steps,
-            smoothness=population.smoothness, num_clients=population.num_clients, nu=audit_nu,
+    for k, (out, task) in enumerate(zip(outs, tasks)):
+        population, w = task.population, out.final_w if out.failed else state.models[k]
+        out.final_w, out.uploads_total = w, uploads[k]
+        out.max_staleness = task.schedule.max_staleness()
+        if not out.failed:
+            out.final_loss = population.loss(w)
+            g = population.grad(w)
+            out.final_grad_norm2 = float(g @ g)
+            out.final_acc = task.accuracy(w)
+        out.min_grad_norm2 = min((r.grad_norm2 for r in out.rows), default=math.nan)
+        executed = task.rates.values[: len(out.rows)]
+        out.rate_mass = float(executed.sum())
+        out.weighted_bias = weighted_participation_bias(
+            executed, np.array([r.gamma_t for r in out.rows])
         )
-    return out
+        optimum = global_optimum(population)
+        if optimum is not None and not out.failed:
+            out.optimum_distance = float(np.linalg.norm(w - optimum))
+            out.initial_gap = population.loss(task.w0) - population.loss(optimum)
+        if task.schedule.iterations >= 2:
+            out.conditions = audit_schedule(
+                task.rates, task.schedule, out.max_staleness, local_lr=local_cfg.lr,
+                steps=local_cfg.steps, smoothness=smoothness[k],
+                num_clients=population.num_clients, nu=audit_nu,
+            )
+    return outs
 
 
 def audit_schedule(
@@ -210,11 +237,16 @@ def audit_schedule(
 
 
 def _replay_updates(
-    state, population, active, local_cfg, eta, master_seed, t, count, scaffold_literal
+    state, population, active, local_cfg, eta, master_seeds, t, count, scaffold_literal
 ) -> np.ndarray:
-    """Replay one round `count` times with fresh batch draws, in one lockstep pass."""
+    """Replay one round `count` times with fresh batch draws, in one lockstep pass.
+
+    Row i of the stacked population is client i % N of master_seeds[i // N].
+    """
+    n = state.num_clients
+
     def replay_rng(i: int, r: int) -> streams.StreamKey:
-        return streams.replay_key(master_seed, i, t, r)
+        return streams.replay_key(master_seeds[i // n], i % n, t, r)
 
     return replay_round(
         state, population, active, local_cfg, eta, replay_rng, count,
@@ -231,11 +263,9 @@ def build_task(cfg: ExperimentConfig, seed: int) -> tuple[Objective, ClientDatas
     clients = partition_shards(
         train, cfg.clients, cfg.shards_per_client, streams.seed_for(seed, streams.PARTITION)
     )
-    params: dict = {}
-    if cfg.task == "logistic":
-        params = {"num_classes": cfg.classes, "reg": cfg.reg}
-    elif cfg.task == "mlp":
-        params = {"num_classes": cfg.classes, "reg": cfg.reg, "hidden": cfg.hidden}
+    params = {} if cfg.task == "quadratic" else {"num_classes": cfg.classes, "reg": cfg.reg}
+    if cfg.task == "mlp":
+        params["hidden"] = cfg.hidden
     test_data = None
     if cfg.task != "quadratic" and cfg.test_per_class > 0:
         test_data = make_synthetic_classification(
@@ -250,9 +280,7 @@ def build_schedule(cfg: ExperimentConfig, seed: int) -> AvailabilitySchedule:
     if cfg.scenario == "round_robin":
         return round_robin_schedule(cfg.clients, cfg.iterations, cfg.tau_max, key)
     if cfg.scenario == "static":
-        return static_prob_schedule(
-            cfg.clients, cfg.iterations, cfg.prob, key, cfg.force_full_start
-        )
+        return static_prob_schedule(cfg.clients, cfg.iterations, cfg.prob, key, cfg.force_full_start)
     return weighted_sample_schedule(cfg.clients, cfg.iterations, cfg.ratio, key)
 
 
@@ -292,43 +320,26 @@ def resolve_outdir(out: str) -> Path:
     return path
 
 
-def _run_one_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> tuple[TrialOutput, Path]:
-    population, test_data = build_task(cfg, seed)
-    schedule = build_schedule(cfg, seed)
-    rates = build_rates(cfg, schedule)
-    local_cfg = LocalConfig(
-        steps=cfg.local_steps, lr=cfg.local_lr,
-        batch_size=cfg.batch_size, prox_mu=cfg.prox_mu,
-    )
-    w0 = initial_model(cfg, population.dim, seed)
-    trial = run_trial(
-        population, schedule, rates, cfg.algorithm, local_cfg, w0, seed,
-        test_data=test_data,
-        phi_replays=cfg.phi_replays, phi_every=cfg.phi_every,
-        expected_mode=cfg.expected_mode, expected_replays=cfg.expected_replays,
-        scaffold_literal=(cfg.scaffold_anchor == "within_round"),
-        audit_nu=cfg.nu,
-    )
-    csv_path = outdir / f"{cfg.algorithm}_{cfg.scenario}_seed{seed}.csv"
-    write_metrics_csv(trial.rows, csv_path)
-    return trial, csv_path
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run every seed, write per-seed CSVs plus one summary.txt, aggregate."""
+    """Run every seed in one lockstep pass, write per-seed CSVs plus one summary.txt."""
     cfg.check_partition()
     outdir = resolve_outdir(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            tagged = list(pool.map(lambda s: _run_one_seed(cfg, s, outdir), cfg.seeds))
-    else:
-        tagged = [_run_one_seed(cfg, s, outdir) for s in cfg.seeds]
-    trials = [t for t, _ in tagged]
-    csv_paths = [p for _, p in tagged]
+    tasks = []
+    for seed in cfg.seeds:
+        population, test_data = build_task(cfg, seed)
+        schedule = build_schedule(cfg, seed)
+        rates, w0 = build_rates(cfg, schedule), initial_model(cfg, population.dim, seed)
+        tasks.append(SeedTask(seed, population, schedule, rates, w0, test_data))
+    trials = run_trials(
+        tasks, cfg.algorithm, cfg.local_config(),
+        phi_replays=cfg.phi_replays, phi_every=cfg.phi_every,
+        expected_mode=cfg.expected_mode, expected_replays=cfg.expected_replays,
+        scaffold_literal=(cfg.scaffold_anchor == "within_round"), audit_nu=cfg.nu,
+    )
+    csv_paths = [outdir / f"{cfg.algorithm}_{cfg.scenario}_seed{seed}.csv" for seed in cfg.seeds]
+    for trial, path in zip(trials, csv_paths):
+        write_metrics_csv(trial.rows, path)
     summary_path = outdir / "summary.txt"
     summary_path.write_text(render_summary(cfg, trials, csv_paths))
-    return ExperimentResult(
-        config=cfg, outdir=outdir, trials=trials, csv_paths=csv_paths,
-        summary_path=summary_path,
-    )
+    return ExperimentResult(cfg, outdir, trials, csv_paths, summary_path)

@@ -60,11 +60,8 @@ def sample_batch(rng: np.random.Generator | None, n: int, batch_size: int) -> np
 
 
 def draw_batches(
-    n: int,
-    clients: np.ndarray,
-    batch_size: int,
-    sources: Sequence[StreamKey] | Sequence[np.random.Generator] | None,
-    count: int,
+    n: int, clients: np.ndarray, batch_size: int,
+    sources: Sequence[StreamKey] | Sequence[np.random.Generator] | None, count: int,
 ) -> np.ndarray:
     """Flat sample indices (count, rows, b) for rows of clients holding n samples.
 
@@ -89,13 +86,10 @@ def draw_batches(
 
 
 def local_train(
-    objective: Objective,
-    w_start: ParamVector,
-    batches: np.ndarray,
-    cfg: LocalConfig,
+    objective: Objective, w_start: ParamVector, batches: np.ndarray, cfg: LocalConfig,
     shift: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run K local steps from w_start on every row at once.
+    """Run K local steps from w_start, one model or one per row, on every row at once.
 
     batches (K, rows, b) holds each row's flat sample indices for each step,
     as draw_batches gives them.  A step moves row s by -lr * (g + shift[s] +
@@ -108,25 +102,21 @@ def local_train(
     """
     if len(batches) != cfg.steps:
         raise ValueError(f"{len(batches)} batches for {cfg.steps} local steps")
-    L = objective.smoothness
-    if L > 0 and cfg.lr > 1.0 / (10.0 * L):
-        # Identical message on purpose: the default warning filter then
-        # reports it once per process instead of once per round.
-        warnings.warn("local lr exceeds 1/(10 L); small-step analysis does not apply")
-    start = np.repeat(np.asarray(w_start, dtype=np.float64)[None], batches.shape[1], axis=0)
-    w = start
+    start = np.asarray(w_start, dtype=np.float64)
+    # Each row's model, trained in place.
+    w = start.copy() if start.ndim == 2 else np.repeat(start[None], batches.shape[1], axis=0)
     grad_sum = np.zeros_like(w)
     step_sum = grad_sum if shift is None else np.zeros_like(w)
     for batch in batches:
         g = objective.batch_grad(w, batch)
         grad_sum += g
         if shift is not None:
-            g = g + shift
+            g += shift
             step_sum += g
         if cfg.prox_mu > 0.0:
-            w = w - cfg.lr * (g + cfg.prox_mu * (w - start))
-        else:
-            w = w - cfg.lr * g
+            g += cfg.prox_mu * (w - start)
+        g *= cfg.lr
+        w -= g
     grad_mean = grad_sum / cfg.steps
     if cfg.prox_mu > 0.0:
         upload = (start - w) / (cfg.lr * cfg.steps)

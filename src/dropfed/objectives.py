@@ -231,7 +231,29 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -z)
 
 
-class LogisticObjective(Objective):
+class _Classifier(Objective):
+    """Class count, ridge weight and hard labels; subclasses give _logits(W, x)."""
+
+    def __init__(self, dataset, num_classes: int, reg: float):
+        super().__init__(dataset)
+        if num_classes < 2:
+            raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
+        if reg < 0:
+            raise ConfigError(f"reg must be >= 0, got {reg}")
+        if self.labels.min() < 0 or self.labels.max() >= num_classes:
+            raise ConfigError("labels out of range for num_classes")
+        self.num_classes = int(num_classes)
+        self.reg = float(reg)
+
+    def predict(self, w: ParamVector, features: np.ndarray) -> np.ndarray:
+        w = _check_params(w, self.dim)
+        z = self._logits(w[None], _augment(np.asarray(features, dtype=np.float64))[None])[0]
+        if z.ndim == 1:  # one sigmoid head
+            return (z >= 0.0).astype(np.int64)
+        return np.argmax(z, axis=1).astype(np.int64)
+
+
+class LogisticObjective(_Classifier):
     """L2-regularized logistic regression with the bias folded into w.
 
     Two classes use a single sigmoid head on w in R^{d+1}; more classes use a
@@ -243,21 +265,9 @@ class LogisticObjective(Objective):
 
     kind = "logistic"
 
-    def __init__(
-        self,
-        dataset: ClientDataset | Sequence[ClientDataset],
-        num_classes: int = 2,
-        reg: float = 0.0,
-    ):
-        super().__init__(dataset)
-        if num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
-        if reg < 0:
-            raise ConfigError(f"reg must be >= 0, got {reg}")
-        if self.labels.min() < 0 or self.labels.max() >= num_classes:
-            raise ConfigError("labels out of range for num_classes")
-        self.num_classes = int(num_classes)
-        self.reg = float(reg)
+    def __init__(self, dataset: ClientDataset | Sequence[ClientDataset], num_classes: int = 2,
+                 reg: float = 0.0):
+        super().__init__(dataset, num_classes, reg)
         self._max_row_norm2 = float(np.max(np.sum(self._x * self._x, axis=2)))
 
     @property
@@ -297,16 +307,7 @@ class LogisticObjective(Objective):
         grads = np.matmul(p.transpose(0, 2, 1), x) / b + self.reg * mats
         return losses, grads.reshape(len(grads), -1)
 
-    def predict(self, w: ParamVector, features: np.ndarray) -> np.ndarray:
-        w = _check_params(w, self.dim)
-        x = _augment(np.asarray(features, dtype=np.float64))
-        z = self._logits(w[None], x[None])[0]
-        if self.num_classes == 2:
-            return (z >= 0.0).astype(np.int64)
-        return np.argmax(z, axis=1).astype(np.int64)
-
-
-class MlpObjective(Objective):
+class MlpObjective(_Classifier):
     """One-hidden-layer tanh network with a softmax head, trained by backprop.
 
     Deliberately tiny (at most 1000 parameters): it exists to exercise the
@@ -318,26 +319,12 @@ class MlpObjective(Objective):
 
     MAX_PARAMS = 1000
 
-    def __init__(
-        self,
-        dataset: ClientDataset | Sequence[ClientDataset],
-        num_classes: int = 2,
-        hidden: int = 16,
-        reg: float = 0.0,
-        smoothness: float | None = None,
-    ):
-        super().__init__(dataset)
-        if num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
+    def __init__(self, dataset: ClientDataset | Sequence[ClientDataset], num_classes: int = 2,
+                 hidden: int = 16, reg: float = 0.0, smoothness: float | None = None):
+        super().__init__(dataset, num_classes, reg)
         if hidden < 1:
             raise ConfigError(f"hidden must be >= 1, got {hidden}")
-        if reg < 0:
-            raise ConfigError(f"reg must be >= 0, got {reg}")
-        if self.labels.min() < 0 or self.labels.max() >= num_classes:
-            raise ConfigError("labels out of range for num_classes")
-        self.num_classes = int(num_classes)
         self.hidden = int(hidden)
-        self.reg = float(reg)
         self._n1 = self.hidden * self._x.shape[2]
         total = self._n1 + self.num_classes * (self.hidden + 1)
         if total > self.MAX_PARAMS:
@@ -393,17 +380,15 @@ class MlpObjective(Objective):
         if with_loss:
             losses = losses + self._penalty(W)
         p /= x.shape[1]
-        g2 = np.matmul(p.transpose(0, 2, 1), act1)
-        back = np.matmul(p, w2[:, :, : self.hidden]) * (1.0 - act * act)
-        g1 = np.matmul(back.transpose(0, 2, 1), x)
-        grads = np.concatenate([g1.reshape(len(g1), -1), g2.reshape(len(g2), -1)], axis=1)
-        return losses, grads + self.reg * W
+        back = np.matmul(p, w2[:, :, : self.hidden])
+        back *= 1.0 - act * act
+        grads = np.concatenate([np.matmul(back.transpose(0, 2, 1), x).reshape(len(p), -1),
+                                np.matmul(p.transpose(0, 2, 1), act1).reshape(len(p), -1)], axis=1)
+        grads += self.reg * W
+        return losses, grads
 
-    def predict(self, w: ParamVector, features: np.ndarray) -> np.ndarray:
-        w = _check_params(w, self.dim)
-        x = _augment(np.asarray(features, dtype=np.float64))
-        logits = self._forward(w[None], x[None])[3][0]
-        return np.argmax(logits, axis=1).astype(np.int64)
+    def _logits(self, W: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self._forward(W, x)[3]
 
 
 def make_objective(

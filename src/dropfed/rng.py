@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import warnings
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -61,9 +62,7 @@ def batch_stream(master_seed: int, client: int, iteration: int) -> np.random.Gen
     return stream(master_seed, BATCH, client, iteration)
 
 
-def replay_stream(
-    master_seed: int, client: int, iteration: int, replica: int
-) -> np.random.Generator:
+def replay_stream(master_seed: int, client: int, iteration: int, replica: int) -> np.random.Generator:
     """Batch stream for diagnostic replays; disjoint from training streams."""
     return stream(master_seed, REPLAY, client, iteration, replica)
 
@@ -95,13 +94,16 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
+@functools.lru_cache(maxsize=16)
 def _hash_steps(h: int, mult: int, count: int) -> np.ndarray:
     """(count, 2) uint32: the hash constant before and after each of count steps."""
     steps = []
     for _ in range(count):
         steps.append((h, h * mult & _MASK32))
         h = steps[-1][1]
-    return np.array(steps, dtype=np.uint32)
+    steps = np.array(steps, dtype=np.uint32)
+    steps.flags.writeable = False  # cached, so shared by every caller
+    return steps
 
 
 @functools.lru_cache(maxsize=256)
@@ -124,12 +126,22 @@ def _run_pool(master_seed: int) -> tuple[np.ndarray, int]:
 _STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 4)
 
 
-def _philox_keys(master_seed: int, spawn: np.ndarray) -> list[list[int]]:
-    """Philox(SeedSequence(master_seed, spawn_key=row)) keys for spawn words (R, m)."""
-    pool, h = _run_pool(master_seed)
-    # Spawn word c goes into pool word d with hash step 4 c + d.
-    steps = _hash_steps(h, _MULT_A, 4 * spawn.shape[1]).reshape(-1, 4, 2)
-    mixed = (spawn[:, :, None] ^ steps[:, :, 0]) * steps[:, :, 1]
+def _philox_keys(master_seeds: Sequence[int], spawn: np.ndarray) -> list[list[int]]:
+    """Philox(SeedSequence(master_seeds[r], spawn_key=spawn[r])) keys for spawn words (R, m).
+
+    Each row starts from its own master seed's pool and hash constant (the
+    constant differs only between seeds of different word counts); rows
+    that share one master seed share one pool.
+    """
+    which = {seed: j for j, seed in enumerate(dict.fromkeys(master_seeds))}
+    at = [which[seed] for seed in master_seeds] if len(which) > 1 else [0]
+    pools, constants = zip(*map(_run_pool, which))
+    pool = np.array(pools)[at]
+    # Spawn word c goes into pool word d with hash step 4 c + d: the row's
+    # constant times a power of _MULT_A, all modulo 2**32.
+    powers = _hash_steps(1, _MULT_A, 4 * spawn.shape[1]).reshape(-1, 4, 2)
+    steps = np.array(constants, dtype=np.uint32)[at][:, None, None, None] * powers
+    mixed = (spawn[:, :, None] ^ steps[..., 0]) * steps[..., 1]
     mixed ^= mixed >> 16
     mixed *= np.uint32(_MIX_R)
     for c in range(spawn.shape[1]):
@@ -207,23 +219,48 @@ def draw_without_replacement(
     exact (R,): rows marked False hold no valid draws, and the caller must
     draw them from keys[r].generator().  That happens on a rejected bounded
     draw (odds about n / 2**32 per draw), on numpy's tail-shuffle branch
-    (n > 10000 and size > n // 50), for a spawn word >= 2**32, or when the
-    keys do not share one master seed and one nonempty spawn-key length.
+    (n > 10000 and size > n // 50), for a spawn word >= 2**32, for a
+    negative master seed, when the keys do not share one nonempty spawn-key
+    length, and for every row if this numpy draws otherwise (see
+    _matches_numpy).  Keys may differ in master seed.
     """
-    rows = len(keys)
-    none = np.zeros((rows, count, size), dtype=np.int64), np.zeros(rows, dtype=bool)
-    if not rows or n > _MASK32 or (n > 10000 and size > n // 50):
-        return none
+    rows, drawn = len(keys), None
+    if rows and n <= _MASK32 and not (n > 10000 and size > n // 50) and _matches_numpy():
+        drawn = _draw(keys, n, size, count)
+    return drawn or (np.zeros((rows, count, size), dtype=np.int64), np.zeros(rows, dtype=bool))
+
+
+def _draw(keys, n, size, count) -> tuple[np.ndarray, np.ndarray] | None:
+    """draw_without_replacement's kernel; None when the keys do not fit it."""
+    seeds, spawn = zip(*keys)
     try:
-        spawn = np.array([key.spawn_key for key in keys], dtype=np.uint64)
+        spawn = np.array(spawn, dtype=np.uint64)
     except (OverflowError, ValueError):  # a negative or huge word, or ragged keys
-        return none
-    master_seed = operator.index(keys[0].master_seed)
-    if (spawn.ndim != 2 or not spawn.shape[1] or master_seed < 0
-            or any(key.master_seed != master_seed for key in keys)):
-        return none
+        return None
+    if spawn.ndim != 2 or not spawn.shape[1] or min(map(operator.index, set(seeds))) < 0:
+        return None
     wide = (spawn > _MASK32).any(axis=1)
-    philox_keys = _philox_keys(master_seed, spawn.astype(np.uint32))
+    philox_keys = _philox_keys(seeds, spawn.astype(np.uint32))
     raw = _raw_words(philox_keys, -(-count * (2 * size - 1) // 2))
     idx, exact = _batches_from_words(raw, n, size, count)
     return idx, exact & ~wide
+
+
+@functools.cache
+def _matches_numpy() -> bool:
+    """Whether the kernel gives this numpy's Generator.choice on a few keys; warns once if not.
+
+    The kernel copies numpy's internals, which another numpy may change.
+    """
+    keys = [batch_key(3, 1, 2), batch_key(2**40 + 7, 5, 0), batch_key(11, 2, 7)]
+    streams = [key.generator() for key in keys]
+    want = [[g.choice(30, 6, replace=False) for _ in range(2)] for g in streams]
+    try:
+        got = _draw(keys, 30, 6, 2)
+        if got is not None and got[1].all() and np.array_equal(got[0], want):
+            return True
+    except (KeyError, TypeError, ValueError):  # a changed bit-generator state layout
+        pass
+    warnings.warn(f"numpy {np.__version__} draws batches unlike the vectorised drawer; "
+                  "every batch is drawn from its own stream instead")
+    return False

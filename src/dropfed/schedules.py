@@ -100,14 +100,8 @@ def inverse_time_rates(
 
 
 def feasible_inverse_time_scale(
-    beta: float,
-    num_clients: int,
-    tau_max: int,
-    smoothness: float,
-    local_lr: float,
-    steps: int,
-    nu: float = 0.01,
-    horizon: int = 10_000,
+    beta: float, num_clients: int, tau_max: int, smoothness: float, local_lr: float, steps: int,
+    nu: float = 0.01, horizon: int = 10_000,
 ) -> float:
     """Largest inverse-time coefficient c passing the stability check everywhere.
 
@@ -158,7 +152,7 @@ class ConditionReport:
 
     def summary_lines(self) -> list[str]:
         evaluated = len(self.rho) - len(self.undefined)
-        lines = [
+        return [
             f"rounds_checked = {evaluated}",
             f"rounds_undefined = {len(self.undefined)}",
             f"growth_failures = {int((~self.growth_ok).sum() - len(self.undefined))}",
@@ -169,19 +163,11 @@ class ConditionReport:
             f"nu = {self.nu!r}",
             f"passed = {self.passed}",
         ]
-        return lines
 
 
 def check_conditions(
-    schedule: LrSchedule,
-    sizes: np.ndarray,
-    *,
-    local_lr: float,
-    smoothness: float,
-    steps: int,
-    tau_max: int,
-    num_clients: int,
-    nu: float = 0.01,
+    schedule: LrSchedule, sizes: np.ndarray, *, local_lr: float, smoothness: float, steps: int,
+    tau_max: int, num_clients: int, nu: float = 0.01,
 ) -> ConditionReport:
     """Audit every executed round with a successor for the two stability checks.
 
@@ -210,14 +196,4 @@ def check_conditions(
     step_ok = defined & (lhs >= rhs)
     weight_ok = defined & (nu < rho - 1.0)
     passed = bool(np.all(growth_ok[defined]) and np.all(step_ok[defined]))
-    return ConditionReport(
-        rho=rho,
-        growth_ok=growth_ok,
-        step_ok=step_ok,
-        weight_ok=weight_ok,
-        undefined=undefined,
-        nu=nu,
-        drift=phi,
-        divergence=div,
-        passed=passed,
-    )
+    return ConditionReport(rho, growth_ok, step_ok, weight_ok, undefined, nu, phi, div, passed)

@@ -54,8 +54,7 @@ def render_summary(
     ]
     for name in _AGGREGATE_FIELDS:
         mean, std = _mean_std([getattr(t, name) for t in trials])
-        lines.append(f"{name}_mean = {mean!r}")
-        lines.append(f"{name}_std = {std!r}")
+        lines += [f"{name}_mean = {mean!r}", f"{name}_std = {std!r}"]
     lines.append(f"failed_trials = {sum(t.failed for t in trials)}")
     lines.append(f"uploads_budget = {min(t.uploads_total for t in trials)}")
     for trial, path in zip(trials, csv_paths):
@@ -64,10 +63,8 @@ def render_summary(
             value = getattr(trial, name)
             lines.append(f"{name} = {value!r}" if isinstance(value, float) else f"{name} = {value}")
         if trial.conditions is not None:
-            lines.append(f"conditions_passed = {trial.conditions.passed}")
-            lines.append("")
-            lines.append(f"[trial.{trial.seed}.conditions]")
-            lines += trial.conditions.summary_lines()
+            lines += [f"conditions_passed = {trial.conditions.passed}", "",
+                      f"[trial.{trial.seed}.conditions]", *trial.conditions.summary_lines()]
     return "\n".join(lines) + "\n"
 
 
@@ -112,7 +109,7 @@ def compare_runs(summary_paths: list[str | Path]) -> tuple[list[ComparisonRow], 
 
     rows = []
     for path, ini in parsed:
-        losses, accs, grads, rounds = [], [], [], []
+        lasts = []
         for section in ini.sections():
             if not section.startswith("trial.") or section.endswith(".conditions"):
                 continue
@@ -120,50 +117,31 @@ def compare_runs(summary_paths: list[str | Path]) -> tuple[list[ComparisonRow], 
             within = [m for m in metrics if m.uploads <= budget]
             if not within:
                 raise ConfigError(f"{path}: trial {section} has no rounds within budget")
-            last = within[-1]
-            losses.append(last.loss)
-            accs.append(last.acc)
-            grads.append(last.grad_norm2)
-            rounds.append(last.t)
-        rows.append(
-            ComparisonRow(
-                summary=path,
-                algorithm=ini["run"]["algorithm"],
-                scenario=ini["run"]["scenario"],
-                budget=budget,
-                round_mean=statistics.mean(rounds),
-                loss_mean=statistics.mean(losses),
-                acc_mean=(
-                    math.nan
-                    if any(math.isnan(a) for a in accs)
-                    else statistics.mean(accs)
-                ),
-                grad_norm2_mean=statistics.mean(grads),
-            )
-        )
+            lasts.append(within[-1])
+        accs = [m.acc for m in lasts]
+        rows.append(ComparisonRow(
+            path, ini["run"]["algorithm"], ini["run"]["scenario"], budget,
+            round_mean=statistics.mean(m.t for m in lasts),
+            loss_mean=statistics.mean(m.loss for m in lasts),
+            acc_mean=math.nan if any(math.isnan(a) for a in accs) else statistics.mean(accs),
+            grad_norm2_mean=statistics.mean(m.grad_norm2 for m in lasts),
+        ))
 
     by_acc = not any(math.isnan(r.acc_mean) for r in rows)
     rows.sort(key=(lambda r: -r.acc_mean) if by_acc else (lambda r: r.loss_mean))
     best = rows[0]
     for row in rows:
-        gap = (
-            abs(row.acc_mean - best.acc_mean)
-            if by_acc
-            else abs(row.loss_mean - best.loss_mean)
-        )
+        gap = abs(row.acc_mean - best.acc_mean) if by_acc else abs(row.loss_mean - best.loss_mean)
         row.tied_with_best = row is not best and gap <= 1e-12
 
-    header = (
-        f"matched upload budget: {budget}\n"
-        f"{'algorithm':<12}{'scenario':<14}{'round':>8}{'loss':>14}"
-        f"{'acc':>10}{'grad_norm2':>14}  "
-    )
-    table = [header.rstrip()]
+    table = [
+        f"matched upload budget: {budget}",
+        f"{'algorithm':<12}{'scenario':<14}{'round':>8}{'loss':>14}{'acc':>10}{'grad_norm2':>14}",
+    ]
     for row in rows:
         tie = "  (tie)" if row.tied_with_best else ""
         table.append(
-            f"{row.algorithm:<12}{row.scenario:<14}{row.round_mean:>8.1f}"
-            f"{row.loss_mean:>14.6g}{row.acc_mean:>10.4f}"
-            f"{row.grad_norm2_mean:>14.6g}{tie}"
+            f"{row.algorithm:<12}{row.scenario:<14}{row.round_mean:>8.1f}{row.loss_mean:>14.6g}"
+            f"{row.acc_mean:>10.4f}{row.grad_norm2_mean:>14.6g}{tie}"
         )
     return rows, "\n".join(table) + "\n"

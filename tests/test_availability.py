@@ -1,10 +1,14 @@
 """Availability schedules: hand-checked patterns, staleness, text, and properties."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dropfed import availability
 from dropfed.availability import (
     AvailabilitySchedule,
     periodic_schedule,
@@ -265,3 +269,47 @@ def test_weighted_sample_size_property(n, iters, seed):
             assert len(s) == n
         else:
             assert len(s) == want
+
+
+def _one_pass_max_staleness(mask):
+    """The single-pass form over the whole mask, which holds every entry's position."""
+    seen = np.flatnonzero(mask.T)
+    gaps = np.diff(seen)
+    firsts = np.searchsorted(seen, np.arange(1, mask.shape[1]) * mask.shape[0])
+    gaps[firsts[(firsts > 0) & (firsts < seen.size)] - 1] = 0
+    return int(gaps.max(initial=0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    iters=st.integers(min_value=1, max_value=40),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    empty=st.integers(min_value=0, max_value=30),
+    cold=st.booleans(),
+    cells=st.integers(min_value=1, max_value=1300),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_blocked_staleness_equals_one_pass(n, iters, density, empty, cold, cells, seed):
+    # Blocks of any width, clients that never appear, and rounds 0 that
+    # are not full (cold starts).
+    rng = generator(seed)
+    mask = rng.random((iters, n)) < density
+    mask[:, rng.permutation(n)[: empty % (n + 1)]] = False
+    mask[0] = mask[0] & cold
+    with mock.patch.object(availability, "_BLOCK_CELLS", cells):
+        assert AvailabilitySchedule(mask).max_staleness() == _one_pass_max_staleness(mask)
+
+
+def test_staleness_memory_stays_below_the_mask():
+    # 1000 clients x 20000 rounds: a 20 MB mask with 7.26 M entries, whose
+    # int64 positions alone would take 58 MB.
+    sched = round_robin_schedule(1000, 20000, 10, 3)
+    tracemalloc.start()
+    try:
+        staleness = sched.max_staleness()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert staleness == 10
+    assert peak < sched.mask.nbytes

@@ -245,6 +245,25 @@ def test_mc_expectation_without_replays_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "check-schedule"])
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("local_steps = 0", "steps must be >= 1, got 0"),
+        ("local_lr = 0.0", "lr must be > 0, got 0.0"),
+        ("batch_size = 0", "batch_size must be >= 1, got 0"),
+        ("prox_mu = -0.5", "prox_mu must be >= 0, got -0.5"),
+    ],
+)
+def test_local_training_rules_fail_before_any_work(tmp_path, capsys, command, line, message):
+    # Each rule's line takes the place of the valid batch_size line.
+    cfg_path, out = write_config(tmp_path)
+    cfg_path.write_text(cfg_path.read_text().replace("batch_size = 5", line))
+    assert main([command, str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # 600 seeds print over 100 kB, more than a pipe holds, so the writer
     # still has output left when the reader goes away after the first line.

@@ -4,14 +4,18 @@ Most cases train one row; the lockstep cases check that rows train
 independently of each other.
 """
 
+import logging
 import warnings
 
 import numpy as np
 import pytest
 
+from dropfed.availability import periodic_schedule
 from dropfed.errors import ConfigError
+from dropfed.harness import SeedTask, run_trials
 from dropfed.local_trainer import LocalConfig, draw_batches, local_train, sample_batch
 from dropfed.objectives import ClientDataset, QuadraticObjective
+from dropfed.schedules import constant_rates
 
 
 def one_point_objective(value=1.0):
@@ -131,17 +135,25 @@ def test_sample_batch_without_replacement():
         assert idx.min() >= 0 and idx.max() < 10
 
 
-def test_large_lr_warns_against_smoothness():
-    obj = one_point_objective()  # L = 1, so the comfort zone is lr <= 0.1
-    cfg = LocalConfig(steps=1, lr=0.5, batch_size=1)
-    with pytest.warns(UserWarning, match="small-step"):
-        train_one(obj, np.array([0.0]), cfg, np.random.default_rng(0))
-    with warnings.catch_warnings():
+def test_large_lr_warns_against_smoothness(caplog):
+    # L = 1 for both seeds, so the comfort zone is lr <= 1/(10 L) = 0.1.  A
+    # run warns once, through logging, naming every seed with its L.
+    tasks = [
+        SeedTask(seed, one_point_objective(), periodic_schedule([1], 3), constant_rates(0.1, 3),
+                 np.zeros(1))
+        for seed in (4, 9)
+    ]
+    with caplog.at_level(logging.WARNING, logger="dropfed.harness"):
+        run_trials(tasks, "fedavg", LocalConfig(steps=1, lr=0.5, batch_size=1))
+    assert [r.getMessage() for r in caplog.records] == [
+        "local lr 0.5 exceeds 1/(10 L), so small-step analysis does not apply, for "
+        "seed 4 (L = 1, 1/(10 L) = 0.1), seed 9 (L = 1, 1/(10 L) = 0.1)"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG), warnings.catch_warnings():
         warnings.simplefilter("error")
-        train_one(
-            obj, np.array([0.0]), LocalConfig(steps=1, lr=0.1, batch_size=1),
-            np.random.default_rng(0),
-        )
+        run_trials(tasks, "fedavg", LocalConfig(steps=1, lr=0.1, batch_size=1))
+    assert caplog.records == []
 
 
 def test_local_config_validation():

@@ -4,14 +4,19 @@ A batched gradient row must not depend on the other rows of its call, and
 lockstep training of every participant must reproduce a plain per-client
 loop over dict-held server memory, for all five aggregation rules.  Rounds
 whose rng_for returns stream keys (batches drawn for all rows in one pass)
-must equal the same rounds given each key's Generator.
+must equal the same rounds given each key's Generator.  A run of several
+seeds in lockstep must equal each seed's trial run alone, bit for bit.
 """
+
+from dataclasses import astuple
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropfed.aggregation import ALGORITHMS, init_state, play_round, replay_round
+from dropfed.availability import AvailabilitySchedule
+from dropfed.harness import SeedTask, run_trial, run_trials
 from dropfed.local_trainer import LocalConfig, sample_batch
 from dropfed.objectives import (
     ClientDataset,
@@ -21,6 +26,7 @@ from dropfed.objectives import (
     stack,
 )
 from dropfed.rng import batch_key, replay_key
+from dropfed.schedules import constant_rates
 
 KINDS = ("quadratic", "binary", "softmax", "mlp")
 
@@ -199,3 +205,66 @@ def test_keyed_rounds_equal_generator_rounds(kind, seed, clients, n, steps, repl
                              scaffold_literal=literal),
             )
             state = keyed.state
+
+
+TRIAL_SCALARS = ("seed", "failed", "failure_round", "final_loss", "final_grad_norm2",
+                 "min_grad_norm2", "final_acc", "rate_mass", "weighted_bias", "initial_gap",
+                 "optimum_distance", "uploads_total", "max_staleness")
+
+
+def same_bits(a, b):
+    """Equal as float64 bit patterns: -0.0 differs from 0.0, and NaN equals NaN."""
+    return np.array(a, dtype=np.float64).tobytes() == np.array(b, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    variant=st.sampled_from(VARIANTS),
+    expected_mode=st.sampled_from(("fullbatch", "mc")),
+    phi=st.booleans(),
+    seeds=st.lists(st.integers(0, 2**70), min_size=2, max_size=4, unique=True),
+    clients=st.integers(2, 4),
+    n=st.integers(2, 5),
+    iterations=st.integers(2, 6),
+    steps=st.integers(1, 3),
+    diverge=st.booleans(),
+    data=st.data(),
+)
+def test_lockstep_seeds_equal_separate_trials(
+    kind, variant, expected_mode, phi, seeds, clients, n, iterations, steps, diverge, data
+):
+    algo, literal = variant
+    rng = np.random.default_rng(seeds[0] % 2**32)
+    cfg = LocalConfig(steps=steps, lr=0.05, batch_size=data.draw(st.integers(1, n)),
+                      prox_mu=0.3 if algo == "fedprox" else 0.0)
+    # One seed's step size overflows its model by its full round 1.
+    bad = data.draw(st.integers(0, len(seeds) - 1)) if diverge else -1
+    tasks = []
+    for k, seed in enumerate(seeds):
+        population = stack(client_objectives(kind, rng, clients, n, 2))
+        mask = rng.random((iterations, clients)) < 0.6
+        mask[0] = True  # mifa needs every client's first upload
+        mask[1] |= k == bad
+        eta = 1e200 if k == bad else rng.uniform(0.05, 0.5)
+        test_data = None
+        if kind != "quadratic":
+            test_data = ClientDataset(rng.normal(size=(5, 2)), rng.integers(0, 2, size=5))
+        tasks.append(SeedTask(seed, population, AvailabilitySchedule(mask),
+                              constant_rates(eta, iterations), rng.normal(size=population.dim),
+                              test_data))
+    options = dict(phi_replays=3 if phi else 0, phi_every=2 if phi else 0,
+                   expected_mode=expected_mode, expected_replays=3, scaffold_literal=literal)
+    together = run_trials(tasks, algo, cfg, **options)
+    for task, got in zip(tasks, together):
+        alone = run_trial(task.population, task.schedule, task.rates, algo, cfg, task.w0,
+                          task.seed, test_data=task.test_data, **options)
+        assert len(got.rows) == len(alone.rows)
+        for a, b in zip(got.rows, alone.rows):
+            assert same_bits(astuple(a), astuple(b)), (a, b)
+        for name in TRIAL_SCALARS:
+            assert same_bits(getattr(got, name), getattr(alone, name)), name
+        assert same_bits(got.final_w, alone.final_w)
+        assert got.conditions.summary_lines() == alone.conditions.summary_lines()
+    if diverge:
+        assert together[bad].failed

@@ -6,6 +6,7 @@ stream gives through sample_batch.
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,48 @@ def test_drawer_equals_per_row_streams(master, replay, rows, count, n, data):
         np.testing.assert_array_equal(idx[exact], want[exact])
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    masters=st.lists(st.integers(0, 2**130), min_size=1, max_size=12),
+    replay=st.booleans(),
+    count=st.integers(1, 4),
+    n=st.integers(2, 60),
+    data=st.data(),
+)
+def test_rows_of_different_master_seeds_are_exact(masters, replay, count, n, data):
+    # Master seeds of one to five words in one call, as a lockstep run of
+    # many seeds draws them: every row comes from the kernel.
+    b = data.draw(st.integers(1, n - 1)) if n > 1 else 1
+    keys = [replay_key(m, i, 3, 1) if replay else batch_key(m, i, 3) for i, m in enumerate(masters)]
+    idx, exact = draw_without_replacement(keys, n, b, count)
+    assert exact.all()
+    np.testing.assert_array_equal(idx, reference(keys, n, b, count))
+
+
+def test_numpy_drift_sends_every_row_to_its_stream(monkeypatch):
+    # Another numpy that draws otherwise: the check fails, nothing comes
+    # from the kernel, and the draws still equal each row's own stream.
+    monkeypatch.setattr(rng, "_matches_numpy", lambda: False)
+    keys = [batch_key(s, i, 1) for s in (4, 2**70) for i in range(5)]
+    assert not draw_without_replacement(keys, 12, 4, 3)[1].any()
+    np.testing.assert_array_equal(drawn(keys, 12, 4, 3), reference(keys, 12, 4, 3))
+
+
+def test_numpy_drift_check_warns_once(monkeypatch):
+    monkeypatch.setattr(rng, "_draw", lambda *args: None)
+    rng._matches_numpy.cache_clear()
+    try:
+        with pytest.warns(UserWarning, match="its own stream"):
+            assert not draw_without_replacement([batch_key(1, 0, 0)], 9, 2, 1)[1].any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not draw_without_replacement([batch_key(1, 0, 0)], 9, 2, 1)[1].any()
+    finally:
+        monkeypatch.undo()
+        rng._matches_numpy.cache_clear()
+    assert rng._matches_numpy()
+
+
 def test_drawer_reproduces_every_row_on_training_sizes():
     # The benchmark's logistic shape (8 samples, batch 4, 5 steps), the MLP
     # one (20, 5, 6 with an anchor) and a wide client: no row falls back.
@@ -213,7 +256,7 @@ def test_rejected_draw_flags_only_its_row():
     n, b, count = 7, 3, 2
     keys = [batch_key(9, i, 4) for i in range(3)]
     spawn = np.array([key.spawn_key for key in keys], dtype=np.uint32)
-    words = rng._raw_words(rng._philox_keys(9, spawn), 5)
+    words = rng._raw_words(rng._philox_keys([9] * len(keys), spawn), 5)
     words[1] = 0
     idx, exact = rng._batches_from_words(words, n, b, count)
     np.testing.assert_array_equal(exact, [True, False, True])
@@ -243,7 +286,11 @@ def test_rows_outside_the_kernel_fall_back():
     exact = draw_without_replacement(keys, 9, 2, 3)[1]
     np.testing.assert_array_equal(exact, [True, False, False])
     np.testing.assert_array_equal(drawn(keys, 9, 2, 3), reference(keys, 9, 2, 3))
-    # Keys that do not share a master seed or a spawn-key length: every row.
+    # Keys that differ only in master seed, of one or more words: exact.
+    seeds = [batch_key(1, 0, 0), batch_key(2, 0, 0), batch_key(2**64 + 3, 0, 0)]
+    assert draw_without_replacement(seeds, 9, 2, 3)[1].all()
+    np.testing.assert_array_equal(drawn(seeds, 9, 2, 3), reference(seeds, 9, 2, 3))
+    # Keys that do not share a spawn-key length: every row.
     mixed = [batch_key(1, 0, 0), batch_key(2, 0, 0), replay_key(1, 0, 0, 0)]
     assert not draw_without_replacement(mixed, 9, 2, 3)[1].any()
     np.testing.assert_array_equal(drawn(mixed, 9, 2, 3), reference(mixed, 9, 2, 3))
