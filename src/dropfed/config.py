@@ -13,8 +13,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .aggregation import ALGORITHMS
+from .data import check_blobs
 from .errors import ConfigError
 from .local_trainer import LocalConfig
+from .objectives import MlpObjective, check_classifier
 
 # The allowed values of each option that names a choice.
 CHOICES = {
@@ -99,7 +101,15 @@ class ExperimentConfig:
             )
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        self.local_config()  # its own checks, before any work
+        # The task's own checks, before any work.
+        check_blobs(self.classes, self.per_class, self.dim, self.separation)
+        if self.test_per_class < 0:
+            raise ConfigError(f"test_per_class must be >= 0 (0: none), got {self.test_per_class}")
+        if self.task != "quadratic":
+            check_classifier(self.classes, self.reg)
+        if self.task == "mlp":
+            MlpObjective.size(self.dim, self.classes, self.hidden)
+        self.local_config()
 
     def local_config(self) -> LocalConfig:
         return LocalConfig(self.local_steps, self.local_lr, self.batch_size, self.prox_mu)

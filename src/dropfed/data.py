@@ -24,14 +24,8 @@ def _class_means(num_classes: int, dim: int, separation: float) -> np.ndarray:
     return means
 
 
-def make_synthetic_classification(
-    num_classes: int, per_class: int, dim: int, separation: float, seed: Seed
-) -> ClientDataset:
-    """Gaussian blobs with unit covariance, one blob per class.
-
-    Class means sit on a line (dim 1) or a circle (dim >= 2) so only the seed
-    feeds the noise draws; samples are emitted class by class.
-    """
+def check_blobs(num_classes: int, per_class: int, dim: int, separation: float) -> None:
+    """Reject blob settings that make_synthetic_classification cannot draw."""
     if num_classes < 2:
         raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
     if per_class < 1:
@@ -40,6 +34,17 @@ def make_synthetic_classification(
         raise ConfigError(f"dim must be >= 1, got {dim}")
     if separation < 0:
         raise ConfigError(f"separation must be >= 0, got {separation}")
+
+
+def make_synthetic_classification(
+    num_classes: int, per_class: int, dim: int, separation: float, seed: Seed
+) -> ClientDataset:
+    """Gaussian blobs with unit covariance, one blob per class.
+
+    Class means sit on a line (dim 1) or a circle (dim >= 2) so only the seed
+    feeds the noise draws; samples are emitted class by class.
+    """
+    check_blobs(num_classes, per_class, dim, separation)
     rng = generator(seed)
     means = _class_means(num_classes, dim, separation)
     features = np.empty((num_classes * per_class, dim))
@@ -53,13 +58,15 @@ def make_synthetic_classification(
 
 def partition_shards(
     dataset: ClientDataset, clients: int, shards_per_client: int, seed: Seed
-) -> list[ClientDataset]:
-    """Split a dataset into label-sorted shards and deal them out to clients.
+) -> ClientDataset:
+    """Split a sample pool into label-sorted shards and deal them out to clients.
 
     Samples are sorted by label (ties keep dataset order), cut into
     clients * shards_per_client contiguous shards of equal size, and the
-    shard deck is shuffled once with the given seed.  Sizes that do not
-    divide evenly are rejected rather than padded or truncated.
+    shard deck is shuffled once with the given seed.  Client i holds the
+    i-th run of shards_per_client shards of the deck, and every client is
+    gathered at once into one stacked (clients, n, d) dataset.  Sizes that
+    do not divide evenly are rejected rather than padded or truncated.
     """
     if clients < 1 or shards_per_client < 1:
         raise ConfigError("clients and shards_per_client must be >= 1")
@@ -68,15 +75,9 @@ def partition_shards(
         raise ConfigError(
             f"{dataset.n} samples cannot split into {total_shards} equal shards"
         )
-    shard_size = dataset.n // total_shards
-    order = np.argsort(dataset.labels, kind="stable")
-    deck = generator(seed).permutation(total_shards)
-    out = []
-    for i in range(clients):
-        mine = deck[i * shards_per_client : (i + 1) * shards_per_client]
-        idx = np.concatenate([order[s * shard_size : (s + 1) * shard_size] for s in mine])
-        out.append(ClientDataset(dataset.features[idx], dataset.labels[idx], client_id=i))
-    return out
+    shards = np.argsort(dataset.labels, kind="stable").reshape(total_shards, -1)
+    idx = shards[generator(seed).permutation(total_shards)].reshape(clients, -1)
+    return ClientDataset(dataset.features[idx], dataset.labels[idx])
 
 
 def heterogeneity_stats(objectives: Objective | list[Objective], probes: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ ParamVector = np.ndarray  # 1-D float64, fixed length per objective
 
 @dataclass
 class ClientDataset:
-    """Feature matrix plus integer labels for one client (or a global pool)."""
+    """Features (n, d) and labels (n,) of a pool, or (N, n, d) and (N, n) of N clients."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -37,25 +37,32 @@ class ClientDataset:
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise ConfigError(f"features must be 2-D, got shape {self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ConfigError(
-                f"labels shape {self.labels.shape} does not match "
-                f"{self.features.shape[0]} samples"
-            )
-        if self.features.shape[0] == 0:
+        if self.features.ndim not in (2, 3):
+            raise ConfigError(f"features must be (n, d) or (N, n, d), got {self.features.shape}")
+        if self.labels.shape != self.features.shape[:-1]:
+            raise ConfigError(f"labels {self.labels.shape} do not match {self.features.shape}")
+        if self.labels.size == 0:
             raise ConfigError("dataset is empty")
         if not np.all(np.isfinite(self.features)):
             raise ConfigError("features contain non-finite values")
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.features.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.features.shape[-1]
+
+
+def _stacked(parts: Sequence) -> ClientDataset:
+    """One (N, n, d) dataset of every client of `parts`, datasets or objectives, in order."""
+    shapes = {p.features.shape[-2:] for p in parts}
+    if len(shapes) != 1:
+        raise ConfigError(f"clients must hold equal-size datasets, got {sorted(shapes)}")
+    ((n, d),) = shapes
+    return ClientDataset(np.concatenate([p.features.reshape(-1, n, d) for p in parts]),
+                         np.concatenate([p.labels.reshape(-1, n) for p in parts]))
 
 
 def _check_params(w: np.ndarray, dim: int) -> np.ndarray:
@@ -93,14 +100,9 @@ class Objective:
     bias_column: bool = True
 
     def __init__(self, dataset: ClientDataset | Sequence[ClientDataset]):
-        self.datasets = [dataset] if isinstance(dataset, ClientDataset) else list(dataset)
-        if not self.datasets:
-            raise ConfigError("no client datasets given")
-        shapes = {d.features.shape for d in self.datasets}
-        if len(shapes) != 1:
-            raise ConfigError(f"clients must hold equal-size datasets, got {sorted(shapes)}")
-        self.features = np.stack([d.features for d in self.datasets])
-        self.labels = np.stack([d.labels for d in self.datasets])
+        dataset = dataset if isinstance(dataset, ClientDataset) else _stacked(dataset)
+        self.features = dataset.features.reshape((-1,) + dataset.features.shape[-2:])
+        self.labels = dataset.labels.reshape(self.features.shape[:-1])
         self.num_clients, self.n = self.labels.shape  # n: samples per client
         self._x = _augment(self.features) if self.bias_column else self.features
         self._flat_x = self._x.reshape(-1, self._x.shape[2])
@@ -117,7 +119,7 @@ class Objective:
 
     @property
     def params(self) -> dict:
-        """Constructor keywords besides the datasets."""
+        """Constructor keywords besides the dataset."""
         raise NotImplementedError
 
     def _evaluate(self, W: np.ndarray, x: np.ndarray, y: np.ndarray, with_loss: bool):
@@ -231,15 +233,20 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -z)
 
 
+def check_classifier(num_classes: int, reg: float) -> None:
+    """Reject a class count or ridge weight that no classifier takes."""
+    if num_classes < 2:
+        raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
+    if reg < 0:
+        raise ConfigError(f"reg must be >= 0, got {reg}")
+
+
 class _Classifier(Objective):
     """Class count, ridge weight and hard labels; subclasses give _logits(W, x)."""
 
     def __init__(self, dataset, num_classes: int, reg: float):
         super().__init__(dataset)
-        if num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
-        if reg < 0:
-            raise ConfigError(f"reg must be >= 0, got {reg}")
+        check_classifier(num_classes, reg)
         if self.labels.min() < 0 or self.labels.max() >= num_classes:
             raise ConfigError("labels out of range for num_classes")
         self.num_classes = int(num_classes)
@@ -322,17 +329,20 @@ class MlpObjective(_Classifier):
     def __init__(self, dataset: ClientDataset | Sequence[ClientDataset], num_classes: int = 2,
                  hidden: int = 16, reg: float = 0.0, smoothness: float | None = None):
         super().__init__(dataset, num_classes, reg)
-        if hidden < 1:
-            raise ConfigError(f"hidden must be >= 1, got {hidden}")
+        self._total = self.size(self.features.shape[2], num_classes, hidden)
         self.hidden = int(hidden)
         self._n1 = self.hidden * self._x.shape[2]
-        total = self._n1 + self.num_classes * (self.hidden + 1)
-        if total > self.MAX_PARAMS:
-            raise ConfigError(
-                f"mlp would have {total} parameters, limit is {self.MAX_PARAMS}"
-            )
-        self._total = total
         self._smoothness = smoothness
+
+    @classmethod
+    def size(cls, dim: int, num_classes: int, hidden: int) -> int:
+        """Parameter count on dim input features; ConfigError when hidden < 1 or over MAX_PARAMS."""
+        if hidden < 1:
+            raise ConfigError(f"hidden must be >= 1, got {hidden}")
+        total = hidden * (dim + 1) + num_classes * (hidden + 1)
+        if total > cls.MAX_PARAMS:
+            raise ConfigError(f"mlp would have {total} parameters, limit is {cls.MAX_PARAMS}")
+        return total
 
     @property
     def dim(self) -> int:
@@ -421,7 +431,7 @@ def stack(objectives: Objective | Sequence[Objective]) -> Objective:
         return first
     if any(type(o) is not type(first) or o.params != first.params for o in objectives):
         raise ConfigError("stacked objectives must share one kind and one set of parameters")
-    return type(first)([d for o in objectives for d in o.datasets], **first.params)
+    return type(first)(_stacked(objectives), **first.params)
 
 
 def global_optimum(objectives: Objective | Sequence[Objective]) -> ParamVector | None:

@@ -264,6 +264,32 @@ def test_local_training_rules_fail_before_any_work(tmp_path, capsys, command, li
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "check-schedule"])
+@pytest.mark.parametrize(
+    "kind, key, value, message",
+    [
+        ("mlp", "hidden", "200", "mlp would have 1002 parameters, limit is 1000"),
+        ("mlp", "hidden", "0", "hidden must be >= 1, got 0"),
+        ("quadratic", "dim", "0", "dim must be >= 1, got 0"),
+        ("quadratic", "separation", "-1", "separation must be >= 0, got -1.0"),
+        ("logistic", "reg", "-0.5", "reg must be >= 0, got -0.5"),
+        ("quadratic", "per_class", "0", "per_class must be >= 1, got 0"),
+        ("logistic", "test_per_class", "-5", "test_per_class must be >= 0 (0: none), got -5"),
+    ],
+)
+def test_task_rules_fail_before_any_work(tmp_path, capsys, command, kind, key, value, message):
+    # The [task] section is rewritten with one setting out of range.
+    cfg_path, out = write_config(tmp_path)
+    task = {"kind": kind, "classes": 2, "per_class": 10, "dim": 2, "separation": 3.0, key: value}
+    text = cfg_path.read_text()
+    section = text[text.index("[task]") : text.index("[partition]")]
+    lines = "".join(f"{k} = {v}\n" for k, v in task.items())
+    cfg_path.write_text(text.replace(section, f"[task]\n{lines}\n"))
+    assert main([command, str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # 600 seeds print over 100 kB, more than a pipe holds, so the writer
     # still has output left when the reader goes away after the first line.

@@ -11,8 +11,8 @@ from dropfed.data import (
     partition_shards,
 )
 from dropfed.errors import ConfigError
-from dropfed.objectives import ClientDataset, QuadraticObjective
-from dropfed.rng import seed_for, DATA, PARTITION
+from dropfed.objectives import ClientDataset, QuadraticObjective, make_objective, stack
+from dropfed.rng import DATA, PARTITION, generator, seed_for
 
 
 def test_blob_counts_and_labels():
@@ -65,11 +65,10 @@ def test_blob_determinism_and_validation():
 def test_partition_covers_everything_once():
     ds = make_synthetic_classification(4, 30, 2, 3.0, seed_for(8, DATA, 0))
     parts = partition_shards(ds, clients=6, shards_per_client=2, seed=seed_for(8, PARTITION))
-    assert len(parts) == 6
-    assert all(p.n == 20 for p in parts)
-    assert [p.client_id for p in parts] == list(range(6))
+    assert parts.features.shape == (6, 20, 2)
+    assert parts.labels.shape == (6, 20)
     # Every (feature row, label) appears exactly once across clients.
-    stacked = np.concatenate([p.features for p in parts])
+    stacked = parts.features.reshape(-1, 2)
     key = np.lexsort(stacked.T)
     orig_key = np.lexsort(ds.features.T)
     np.testing.assert_allclose(stacked[key], ds.features[orig_key])
@@ -79,8 +78,7 @@ def test_partition_shards_are_label_runs():
     # With shard size dividing per_class evenly, each shard is single-label.
     ds = make_synthetic_classification(2, 50, 2, 3.0, seed_for(9, DATA, 0))
     parts = partition_shards(ds, clients=10, shards_per_client=1, seed=seed_for(9, PARTITION))
-    for p in parts:
-        assert len(np.unique(p.labels)) == 1
+    assert np.all(parts.labels == parts.labels[:, :1])
 
 
 def test_partition_rejects_uneven_split():
@@ -95,8 +93,8 @@ def test_partition_deterministic_per_seed():
     ds = make_synthetic_classification(3, 20, 2, 3.0, seed_for(11, DATA, 0))
     a = partition_shards(ds, 5, 2, seed_for(11, PARTITION))
     b = partition_shards(ds, 5, 2, seed_for(11, PARTITION))
-    for pa, pb in zip(a, b):
-        np.testing.assert_array_equal(pa.features, pb.features)
+    np.testing.assert_array_equal(a.features, b.features)
+    np.testing.assert_array_equal(a.labels, b.labels)
 
 
 @settings(max_examples=25, deadline=None)
@@ -111,12 +109,65 @@ def test_partition_properties(clients, shards, shard_size, seed):
     rng = np.random.default_rng(seed)
     ds = ClientDataset(rng.normal(size=(n, 2)), rng.integers(0, 3, size=n))
     parts = partition_shards(ds, clients, shards, seed)
-    assert sum(p.n for p in parts) == n
-    assert all(p.n == shards * shard_size for p in parts)
-    counts = np.zeros(3, dtype=int)
-    for p in parts:
-        counts += np.bincount(p.labels, minlength=3)
-    np.testing.assert_array_equal(counts, np.bincount(ds.labels, minlength=3))
+    assert parts.features.shape == (clients, shards * shard_size, 2)
+    np.testing.assert_array_equal(np.bincount(parts.labels.ravel(), minlength=3),
+                                  np.bincount(ds.labels, minlength=3))
+
+
+def dealt_one_by_one(dataset, clients, shards_per_client, seed):
+    """The partition as a loop over clients: the reference for the one-gather deal."""
+    total_shards = clients * shards_per_client
+    shard_size = dataset.n // total_shards
+    order = np.argsort(dataset.labels, kind="stable")
+    deck = generator(seed).permutation(total_shards)
+    out = []
+    for i in range(clients):
+        mine = deck[i * shards_per_client : (i + 1) * shards_per_client]
+        idx = np.concatenate([order[s * shard_size : (s + 1) * shard_size] for s in mine])
+        out.append(ClientDataset(dataset.features[idx], dataset.labels[idx], client_id=i))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    clients=st.integers(min_value=1, max_value=12),
+    shards=st.integers(min_value=1, max_value=4),
+    shard_size=st.integers(min_value=1, max_value=6),
+    classes=st.integers(min_value=1, max_value=4),  # one class: every label ties
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_one_gather_deal_equals_the_client_loop(clients, shards, shard_size, classes, seed):
+    n = clients * shards * shard_size
+    rng = np.random.default_rng(seed)
+    pool = ClientDataset(rng.normal(size=(n, 3)), rng.integers(0, classes, size=n))
+    stacked = partition_shards(pool, clients, shards, seed)
+    looped = dealt_one_by_one(pool, clients, shards, seed)
+    assert stacked.features.tobytes() == np.stack([c.features for c in looped]).tobytes()
+    assert stacked.labels.tobytes() == np.stack([c.labels for c in looped]).tobytes()
+    # The objective takes the stacked deal and the client list to the same arrays.
+    for built in (QuadraticObjective(looped), make_objective("logistic", looped,
+                                                             num_classes=max(classes, 2))):
+        same = type(built)(stacked, **built.params)
+        assert same.features.tobytes() == built.features.tobytes()
+        assert same.labels.tobytes() == built.labels.tobytes()
+
+
+def test_stacked_dataset_checks():
+    features = np.zeros((3, 4, 2))
+    features[1, 2, 0] = np.inf  # one value of one client
+    with pytest.raises(ConfigError, match="non-finite"):
+        ClientDataset(features, np.zeros((3, 4), dtype=int))
+    with pytest.raises(ConfigError, match="do not match"):
+        ClientDataset(np.zeros((3, 4, 2)), np.zeros((3, 5), dtype=int))
+    with pytest.raises(ConfigError, match="do not match"):
+        ClientDataset(np.zeros((3, 4, 2)), np.zeros(12, dtype=int))
+    unequal = [ClientDataset(np.zeros((k, 2)), np.zeros(k, dtype=int)) for k in (4, 4, 5)]
+    with pytest.raises(ConfigError, match="equal-size"):
+        QuadraticObjective(unequal)
+    with pytest.raises(ConfigError, match="equal-size"):
+        stack([QuadraticObjective(d) for d in unequal])
+    one = ClientDataset(np.ones((4, 2)), np.zeros(4, dtype=int))
+    assert QuadraticObjective(one).features.shape == (1, 4, 2)
 
 
 def test_heterogeneity_stats_hand_case():

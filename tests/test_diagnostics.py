@@ -112,7 +112,7 @@ def test_evaluate_classification_and_regression():
     flipped = ClientDataset(features, labels[::-1].copy())
     assert evaluate(logit, np.array([3.0, 0.0]), flipped) == 0.0
     quad = point_client(0.0)
-    assert evaluate(quad, np.array([0.0]), quad.datasets[0]) is None
+    assert evaluate(quad, np.array([0.0]), ClientDataset(quad.features, quad.labels)) is None
 
 
 def test_metrics_csv_roundtrip_and_format(tmp_path):

@@ -8,7 +8,10 @@ relative, NaN where NaN was.
 The schedule files under tests/data/golden/availability/ were written by the
 code before availability schedules became one boolean mask: the text of
 `dropfed dump-availability` for every seed and the standard output of
-`dropfed check-schedule`.  They are compared byte for byte.
+`dropfed check-schedule`.  They are compared byte for byte.  The stored
+`check-schedule` output of audit_scale/, 1000 clients over 1000 rounds, was
+written by the code before shards were dealt in one gather; its drift_gain
+lines carry the smoothness of the dealt data.
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -205,6 +208,55 @@ def test_golden_schedules(name, tmp_path):
         assert (tmp_path / name / f).read_bytes() == (SCHEDULES / name / f).read_bytes(), f
 
 
+# The benchmark's audit_scale workload without its [bench] section, three seeds.
+AUDIT_SCALE_CONFIG = """\
+[task]
+kind = logistic
+classes = 4
+per_class = 500
+dim = 2
+separation = 3.0
+
+[partition]
+clients = 1000
+shards_per_client = 2
+
+[federation]
+algorithm = mimic
+iterations = 1000
+local_steps = 5
+local_lr = 0.05
+batch_size = 4
+
+[availability]
+scenario = round_robin
+tau_max = 10
+
+[rates]
+kind = inverse_time
+scale = 0.5
+beta = 10.0
+
+[run]
+seeds = 1, 2, 3
+"""
+
+
+def _audit_scale_output(tmp: Path) -> str:
+    config = tmp / "audit_scale.ini"
+    config.write_text(AUDIT_SCALE_CONFIG)
+    audit = io.StringIO()
+    with redirect_stdout(audit):
+        assert main(["check-schedule", str(config)]) == 0
+    config.unlink()
+    return audit.getvalue()
+
+
+def test_golden_audit_at_scale(tmp_path):
+    stored = (SCHEDULES / "audit_scale" / "check-schedule.txt").read_bytes()
+    assert _audit_scale_output(tmp_path).encode() == stored
+
+
 def write_golden() -> None:
     for name in sorted(CASES):
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
@@ -212,6 +264,9 @@ def write_golden() -> None:
     for name in sorted(SCHEDULE_CASES):
         shutil.rmtree(SCHEDULES / name, ignore_errors=True)
         _schedule_outputs(name, SCHEDULES / name)
+    (SCHEDULES / "audit_scale").mkdir(exist_ok=True)
+    (SCHEDULES / "audit_scale" / "check-schedule.txt").write_text(
+        _audit_scale_output(SCHEDULES / "audit_scale"))
 
 
 if __name__ == "__main__":
