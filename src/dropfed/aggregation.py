@@ -67,6 +67,8 @@ class ServerState:
     round_index: int = 0
     # scaffold only: the server control variate, shaped like w.
     server_variate: np.ndarray | None = None
+    # scaffold only: variates rebuilt each round from anchors, not kept across rounds.
+    scaffold_literal: bool = False
 
     @property
     def models(self) -> np.ndarray:
@@ -84,7 +86,9 @@ class RoundResult:
     state: ServerState
 
 
-def init_state(algorithm: str, w0: ParamVector, num_clients: int) -> ServerState:
+def init_state(
+    algorithm: str, w0: ParamVector, num_clients: int, scaffold_literal: bool = False
+) -> ServerState:
     """Fresh state for one seed's model w0 (dim,), or for S seeds' models (S, dim)."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -97,6 +101,7 @@ def init_state(algorithm: str, w0: ParamVector, num_clients: int) -> ServerState
         rows=np.zeros((seeds * num_clients, dim)),
         written=np.full(seeds * num_clients, -1, dtype=np.int64),
         server_variate=np.zeros_like(w0) if algorithm == "scaffold" else None,
+        scaffold_literal=algorithm == "scaffold" and scaffold_literal,
     )
 
 
@@ -173,18 +178,17 @@ def mimic_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: R
 
 
 def scaffold_round(
-    state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate,
-    variates: np.ndarray | None = None,
+    state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate, variates: np.ndarray,
 ) -> RoundResult:
     """Average the control-variate-corrected uploads.
 
     With persistent variates, `variates` holds the participants' mean raw
     gradients: they become the participants' control variates, and the
-    server variate absorbs (1/N) of their change.  None (variates rebuilt
-    inside the round from anchors) leaves every variate alone.
+    server variate absorbs (1/N) of their change.  With state.scaffold_literal
+    (variates rebuilt inside the round from anchors) every variate stays.
     """
     v = _means(ids // state.num_clients, uploads, len(state.models))
-    if variates is None:
+    if state.scaffold_literal:
         return _result(state, ids, uploads, v, eta)
     change = _sums(ids // state.num_clients, variates - state.rows[ids], len(state.models))[0]
     server = state.server_variate.reshape(change.shape) + change / state.num_clients
@@ -204,13 +208,13 @@ def _population(state: ServerState, objectives, active) -> tuple[Objective, np.n
     return population, np.sort(np.asarray(active, dtype=np.int64))
 
 
-def _rounds(state, population, ids, cfg, eta, rngs, replicas, literal) -> list[RoundResult]:
+def _rounds(state, population, ids, cfg, eta, rngs, replicas) -> list[RoundResult]:
     """Train every (replica, participant) row in lockstep, then aggregate each replica.
 
     Every row's batches are drawn in one call before training.  Control
     variates are those of scaffold: persistent ones from the state, or with
-    `literal` anchors taken on batch 0 of each row's stream at the broadcast
-    point, ahead of its K training batches: client i steps with
+    state.scaffold_literal anchors taken on batch 0 of each row's stream at
+    the broadcast point, ahead of its K training batches: client i steps with
     g_i(w_k) - g_i(w_t) + mean_j g_j(w_t), the mean over its seed's
     participants in its replica.
     """
@@ -218,7 +222,7 @@ def _rounds(state, population, ids, cfg, eta, rngs, replicas, literal) -> list[R
     seeds = len(state.models)
     owner = rows // state.num_clients
     start = state.models[owner]
-    anchored = state.algorithm == "scaffold" and literal
+    anchored = state.scaffold_literal
     batches = draw_batches(population.n, rows, cfg.batch_size, rngs, cfg.steps + anchored)
     shift = None
     if anchored:
@@ -233,14 +237,13 @@ def _rounds(state, population, ids, cfg, eta, rngs, replicas, literal) -> list[R
     per_replica = zip(uploads.reshape(replicas, len(ids), dim),
                       grad_means.reshape(replicas, len(ids), dim))
     if state.algorithm == "scaffold":
-        return [scaffold_round(state, ids, up, eta, None if literal else g) for up, g in per_replica]
+        return [scaffold_round(state, ids, up, eta, g) for up, g in per_replica]
     return [_RULES[state.algorithm](state, ids, up, eta) for up, _ in per_replica]
 
 
 def play_round(
     state: ServerState, objectives: Objective | list[Objective], active: list[int] | np.ndarray,
-    cfg: LocalConfig, eta: Rate, rng_for: RngFactory, *, scaffold_literal: bool = False,
-    full_batch: bool = False,
+    cfg: LocalConfig, eta: Rate, rng_for: RngFactory, *, full_batch: bool = False,
 ) -> RoundResult:
     """Run one full round: local training on each active client, then aggregate.
 
@@ -257,13 +260,12 @@ def play_round(
         new = replace(state, w=state.w.copy(), round_index=state.round_index + 1)
         return RoundResult(np.zeros_like(state.w), ids, np.zeros((0, state.w.shape[-1])), new)
     rngs = None if full_batch else [rng_for(i) for i in ids.tolist()]
-    return _rounds(state, population, ids, cfg, eta, rngs, 1, scaffold_literal)[0]
+    return _rounds(state, population, ids, cfg, eta, rngs, 1)[0]
 
 
 def replay_round(
     state: ServerState, objectives: Objective | list[Objective], active: list[int] | np.ndarray,
-    cfg: LocalConfig, eta: Rate, rng_for: RngFactory, replicas: int, *,
-    scaffold_literal: bool = False,
+    cfg: LocalConfig, eta: Rate, rng_for: RngFactory, replicas: int,
 ) -> np.ndarray:
     """Applied updates (replicas, *w.shape) of independent replays of one nonempty round.
 
@@ -274,5 +276,5 @@ def replay_round(
     if not ids.size:
         raise ConfigError("cannot replay an empty round")
     rngs = [rng_for(i, r) for r in range(replicas) for i in ids.tolist()]
-    results = _rounds(state, population, ids, cfg, eta, rngs, replicas, scaffold_literal)
+    results = _rounds(state, population, ids, cfg, eta, rngs, replicas)
     return np.array([res.v for res in results])

@@ -89,6 +89,26 @@ def periodic_schedule(periods: np.ndarray | list[int], iterations: int) -> Avail
     return AvailabilitySchedule(mask, kind="round_robin")
 
 
+def check_tau_max(tau_max: int) -> None:
+    if tau_max < 1:
+        raise ConfigError(f"tau_max must be >= 1, got {tau_max}")
+
+
+def check_prob(prob: float) -> None:
+    if not 0.0 < prob <= 1.0:
+        raise ConfigError(f"prob must be in (0, 1], got {prob}")
+
+
+def weighted_count(ratio: float, num_clients: int) -> int:
+    """Clients per round of a weighted schedule; ConfigError unless 1..num_clients."""
+    count = int(round(ratio * num_clients))
+    if not 1 <= count <= num_clients:
+        raise ConfigError(
+            f"ratio {ratio} selects {count} of {num_clients} clients; need 1..{num_clients}"
+        )
+    return count
+
+
 def round_robin_schedule(
     num_clients: int, iterations: int, tau_max: int, seed: Seed
 ) -> AvailabilitySchedule:
@@ -97,8 +117,7 @@ def round_robin_schedule(
     Periods come from max(1, u) with u uniform on {0, ..., tau_max}, so the
     gap between a client's consecutive appearances never exceeds tau_max.
     """
-    if tau_max < 1:
-        raise ConfigError(f"tau_max must be >= 1, got {tau_max}")
+    check_tau_max(tau_max)
     draws = generator(seed).integers(0, tau_max + 1, size=num_clients)
     return periodic_schedule(np.maximum(1, draws), iterations)
 
@@ -113,8 +132,7 @@ def static_prob_schedule(
     rounds come from one call, row by row, so they are the doubles a
     per-round draw of N would take, in the same order.
     """
-    if not 0.0 < prob <= 1.0:
-        raise ConfigError(f"prob must be in (0, 1], got {prob}")
+    check_prob(prob)
     first = 1 if force_full_start else 0
     mask = np.ones((iterations, num_clients), dtype=bool)
     mask[first:] = generator(seed).random((max(iterations - first, 0), num_clients)) <= prob
@@ -131,11 +149,7 @@ def weighted_sample_schedule(
     renormalizing after each pick.  A round's draws interleave with the
     next round's weights, so rounds are drawn one at a time.
     """
-    count = int(round(ratio * num_clients))
-    if not 1 <= count <= num_clients:
-        raise ConfigError(
-            f"ratio {ratio} selects {count} of {num_clients} clients; need 1..{num_clients}"
-        )
+    count = weighted_count(ratio, num_clients)
     rng = generator(seed)
     mask = np.zeros((iterations, num_clients), dtype=bool)
     mask[:1] = True

@@ -13,14 +13,7 @@ from dataclasses import replace
 
 from .config import load_config, parse_seeds
 from .errors import ConfigError, NumericalError
-from .harness import (
-    audit_schedule,
-    build_rates,
-    build_schedule,
-    build_task,
-    resolve_outdir,
-    run_experiment,
-)
+from .harness import audit_schedule, build_schedule, resolve_outdir, run_experiment, seed_task
 from .summary import compare_runs
 
 
@@ -64,13 +57,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_check_schedule(args: argparse.Namespace) -> int:
     cfg = _load_with_overrides(args)
     for seed in cfg.seeds:
-        schedule = build_schedule(cfg, seed)
-        rates = build_rates(cfg, schedule)
-        report = audit_schedule(
-            rates, schedule, schedule.max_staleness(), local_lr=cfg.local_lr,
-            steps=cfg.local_steps, smoothness=build_task(cfg, seed)[0].smoothness,
-            num_clients=cfg.clients, nu=cfg.nu,
-        )
+        task = seed_task(cfg, seed)
+        report = audit_schedule(task, task.schedule.max_staleness(), cfg.local_config(), cfg.nu)
         print(f"seed {seed}:")
         for line in report.summary_lines():
             print(f"  {line}")

@@ -13,10 +13,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .aggregation import ALGORITHMS
+from .availability import check_prob, check_tau_max, weighted_count
 from .data import check_blobs
 from .errors import ConfigError
 from .local_trainer import LocalConfig
 from .objectives import MlpObjective, check_classifier
+from .schedules import check_decay, check_nu, check_positive
 
 # The allowed values of each option that names a choice.
 CHOICES = {
@@ -90,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         if self.phi_replays == 1 or self.phi_replays < 0:
             raise ConfigError(f"phi_replays must be 0 (off) or >= 2, got {self.phi_replays}")
+        if self.phi_every < 0:
+            raise ConfigError(f"phi_every must be >= 0 (0: off), got {self.phi_every}")
         if self.expected_mode == "mc" and self.expected_replays < 1:
             raise ConfigError(
                 f"expected_mode = mc needs expected_replays >= 1, got {self.expected_replays}"
@@ -110,6 +114,21 @@ class ExperimentConfig:
         if self.task == "mlp":
             MlpObjective.size(self.dim, self.classes, self.hidden)
         self.local_config()
+        # The configured schedules' own checks; keys of other kinds stay free.
+        if self.rate_kind == "inverse_time":
+            check_positive("scale", self.scale)
+            check_positive("beta", self.beta)
+        else:
+            check_positive("eta0", self.eta0)
+        if self.rate_kind == "exponential":
+            check_decay(self.decay)
+        check_nu(self.nu)
+        if self.scenario == "round_robin":
+            check_tau_max(self.tau_max)
+        elif self.scenario == "static":
+            check_prob(self.prob)
+        else:
+            weighted_count(self.ratio, self.clients)
 
     def local_config(self) -> LocalConfig:
         return LocalConfig(self.local_steps, self.local_lr, self.batch_size, self.prox_mu)

@@ -86,9 +86,11 @@ class SeedTask:
     w0: np.ndarray
     test_data: ClientDataset | None = None
 
-    def accuracy(self, w: np.ndarray) -> float:
-        measured = None if self.test_data is None else evaluate(self.population, w, self.test_data)
-        return math.nan if measured is None else measured
+    def measure(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+        """Loss, mean and client (N, dim) gradients, and accuracy (NaN if none) at w, in one pass."""
+        losses, grads = self.population.losses_and_grads(w)
+        acc = None if self.test_data is None else evaluate(self.population, w, self.test_data)
+        return float(np.mean(losses)), np.mean(grads, axis=0), grads, math.nan if acc is None else acc
 
 
 def run_trial(
@@ -114,9 +116,10 @@ def run_trials(
     The seeds share N, T and the client data shape.  Their clients are
     stacked into one population, seed s's client i at row s * N + i, so a
     round trains every seed's participants in one call, and replays them in
-    one call per kind of replay.  The population pass (loss, gradient and
-    the participants' mean gradient), the evaluation and the smoothness
-    stay per seed.
+    one call per kind of replay.  The population pass (SeedTask.measure)
+    and the smoothness stay per seed.  Each seed's worst staleness, audit,
+    optimum and upload counts are settled before round 0, so an audit that
+    cannot be computed stops the run before any training.
 
     Per-round columns describe the broadcast model w_t before the update;
     the *final* fields describe the model after the last round.  A seed
@@ -129,19 +132,27 @@ def run_trials(
                               "iterations")
     seeds = [task.seed for task in tasks]
     n = tasks[0].population.num_clients
-    population = stack([task.population for task in tasks])
     masks = np.stack([task.schedule.mask for task in tasks])  # (S, T, N)
-    rates = np.stack([task.rates.values for task in tasks])  # (S, T)
-    state = init_state(algorithm, np.stack([task.w0 for task in tasks]), n)
+    # Scaffold's control variates cross the wire with each upload.
+    uploads = np.cumsum(masks.sum(axis=2), axis=1) * (2 if algorithm == "scaffold" else 1)
+    outs = []
+    for task in tasks:
+        out = TrialOutput(seed=task.seed, rows=[], final_w=task.w0,
+                          max_staleness=task.schedule.max_staleness())
+        if task.schedule.iterations >= 2:
+            out.conditions = audit_schedule(task, out.max_staleness, local_cfg, audit_nu)
+        outs.append(out)
     smoothness = [task.population.smoothness for task in tasks]
+    optima = [global_optimum(task.population) for task in tasks]
     steep = ", ".join(f"seed {s} (L = {L:.6g}, 1/(10 L) = {1 / (10 * L):.6g})"
                       for s, L in zip(seeds, smoothness) if L > 0 and local_cfg.lr > 1 / (10 * L))
     if steep:
         log.warning("local lr %r exceeds 1/(10 L), so small-step analysis does not apply, for %s",
                     local_cfg.lr, steep)
-    outs = [TrialOutput(seed=task.seed, rows=[], final_w=task.w0) for task in tasks]
+    population = stack([task.population for task in tasks])
+    rates = np.stack([task.rates.values for task in tasks])  # (S, T)
+    state = init_state(algorithm, np.stack([task.w0 for task in tasks]), n, scaffold_literal)
     live = np.ones(len(tasks), dtype=bool)
-    uploads = [0] * len(tasks)
 
     for t in range(masks.shape[1]):
         playing = masks[:, t] & live[:, None]
@@ -152,44 +163,36 @@ def run_trials(
             return streams.batch_key(seeds[i // n], i % n, t)
 
         def replays(count: int, t: int = t) -> np.ndarray:
-            return _replay_updates(
-                state, population, rows, local_cfg, eta, seeds, t, count, scaffold_literal
-            )
+            return _replay_updates(state, population, rows, local_cfg, eta, seeds, t, count)
 
-        result = play_round(
-            state, population, rows, local_cfg, eta, train_rng, scaffold_literal=scaffold_literal,
-        )
-        expected = samples = None
+        result = play_round(state, population, rows, local_cfg, eta, train_rng)
+        expected = samples = None  # (replicas, S, dim)
         if rows.size:
             if expected_mode == "fullbatch":
                 expected = play_round(
-                    state, population, rows, local_cfg, eta, train_rng,
-                    scaffold_literal=scaffold_literal, full_batch=True,
-                ).v
+                    state, population, rows, local_cfg, eta, train_rng, full_batch=True
+                ).v[None]
             else:
                 expected = replays(expected_replays)
             if phi_replays >= 2 and phi_every > 0 and t % phi_every == 0:
                 samples = replays(phi_replays)
         for k in np.flatnonzero(live):
             task, w, active = tasks[k], state.models[k], np.flatnonzero(playing[k]).tolist()
-            losses, client_grads = task.population.losses_and_grads(w)
-            grad = np.mean(client_grads, axis=0)
+            loss, grad, client_grads, acc = task.measure(w)
             gamma = e_t = phi = math.nan
-            uploads[k] += len(active) * (2 if algorithm == "scaffold" else 1)
             if active:
                 gamma = participation_bias(client_grads, active)
                 # Each seed's replays as one contiguous (replicas, dim) block,
                 # so that their mean and variance add in the one-seed order.
-                v_exp = expected[k] if expected_mode == "fullbatch" else (
-                    np.ascontiguousarray(expected[:, k]).mean(axis=0))
+                v_exp = np.ascontiguousarray(expected[:, k]).mean(axis=0)
                 e_t = expected_update_error(v_exp, grad)
                 if samples is not None:
                     phi = update_variance(np.ascontiguousarray(samples[:, k]))
             outs[k].rows.append(
                 RoundMetrics(
-                    t=t, loss=float(np.mean(losses)), grad_norm2=float(grad @ grad), E_t=e_t,
-                    gamma_t=gamma, phi_hat=phi, n_active=len(active), uploads=uploads[k],
-                    acc=task.accuracy(w), eta_t=float(eta[k]),
+                    t=t, loss=loss, grad_norm2=float(grad @ grad), E_t=e_t, gamma_t=gamma,
+                    phi_hat=phi, n_active=len(active), uploads=int(uploads[k, t]), acc=acc,
+                    eta_t=float(eta[k]),
                 )
             )
         state = result.state
@@ -197,47 +200,37 @@ def run_trials(
             outs[k].failed, outs[k].failure_round, live[k] = True, t, False
             outs[k].final_w = state.models[k]
 
-    for k, (out, task) in enumerate(zip(outs, tasks)):
-        population, w = task.population, out.final_w if out.failed else state.models[k]
-        out.final_w, out.uploads_total = w, uploads[k]
-        out.max_staleness = task.schedule.max_staleness()
+    for k, (out, task, optimum) in enumerate(zip(outs, tasks, optima)):
         if not out.failed:
-            out.final_loss = population.loss(w)
-            g = population.grad(w)
+            out.final_w = state.models[k]
+            out.final_loss, g, _, out.final_acc = task.measure(out.final_w)
             out.final_grad_norm2 = float(g @ g)
-            out.final_acc = task.accuracy(w)
-        out.min_grad_norm2 = min((r.grad_norm2 for r in out.rows), default=math.nan)
+            if optimum is not None:
+                out.optimum_distance = float(np.linalg.norm(out.final_w - optimum))
+                out.initial_gap = out.rows[0].loss - task.population.loss(optimum)
+        out.uploads_total = out.rows[-1].uploads
+        out.min_grad_norm2 = min(r.grad_norm2 for r in out.rows)
         executed = task.rates.values[: len(out.rows)]
         out.rate_mass = float(executed.sum())
         out.weighted_bias = weighted_participation_bias(
             executed, np.array([r.gamma_t for r in out.rows])
         )
-        optimum = global_optimum(population)
-        if optimum is not None and not out.failed:
-            out.optimum_distance = float(np.linalg.norm(w - optimum))
-            out.initial_gap = population.loss(task.w0) - population.loss(optimum)
-        if task.schedule.iterations >= 2:
-            out.conditions = audit_schedule(
-                task.rates, task.schedule, out.max_staleness, local_lr=local_cfg.lr,
-                steps=local_cfg.steps, smoothness=smoothness[k],
-                num_clients=population.num_clients, nu=audit_nu,
-            )
     return outs
 
 
 def audit_schedule(
-    rates: LrSchedule, schedule: AvailabilitySchedule, staleness: int, *,
-    local_lr: float, steps: int, smoothness: float, num_clients: int, nu: float,
+    task: SeedTask, staleness: int, local_cfg: LocalConfig, nu: float
 ) -> ConditionReport:
-    """Audit a realized schedule's step sizes, with tau_max its worst staleness (at least 1)."""
+    """Audit a seed's realized step sizes, with tau_max its worst staleness (at least 1)."""
     return check_conditions(
-        rates, schedule.sizes(), local_lr=local_lr, smoothness=smoothness, steps=steps,
-        tau_max=max(1, staleness), num_clients=num_clients, nu=nu,
+        task.rates, task.schedule.sizes(), local_lr=local_cfg.lr, steps=local_cfg.steps,
+        smoothness=task.population.smoothness, tau_max=max(1, staleness),
+        num_clients=task.population.num_clients, nu=nu,
     )
 
 
 def _replay_updates(
-    state, population, active, local_cfg, eta, master_seeds, t, count, scaffold_literal
+    state, population, active, local_cfg, eta, master_seeds, t, count
 ) -> np.ndarray:
     """Replay one round `count` times with fresh batch draws, in one lockstep pass.
 
@@ -248,10 +241,7 @@ def _replay_updates(
     def replay_rng(i: int, r: int) -> streams.StreamKey:
         return streams.replay_key(master_seeds[i // n], i % n, t, r)
 
-    return replay_round(
-        state, population, active, local_cfg, eta, replay_rng, count,
-        scaffold_literal=scaffold_literal,
-    )
+    return replay_round(state, population, active, local_cfg, eta, replay_rng, count)
 
 
 def build_task(cfg: ExperimentConfig, seed: int) -> tuple[Objective, ClientDataset | None]:
@@ -298,6 +288,14 @@ def initial_model(cfg: ExperimentConfig, dim: int, seed: int) -> np.ndarray:
     return cfg.init_scale * streams.stream(seed, streams.INIT).standard_normal(dim)
 
 
+def seed_task(cfg: ExperimentConfig, seed: int) -> SeedTask:
+    """One seed's population, schedule, step sizes, first model and test set."""
+    population, test_data = build_task(cfg, seed)
+    schedule = build_schedule(cfg, seed)
+    rates, w0 = build_rates(cfg, schedule), initial_model(cfg, population.dim, seed)
+    return SeedTask(seed, population, schedule, rates, w0, test_data)
+
+
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
@@ -323,20 +321,14 @@ def resolve_outdir(out: str) -> Path:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every seed in one lockstep pass, write per-seed CSVs plus one summary.txt."""
     cfg.check_partition()
-    outdir = resolve_outdir(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    tasks = []
-    for seed in cfg.seeds:
-        population, test_data = build_task(cfg, seed)
-        schedule = build_schedule(cfg, seed)
-        rates, w0 = build_rates(cfg, schedule), initial_model(cfg, population.dim, seed)
-        tasks.append(SeedTask(seed, population, schedule, rates, w0, test_data))
     trials = run_trials(
-        tasks, cfg.algorithm, cfg.local_config(),
+        [seed_task(cfg, seed) for seed in cfg.seeds], cfg.algorithm, cfg.local_config(),
         phi_replays=cfg.phi_replays, phi_every=cfg.phi_every,
         expected_mode=cfg.expected_mode, expected_replays=cfg.expected_replays,
         scaffold_literal=(cfg.scaffold_anchor == "within_round"), audit_nu=cfg.nu,
     )
+    outdir = resolve_outdir(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     csv_paths = [outdir / f"{cfg.algorithm}_{cfg.scenario}_seed{seed}.csv" for seed in cfg.seeds]
     for trial, path in zip(trials, csv_paths):
         write_metrics_csv(trial.rows, path)

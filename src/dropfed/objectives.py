@@ -327,12 +327,12 @@ class MlpObjective(_Classifier):
     MAX_PARAMS = 1000
 
     def __init__(self, dataset: ClientDataset | Sequence[ClientDataset], num_classes: int = 2,
-                 hidden: int = 16, reg: float = 0.0, smoothness: float | None = None):
+                 hidden: int = 16, reg: float = 0.0):
         super().__init__(dataset, num_classes, reg)
         self._total = self.size(self.features.shape[2], num_classes, hidden)
         self.hidden = int(hidden)
         self._n1 = self.hidden * self._x.shape[2]
-        self._smoothness = smoothness
+        self._smoothness: float | None = None  # probed on first use
 
     @classmethod
     def size(cls, dim: int, num_classes: int, hidden: int) -> int:

@@ -53,15 +53,6 @@ def generator(seed: Seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def batch_stream(master_seed: int, client: int, iteration: int) -> np.random.Generator:
-    """Batch-sampling stream for one client at one global iteration.
-
-    Streams for distinct (client, iteration) pairs are independent, so the
-    draws of one client never depend on how many steps another client ran.
-    """
-    return stream(master_seed, BATCH, client, iteration)
-
-
 def replay_stream(master_seed: int, client: int, iteration: int, replica: int) -> np.random.Generator:
     """Batch stream for diagnostic replays; disjoint from training streams."""
     return stream(master_seed, REPLAY, client, iteration, replica)
@@ -78,7 +69,7 @@ class StreamKey(NamedTuple):
 
 
 def batch_key(master_seed: int, client: int, iteration: int) -> StreamKey:
-    """Key of batch_stream(master_seed, client, iteration)."""
+    """Key of the batch stream of one client at one global iteration."""
     return StreamKey(master_seed, (BATCH, client, iteration))
 
 

@@ -62,18 +62,31 @@ class LrSchedule:
         object.__setattr__(self, "values", vals)
 
 
+def check_positive(name: str, value: float) -> None:
+    """The rule of eta0 (constant, exponential) and of scale and beta (inverse_time)."""
+    if value <= 0:
+        raise ConfigError(f"{name} must be > 0, got {value}")
+
+
+def check_decay(decay: float) -> None:
+    if not 0.0 < decay <= 1.0:
+        raise ConfigError(f"decay must be in (0, 1], got {decay}")
+
+
+def check_nu(nu: float) -> None:
+    if not 0.0 < nu < 1.0:
+        raise ConfigError(f"nu must be in (0, 1), got {nu}")
+
+
 def constant_rates(eta0: float, iterations: int) -> LrSchedule:
-    if eta0 <= 0:
-        raise ConfigError(f"eta0 must be > 0, got {eta0}")
+    check_positive("eta0", eta0)
     return LrSchedule("constant", np.full(iterations, float(eta0)))
 
 
 def exponential_rates(eta0: float, decay: float, iterations: int) -> LrSchedule:
     """eta_t = eta0 * decay^t with decay in (0, 1]."""
-    if eta0 <= 0:
-        raise ConfigError(f"eta0 must be > 0, got {eta0}")
-    if not 0.0 < decay <= 1.0:
-        raise ConfigError(f"decay must be in (0, 1], got {decay}")
+    check_positive("eta0", eta0)
+    check_decay(decay)
     return LrSchedule("exponential", eta0 * decay ** np.arange(iterations, dtype=np.float64))
 
 
@@ -86,8 +99,8 @@ def inverse_time_rates(
     value (full participation at t = 0 for an empty start) and are listed in
     `substituted` so reports can flag them.
     """
-    if scale <= 0 or beta <= 0:
-        raise ConfigError("scale and beta must be > 0")
+    check_positive("scale", scale)
+    check_positive("beta", beta)
     sizes = np.asarray(sizes, dtype=np.int64)
     rounds = np.arange(len(sizes))
     filled = sizes > 0
@@ -116,8 +129,7 @@ def feasible_inverse_time_scale(
     returned, backed off by one part in 1e9 so the binding round still passes
     under floating-point evaluation instead of sitting on exact equality.
     """
-    if not 0.0 < nu < 1.0:
-        raise ConfigError(f"nu must be in (0, 1), got {nu}")
+    check_nu(nu)
     if tau_max < 1 or num_clients < 1 or horizon < 1:
         raise ConfigError("tau_max, num_clients, horizon must be >= 1")
     phi = drift_gain(local_lr, smoothness, steps)
@@ -175,8 +187,7 @@ def check_conditions(
     Step size: (1/eta_t) (1/(2 eta_t) - L/2) must cover
     (rho_t - nu) * drift_gain * tau_max * N / (2 nu |S_t|).
     """
-    if not 0.0 < nu < 1.0:
-        raise ConfigError(f"nu must be in (0, 1), got {nu}")
+    check_nu(nu)
     eta = schedule.values
     sizes = np.asarray(sizes, dtype=np.float64)
     if len(sizes) != len(eta):

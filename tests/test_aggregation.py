@@ -244,11 +244,10 @@ def test_scaffold_matches_fedavg_under_full_participation():
     objs = [point_client(means[i], i) for i in range(4)]
     cfg = LocalConfig(steps=1, lr=0.1, batch_size=1)
     for literal in (False, True):
-        sc = init_state("scaffold", np.zeros(2), 4)
+        sc = init_state("scaffold", np.zeros(2), 4, scaffold_literal=literal)
         fa = init_state("fedavg", np.zeros(2), 4)
         for t in range(6):
-            sc = play_round(sc, objs, [0, 1, 2, 3], cfg, 0.3, rng_factory(t),
-                            scaffold_literal=literal, full_batch=True).state
+            sc = play_round(sc, objs, [0, 1, 2, 3], cfg, 0.3, rng_factory(t), full_batch=True).state
             fa = play_round(fa, objs, [0, 1, 2, 3], cfg, 0.3, rng_factory(t),
                             full_batch=True).state
         np.testing.assert_allclose(sc.w, fa.w, atol=1e-12)
@@ -276,9 +275,8 @@ def test_scaffold_variate_bookkeeping():
 
 def test_scaffold_literal_anchor_leaves_variates_alone():
     objs = [point_client(1.0, 0), point_client(-1.0, 1)]
-    st = init_state("scaffold", np.zeros(1), 2)
-    res = play_round(st, objs, [0, 1], FULL_CFG, 0.2, rng_factory(27),
-                     scaffold_literal=True, full_batch=True)
+    st = init_state("scaffold", np.zeros(1), 2, scaffold_literal=True)
+    res = play_round(st, objs, [0, 1], FULL_CFG, 0.2, rng_factory(27), full_batch=True)
     np.testing.assert_array_equal(res.state.rows, st.rows)
     np.testing.assert_array_equal(res.state.written, [-1, -1])
     np.testing.assert_array_equal(res.state.server_variate, st.server_variate)
@@ -327,9 +325,8 @@ def test_full_batch_builds_no_stream():
     cfg = LocalConfig(steps=3, lr=0.1, batch_size=1)
     for algo in ALGORITHMS:
         for literal in (False, True):
-            st = init_state(algo, np.array([0.3]), 2)
-            res = play_round(st, objs, [0, 1], cfg, 0.2, refuse,
-                             scaffold_literal=literal, full_batch=True)
+            st = init_state(algo, np.array([0.3]), 2, scaffold_literal=literal)
+            res = play_round(st, objs, [0, 1], cfg, 0.2, refuse, full_batch=True)
             assert res.state.round_index == 1
 
 
@@ -344,13 +341,11 @@ def test_replay_round_matches_separate_rounds():
     cfg = LocalConfig(steps=3, lr=0.1, batch_size=2)
     for algo in ALGORITHMS:
         for literal in (False, True):
-            st = init_state(algo, rng.normal(size=2), 4)
+            st = init_state(algo, rng.normal(size=2), 4, scaffold_literal=literal)
             st = play_round(st, objs, [0, 1, 2, 3], cfg, 0.2, rng_factory(33)).state
             replay_rng = lambda i, r: np.random.default_rng((34, i, r))
-            got = replay_round(st, objs, [3, 1], cfg, 0.2, replay_rng, 3,
-                               scaffold_literal=literal)
+            got = replay_round(st, objs, [3, 1], cfg, 0.2, replay_rng, 3)
             for r in range(3):
-                want = play_round(st, objs, [1, 3], cfg, 0.2, lambda i: replay_rng(i, r),
-                                  scaffold_literal=literal).v
+                want = play_round(st, objs, [1, 3], cfg, 0.2, lambda i: replay_rng(i, r)).v
                 np.testing.assert_array_equal(got[r], want)
             assert st.round_index == 1

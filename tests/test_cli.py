@@ -290,6 +290,49 @@ def test_task_rules_fail_before_any_work(tmp_path, capsys, command, kind, key, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "check-schedule"])
+@pytest.mark.parametrize(
+    "section, lines, message",
+    [
+        ("rates", "kind = constant\neta0 = 0", "eta0 must be > 0, got 0.0"),
+        ("rates", "kind = exponential\ndecay = 0", "decay must be in (0, 1], got 0.0"),
+        ("rates", "kind = exponential\ndecay = 1.5", "decay must be in (0, 1], got 1.5"),
+        ("rates", "kind = inverse_time\nscale = 0", "scale must be > 0, got 0.0"),
+        ("rates", "kind = inverse_time\nbeta = 0", "beta must be > 0, got 0.0"),
+        ("rates", "kind = constant\nnu = 1.5", "nu must be in (0, 1), got 1.5"),
+        ("availability", "scenario = round_robin\ntau_max = 0", "tau_max must be >= 1, got 0"),
+        ("availability", "scenario = static\nprob = 0", "prob must be in (0, 1], got 0.0"),
+        ("availability", "scenario = weighted\nratio = 0",
+         "ratio 0.0 selects 0 of 4 clients; need 1..4"),
+        ("run", "phi_replays = 4\nphi_every = -3", "phi_every must be >= 0 (0: off), got -3"),
+    ],
+)
+def test_schedule_rules_fail_before_any_work(tmp_path, capsys, command, section, lines, message):
+    # The section is rewritten with one setting out of range.
+    cfg_path, out = write_config(tmp_path)
+    text = cfg_path.read_text()
+    start = text.index(f"[{section}]")
+    end = text.find("\n[", start)
+    cfg_path.write_text(text[:start] + f"[{section}]\n{lines}\n" + (text[end:] if end >= 0 else ""))
+    assert main([command, str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_failing_audit_stops_the_run_before_training(tmp_path, capsys, monkeypatch):
+    # 1100 local steps overflow the audit's drift gain, which check-schedule
+    # reports too; run stops there, before any round trains.
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a run whose audit fails was trained")
+
+    monkeypatch.setattr("dropfed.aggregation.local_train", refuse)
+    cfg_path, out = _config_with(tmp_path, federation="local_steps = 1100")
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "numerical failure: drift gain overflows for steps=1100\n"
+    assert not out.exists()
+    assert main(["check-schedule", str(cfg_path)]) == 2
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # 600 seeds print over 100 kB, more than a pipe holds, so the writer
     # still has output left when the reader goes away after the first line.

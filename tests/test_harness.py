@@ -20,9 +20,17 @@ from dropfed.harness import (
     resolve_outdir,
     run_experiment,
     run_trial,
+    run_trials,
+    seed_task,
 )
 from dropfed.local_trainer import LocalConfig
-from dropfed.objectives import ClientDataset, QuadraticObjective, global_optimum, make_objective
+from dropfed.objectives import (
+    ClientDataset,
+    Objective,
+    QuadraticObjective,
+    global_optimum,
+    make_objective,
+)
 from dropfed.rng import DATA, seed_for
 from dropfed.schedules import constant_rates, inverse_time_rates
 from dropfed.summary import ComparisonRow, compare_runs, render_summary
@@ -208,6 +216,14 @@ def test_config_validation():
     ExperimentConfig(algorithm="fedprox", prox_mu=0.1)  # valid pairing
 
 
+def test_schedule_rules_bind_only_the_configured_kinds():
+    # Keys that belong to another rate kind or scenario are not checked.
+    ExperimentConfig(rate_kind="inverse_time", eta0=0.0, decay=1.5)
+    ExperimentConfig(rate_kind="exponential", scale=0.0, beta=-1.0)
+    ExperimentConfig(scenario="static", tau_max=0, ratio=0.0)
+    ExperimentConfig(scenario="round_robin", prob=0.0, ratio=2.0)
+
+
 def test_fingerprint_tracks_task_not_algorithm():
     base = ExperimentConfig()
     assert base.fingerprint() == ExperimentConfig().fingerprint()
@@ -347,6 +363,42 @@ def test_accuracy_is_measured_on_the_test_set(task):
     assert trial.rows[0].acc == evaluate(reference, w0, test_data)
     assert trial.final_acc == evaluate(reference, trial.final_w, test_data)
     assert not math.isnan(trial.final_acc)
+
+
+@pytest.mark.parametrize("task", ["logistic", "quadratic"])
+def test_every_reported_number_comes_from_one_population_pass(task, monkeypatch):
+    # Each round and the final model take one losses_and_grads pass per
+    # seed; a quadratic adds one loss at its optimum.  The final fields
+    # equal the objective's own loss, gradient and evaluation, bit for bit.
+    cfg = ExperimentConfig(task=task, classes=2, per_class=10, clients=4, test_per_class=6,
+                           iterations=5, scenario="round_robin", tau_max=3, init="normal")
+    tasks = [seed_task(cfg, seed) for seed in (3, 4)]
+    calls = []
+    original = Objective.losses_and_grads
+
+    def counted(self, w):
+        calls.append(w)
+        return original(self, w)
+
+    def refuse(self, w):
+        raise AssertionError("measured outside the population pass")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Objective, "losses_and_grads", counted)
+        patch.setattr(Objective, "client_grads", refuse)
+        trials = run_trials(tasks, "fedavg", K1)
+    assert len(calls) == len(tasks) * (cfg.iterations + 1 + (task == "quadratic"))
+    for one, trial in zip(tasks, trials):
+        population, w = one.population, trial.final_w
+        assert not trial.failed
+        g = population.grad(w)
+        assert trial.final_loss == population.loss(w)
+        assert trial.final_grad_norm2 == float(g @ g)
+        acc = None if one.test_data is None else evaluate(population, w, one.test_data)
+        if acc is None:
+            assert task == "quadratic" and math.isnan(trial.final_acc)
+        else:
+            assert trial.final_acc == acc
 
 
 def test_build_schedule_dispatch():

@@ -147,12 +147,11 @@ def test_lockstep_training_matches_per_client_loop(
     for algo, literal in VARIANTS:
         cfg = LocalConfig(steps=steps, lr=0.05, batch_size=batch_size,
                           prox_mu=0.3 if algo == "fedprox" else 0.0)
-        state = init_state(algo, w0, clients)
+        state = init_state(algo, w0, clients, scaffold_literal=literal)
         mem = {"w": w0.copy(), "memory": {}, "corr": {}, "var": {}, "c": np.zeros_like(w0)}
         for t, active in enumerate(schedule):
             rng_for = lambda i, t=t: np.random.default_rng((seed, t, i))
-            res = play_round(state, population, active, cfg, 0.3, rng_for,
-                             scaffold_literal=literal, full_batch=full_batch)
+            res = play_round(state, population, active, cfg, 0.3, rng_for, full_batch=full_batch)
             v = reference_round(algo, mem, objs, active, cfg, 0.3, rng_for, literal, full_batch)
             np.testing.assert_allclose(res.v, v, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(res.state.w, mem["w"], rtol=1e-12, atol=1e-12)
@@ -184,13 +183,12 @@ def test_keyed_rounds_equal_generator_rounds(kind, seed, clients, n, steps, repl
     for algo, literal in VARIANTS:
         cfg = LocalConfig(steps=steps, lr=0.05, batch_size=batch_size,
                           prox_mu=0.3 if algo == "fedprox" else 0.0)
-        state = init_state(algo, w0, clients)
+        state = init_state(algo, w0, clients, scaffold_literal=literal)
         for t, active in enumerate(schedule):
             keyed = play_round(state, population, active, cfg, 0.3,
-                               lambda i, t=t: batch_key(seed, i, t), scaffold_literal=literal)
+                               lambda i, t=t: batch_key(seed, i, t))
             built = play_round(state, population, active, cfg, 0.3,
-                               lambda i, t=t: batch_key(seed, i, t).generator(),
-                               scaffold_literal=literal)
+                               lambda i, t=t: batch_key(seed, i, t).generator())
             np.testing.assert_array_equal(keyed.v, built.v)
             np.testing.assert_array_equal(keyed.state.w, built.state.w)
             np.testing.assert_array_equal(keyed.state.rows, built.state.rows)
@@ -198,11 +196,9 @@ def test_keyed_rounds_equal_generator_rounds(kind, seed, clients, n, steps, repl
                 np.testing.assert_array_equal(keyed.state.server_variate, built.state.server_variate)
             np.testing.assert_array_equal(
                 replay_round(state, population, active, cfg, 0.3,
-                             lambda i, r, t=t: replay_key(seed, i, t, r), replicas,
-                             scaffold_literal=literal),
+                             lambda i, r, t=t: replay_key(seed, i, t, r), replicas),
                 replay_round(state, population, active, cfg, 0.3,
-                             lambda i, r, t=t: replay_key(seed, i, t, r).generator(), replicas,
-                             scaffold_literal=literal),
+                             lambda i, r, t=t: replay_key(seed, i, t, r).generator(), replicas),
             )
             state = keyed.state
 

@@ -261,8 +261,6 @@ def test_mlp_predict_and_probe_smoothness():
     assert preds.shape == (8,)
     assert set(np.unique(preds)) <= {0, 1}
     assert obj.smoothness > 0
-    fixed = MlpObjective(ds, num_classes=2, hidden=3, smoothness=9.0)
-    assert fixed.smoothness == 9.0
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from dropfed.rng import (
     REPLAY,
     StreamKey,
     batch_key,
-    batch_stream,
     draw_without_replacement,
     generator,
     replay_key,
@@ -50,7 +49,7 @@ def test_same_slot_same_draws():
         draws(stream(123, DATA, 0)), draws(stream(123, DATA, 0))
     )
     np.testing.assert_array_equal(
-        draws(batch_stream(9, 3, 17)), draws(batch_stream(9, 3, 17))
+        draws(batch_key(9, 3, 17).generator()), draws(batch_key(9, 3, 17).generator())
     )
 
 
@@ -59,12 +58,13 @@ def test_different_slots_differ():
     assert not np.array_equal(base, draws(stream(124, DATA, 0)))
     assert not np.array_equal(base, draws(stream(123, PARTITION, 0)))
     assert not np.array_equal(base, draws(stream(123, DATA, 1)))
-    assert not np.array_equal(draws(batch_stream(1, 0, 5)), draws(batch_stream(1, 0, 6)))
-    assert not np.array_equal(draws(batch_stream(1, 0, 5)), draws(batch_stream(1, 1, 5)))
+    batch = draws(batch_key(1, 0, 5).generator())
+    assert not np.array_equal(batch, draws(batch_key(1, 0, 6).generator()))
+    assert not np.array_equal(batch, draws(batch_key(1, 1, 5).generator()))
 
 
 def test_replay_streams_disjoint_from_training():
-    train = draws(batch_stream(7, 2, 4))
+    train = draws(batch_key(7, 2, 4).generator())
     assert not np.array_equal(train, draws(replay_stream(7, 2, 4, 0)))
     assert not np.array_equal(
         draws(replay_stream(7, 2, 4, 0)), draws(replay_stream(7, 2, 4, 1))
@@ -105,10 +105,7 @@ def reference(keys, n, b, count):
     """(R, count, b): each key's own stream, sample_batch count times."""
     out = []
     for key in keys:
-        if key.spawn_key[0] == BATCH:
-            g = batch_stream(key.master_seed, *key.spawn_key[1:])
-        else:
-            g = replay_stream(key.master_seed, *key.spawn_key[1:])
+        g = stream(key.master_seed, *key.spawn_key)
         out.append([sample_batch(g, n, b) for _ in range(count)])
     return np.array(out)
 
@@ -312,7 +309,7 @@ def test_stream_key_builds_its_stream():
     key = replay_key(7, 2, 4, 1)
     assert key == StreamKey(7, (REPLAY, 2, 4, 1))
     np.testing.assert_array_equal(draws(key.generator()), draws(replay_stream(7, 2, 4, 1)))
-    np.testing.assert_array_equal(draws(batch_key(7, 2, 4).generator()), draws(batch_stream(7, 2, 4)))
+    np.testing.assert_array_equal(draws(batch_key(7, 2, 4).generator()), draws(stream(7, BATCH, 2, 4)))
 
 
 def test_threads_draw_what_one_thread_draws():
