@@ -14,6 +14,7 @@ from dataclasses import replace
 from .config import load_config, parse_seeds
 from .errors import ConfigError, NumericalError
 from .harness import audit_schedule, build_schedule, resolve_outdir, run_experiment, seed_task
+from .objectives import smoothness_of
 from .summary import compare_runs
 
 
@@ -56,10 +57,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_check_schedule(args: argparse.Namespace) -> int:
     cfg = _load_with_overrides(args)
-    for seed in cfg.seeds:
-        task = seed_task(cfg, seed)
-        report = audit_schedule(task, task.schedule.max_staleness(), cfg.local_config(), cfg.nu)
-        print(f"seed {seed}:")
+    tasks = [seed_task(cfg, seed) for seed in cfg.seeds]
+    for task, smoothness in zip(tasks, smoothness_of([task.population for task in tasks])):
+        report = audit_schedule(task, task.schedule.max_staleness(), smoothness,
+                                cfg.local_config(), cfg.nu)
+        print(f"seed {task.seed}:")
         for line in report.summary_lines():
             print(f"  {line}")
     return 0

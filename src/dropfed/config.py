@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .aggregation import ALGORITHMS
 from .availability import check_prob, check_tau_max, weighted_count
-from .data import check_blobs
+from .data import check_blobs, check_shards
 from .errors import ConfigError
 from .local_trainer import LocalConfig
 from .objectives import MlpObjective, check_classifier
@@ -139,14 +139,7 @@ class ExperimentConfig:
         Not part of __post_init__: a config that only builds schedules needs
         no partition.
         """
-        if self.clients < 1 or self.shards_per_client < 1:
-            raise ConfigError("clients and shards_per_client must be >= 1")
-        shards = self.clients * self.shards_per_client
-        if self.classes * self.per_class % shards:
-            raise ConfigError(
-                f"{self.classes * self.per_class} samples (classes * per_class) "
-                f"cannot split into {shards} equal shards"
-            )
+        check_shards(self.classes * self.per_class, self.clients, self.shards_per_client)
 
     def fingerprint(self) -> str:
         """Hash of everything that defines the task, data, and participation.

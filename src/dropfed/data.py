@@ -36,6 +36,17 @@ def check_blobs(num_classes: int, per_class: int, dim: int, separation: float) -
         raise ConfigError(f"separation must be >= 0, got {separation}")
 
 
+def check_shards(samples: int, clients: int, shards_per_client: int) -> None:
+    """Reject a deal of `samples` that does not give every client equal shards."""
+    if clients < 1 or shards_per_client < 1:
+        raise ConfigError("clients and shards_per_client must be >= 1")
+    shards = clients * shards_per_client
+    if samples % shards:
+        raise ConfigError(
+            f"{samples} samples (classes * per_class) cannot split into {shards} equal shards"
+        )
+
+
 def make_synthetic_classification(
     num_classes: int, per_class: int, dim: int, separation: float, seed: Seed
 ) -> ClientDataset:
@@ -68,13 +79,8 @@ def partition_shards(
     gathered at once into one stacked (clients, n, d) dataset.  Sizes that
     do not divide evenly are rejected rather than padded or truncated.
     """
-    if clients < 1 or shards_per_client < 1:
-        raise ConfigError("clients and shards_per_client must be >= 1")
+    check_shards(dataset.n, clients, shards_per_client)
     total_shards = clients * shards_per_client
-    if dataset.n % total_shards != 0:
-        raise ConfigError(
-            f"{dataset.n} samples cannot split into {total_shards} equal shards"
-        )
     shards = np.argsort(dataset.labels, kind="stable").reshape(total_shards, -1)
     idx = shards[generator(seed).permutation(total_shards)].reshape(clients, -1)
     return ClientDataset(dataset.features[idx], dataset.labels[idx])

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .objectives import ClientDataset, Objective, ParamVector
+from .objectives import Objective
 
 
 def expected_update_error(v_expected: np.ndarray, grad: np.ndarray) -> float:
@@ -70,12 +70,15 @@ def update_variance_stderr(samples: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.clip(per_coord, 0.0, None))))
 
 
-def evaluate(objective: Objective, w: ParamVector, dataset: ClientDataset) -> float | None:
-    """Fraction of correct hard predictions; None for regression objectives."""
-    pred = objective.predict(w, dataset.features)
+def evaluate(test_sets: Objective, W: np.ndarray) -> np.ndarray | None:
+    """Fraction of correct hard predictions of model W[i] on test set i, client i of test_sets.
+
+    None for regression objectives.
+    """
+    pred = test_sets.predict(W)
     if pred is None:
         return None
-    return float(np.mean(pred == dataset.labels))
+    return np.mean(pred == test_sets.labels, axis=1)
 
 
 @dataclass

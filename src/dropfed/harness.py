@@ -38,7 +38,14 @@ from .diagnostics import (
 )
 from .errors import ConfigError
 from .local_trainer import LocalConfig
-from .objectives import ClientDataset, Objective, global_optimum, make_objective, stack
+from .objectives import (
+    ClientDataset,
+    Objective,
+    global_optimum,
+    make_objective,
+    smoothness_of,
+    stack,
+)
 from .schedules import (
     ConditionReport,
     LrSchedule,
@@ -86,11 +93,33 @@ class SeedTask:
     w0: np.ndarray
     test_data: ClientDataset | None = None
 
-    def measure(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
-        """Loss, mean and client (N, dim) gradients, and accuracy (NaN if none) at w, in one pass."""
-        losses, grads = self.population.losses_and_grads(w)
-        acc = None if self.test_data is None else evaluate(self.population, w, self.test_data)
-        return float(np.mean(losses)), np.mean(grads, axis=0), grads, math.nan if acc is None else acc
+
+class _Meter:
+    """Measures the models of the live seeds in one pass over their stacked clients and test sets."""
+
+    def __init__(self, tasks: list[SeedTask], live: np.ndarray):
+        self.seeds = np.flatnonzero(live)
+        live_tasks = [tasks[k] for k in self.seeds]
+        self.population = stack([task.population for task in live_tasks])
+        # Seed s's test set is client s of one more stacked objective.
+        self.test_sets = None
+        if live_tasks[0].test_data is not None:
+            self.test_sets = make_objective(self.population.kind,
+                                            [task.test_data for task in live_tasks],
+                                            **self.population.params)
+
+    def __call__(self, models: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray, float]]:
+        """Each live seed's loss, mean and client (N, dim) gradients, and accuracy (NaN if none)."""
+        W = models[self.seeds]
+        losses, grads = self.population.losses_and_grads(W)
+        acc = None if self.test_sets is None else evaluate(self.test_sets, W)
+        n = self.population.num_clients // len(W)
+        out = []
+        for s in range(len(W)):
+            block = slice(s * n, (s + 1) * n)
+            out.append((float(np.mean(losses[block])), np.mean(grads[block], axis=0), grads[block],
+                        math.nan if acc is None else float(acc[s])))
+        return out
 
 
 def run_trial(
@@ -113,13 +142,16 @@ def run_trials(
 ) -> list[TrialOutput]:
     """Run every seed's trial in one lockstep pass and measure every round.
 
-    The seeds share N, T and the client data shape.  Their clients are
-    stacked into one population, seed s's client i at row s * N + i, so a
-    round trains every seed's participants in one call, and replays them in
-    one call per kind of replay.  The population pass (SeedTask.measure)
-    and the smoothness stay per seed.  Each seed's worst staleness, audit,
-    optimum and upload counts are settled before round 0, so an audit that
-    cannot be computed stops the run before any training.
+    The seeds share N, T and the client data shape, and either all have a
+    test set of one size or none has.  Their clients are stacked into one
+    population, seed s's client i at row s * N + i, so a round trains every
+    seed's participants in one call, and replays them in one call per kind
+    of replay.  Each round measures every live seed's model in one
+    population pass and one pass over the stacked test sets, and so do the
+    final models.  Before round 0, the MLP smoothness probe runs once over
+    every seed's clients, and each seed's worst staleness, audit, optimum
+    and upload counts are settled, so an audit that cannot be computed
+    stops the run before any training.
 
     Per-round columns describe the broadcast model w_t before the update;
     the *final* fields describe the model after the last round.  A seed
@@ -130,31 +162,36 @@ def run_trials(
         if len(task.rates.values) != task.schedule.iterations:
             raise ConfigError(f"{len(task.rates.values)} step sizes for {task.schedule.iterations} "
                               "iterations")
+    if len({task.test_data is None for task in tasks}) > 1:
+        raise ConfigError("either every seed has a test set or none has")
     seeds = [task.seed for task in tasks]
     n = tasks[0].population.num_clients
     masks = np.stack([task.schedule.mask for task in tasks])  # (S, T, N)
     # Scaffold's control variates cross the wire with each upload.
     uploads = np.cumsum(masks.sum(axis=2), axis=1) * (2 if algorithm == "scaffold" else 1)
+    smoothness = smoothness_of([task.population for task in tasks])
     outs = []
-    for task in tasks:
+    for task, L in zip(tasks, smoothness):
         out = TrialOutput(seed=task.seed, rows=[], final_w=task.w0,
                           max_staleness=task.schedule.max_staleness())
         if task.schedule.iterations >= 2:
-            out.conditions = audit_schedule(task, out.max_staleness, local_cfg, audit_nu)
+            out.conditions = audit_schedule(task, out.max_staleness, L, local_cfg, audit_nu)
         outs.append(out)
-    smoothness = [task.population.smoothness for task in tasks]
     optima = [global_optimum(task.population) for task in tasks]
     steep = ", ".join(f"seed {s} (L = {L:.6g}, 1/(10 L) = {1 / (10 * L):.6g})"
                       for s, L in zip(seeds, smoothness) if L > 0 and local_cfg.lr > 1 / (10 * L))
     if steep:
         log.warning("local lr %r exceeds 1/(10 L), so small-step analysis does not apply, for %s",
                     local_cfg.lr, steep)
-    population = stack([task.population for task in tasks])
+    live = np.ones(len(tasks), dtype=bool)
+    meter = _Meter(tasks, live)
+    population = meter.population  # every seed's clients, trained in lockstep
     rates = np.stack([task.rates.values for task in tasks])  # (S, T)
     state = init_state(algorithm, np.stack([task.w0 for task in tasks]), n, scaffold_literal)
-    live = np.ones(len(tasks), dtype=bool)
 
     for t in range(masks.shape[1]):
+        if not live.any():
+            break
         playing = masks[:, t] & live[:, None]
         rows = np.flatnonzero(playing)
         eta = rates[:, t]
@@ -176,9 +213,8 @@ def run_trials(
                 expected = replays(expected_replays)
             if phi_replays >= 2 and phi_every > 0 and t % phi_every == 0:
                 samples = replays(phi_replays)
-        for k in np.flatnonzero(live):
-            task, w, active = tasks[k], state.models[k], np.flatnonzero(playing[k]).tolist()
-            loss, grad, client_grads, acc = task.measure(w)
+        for k, (loss, grad, client_grads, acc) in zip(meter.seeds, meter(state.models)):
+            active = np.flatnonzero(playing[k]).tolist()
             gamma = e_t = phi = math.nan
             if active:
                 gamma = participation_bias(client_grads, active)
@@ -196,18 +232,22 @@ def run_trials(
                 )
             )
         state = result.state
-        for k in np.flatnonzero(live & ~np.isfinite(state.models).all(axis=1)):
+        failed = np.flatnonzero(live & ~np.isfinite(state.models).all(axis=1))
+        for k in failed:
             outs[k].failed, outs[k].failure_round, live[k] = True, t, False
             outs[k].final_w = state.models[k]
+        if failed.size and live.any():
+            meter = _Meter(tasks, live)
 
-    for k, (out, task, optimum) in enumerate(zip(outs, tasks, optima)):
-        if not out.failed:
-            out.final_w = state.models[k]
-            out.final_loss, g, _, out.final_acc = task.measure(out.final_w)
-            out.final_grad_norm2 = float(g @ g)
-            if optimum is not None:
-                out.optimum_distance = float(np.linalg.norm(out.final_w - optimum))
-                out.initial_gap = out.rows[0].loss - task.population.loss(optimum)
+    if live.any():
+        for k, (loss, grad, _, acc) in zip(meter.seeds, meter(state.models)):
+            out = outs[k]
+            out.final_w, out.final_loss, out.final_acc = state.models[k], loss, acc
+            out.final_grad_norm2 = float(grad @ grad)
+    for out, task, optimum in zip(outs, tasks, optima):
+        if not out.failed and optimum is not None:
+            out.optimum_distance = float(np.linalg.norm(out.final_w - optimum))
+            out.initial_gap = out.rows[0].loss - task.population.loss(optimum)
         out.uploads_total = out.rows[-1].uploads
         out.min_grad_norm2 = min(r.grad_norm2 for r in out.rows)
         executed = task.rates.values[: len(out.rows)]
@@ -219,12 +259,15 @@ def run_trials(
 
 
 def audit_schedule(
-    task: SeedTask, staleness: int, local_cfg: LocalConfig, nu: float
+    task: SeedTask, staleness: int, smoothness: float, local_cfg: LocalConfig, nu: float
 ) -> ConditionReport:
-    """Audit a seed's realized step sizes, with tau_max its worst staleness (at least 1)."""
+    """Audit a seed's realized step sizes, with tau_max its worst staleness (at least 1).
+
+    smoothness is the seed's L, from objectives.smoothness_of.
+    """
     return check_conditions(
         task.rates, task.schedule.sizes(), local_lr=local_cfg.lr, steps=local_cfg.steps,
-        smoothness=task.population.smoothness, tau_max=max(1, staleness),
+        smoothness=smoothness, tau_max=max(1, staleness),
         num_clients=task.population.num_clients, nu=nu,
     )
 

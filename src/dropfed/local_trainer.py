@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError
 from .objectives import Objective, ParamVector
 from .rng import StreamKey, draw_without_replacement
+from .schedules import check_steps
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,7 @@ class LocalConfig:
     prox_mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        check_steps(self.steps)
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if self.batch_size < 1:

@@ -8,7 +8,8 @@ kernel over S parameter rows.  batch_grad(W, idx) takes W (S, dim) and idx
 i * n + j); 1-D w and indices are the one-row case.  Rows never interact, so
 a row's gradient is bit-identical whichever rows share the call, in any
 order.  losses_and_grads(w) is the fused population pass: every client's
-full loss and gradient at one w.  loss(w) and grad(w) average it over the
+full loss and gradient at one w, or with one w per equal run of clients
+(each seed's clients in a stack).  loss(w) and grad(w) average it over the
 clients, so for one client they are its own.  All randomness stays with the
 caller, which passes explicit sample indices; the full gradient is the batch
 gradient over all of a client's indices, bit for bit.
@@ -77,6 +78,19 @@ def _augment(features: np.ndarray) -> np.ndarray:
     return np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
 
 
+def _fold(ufunc: np.ufunc, logits: np.ndarray) -> np.ndarray:
+    """ufunc folded over the class axis of (S, b, C) logits, class by class from the left.
+
+    C - 1 elementwise calls cost far less than numpy's reduction over a short
+    inner axis, and give its bits, except that numpy may give a zero maximum
+    the other sign, which the softmax cannot see: exp(x - 0.0) == exp(x + 0.0).
+    """
+    out = logits[..., 0]
+    for k in range(1, logits.shape[2]):
+        out = ufunc(out, logits[..., k])
+    return out
+
+
 def _cross_entropy(logits: np.ndarray, y: np.ndarray, with_loss: bool):
     """Mean cross-entropy per row (when asked) and softmax(logits) - onehot(y).
 
@@ -85,8 +99,8 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray, with_loss: bool):
     losses = None
     if with_loss:
         picked = np.take_along_axis(logits, y[..., None], axis=2)[..., 0]
-        losses = np.mean(np.logaddexp.reduce(logits, axis=2) - picked, axis=1)
-    logits -= logits.max(axis=2, keepdims=True)
+        losses = np.mean(_fold(np.logaddexp, logits) - picked, axis=1)
+    logits -= _fold(np.maximum, logits)[..., None]
     p = np.exp(logits)
     p /= p.sum(axis=2, keepdims=True)
     p -= y[..., None] == np.arange(p.shape[2])
@@ -125,13 +139,14 @@ class Objective:
     def _evaluate(self, W: np.ndarray, x: np.ndarray, y: np.ndarray, with_loss: bool):
         """(losses or None, gradients) of rows W over inputs x (S, b, c), labels y (S, b).
 
-        W may have one row for all of x.  Losses include the ridge term and
-        are asked for only then, by the population pass.
+        W may have one row for all of x.  Losses leave out the ridge term and
+        are asked for only by the population pass.
         """
         raise NotImplementedError
 
-    def _penalty(self, W: np.ndarray) -> float:
-        return 0.5 * self.reg * np.dot(W[0], W[0])
+    def _penalties(self, W: np.ndarray) -> np.ndarray | None:
+        """Ridge term of each row of W (S, dim); None when the objective has none."""
+        return None
 
     def batch_grad(self, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Gradients of rows w (S, dim) on batches indices (S, b); 1-D is one row."""
@@ -147,10 +162,24 @@ class Objective:
         g = self._evaluate(W, self._flat_x[idx], self._flat_y[idx], False)[1]
         return g[0] if one else g
 
-    def losses_and_grads(self, w: ParamVector) -> tuple[np.ndarray, np.ndarray]:
-        """Every client's full loss (N,) and full gradient (N, dim) at w, in one pass."""
-        w = _check_params(w, self.dim)
-        return self._evaluate(w[None], self._x, self.labels, True)
+    def losses_and_grads(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every client's full loss (N,) and full gradient (N, dim), in one pass.
+
+        w is one model (dim,) for every client, or S models (S, dim), model s
+        for the s-th of S equal runs of clients, such as seed s's clients in
+        a stack.
+        """
+        W = np.asarray(w, dtype=np.float64)
+        W = W[None] if W.ndim == 1 else W
+        if W.ndim != 2 or W.shape[1] != self.dim or self.num_clients % len(W):
+            raise ConfigError(f"losses_and_grads takes ({self.dim},) or (S, {self.dim}) models, "
+                              f"S dividing {self.num_clients} clients, got {np.shape(w)}")
+        block = self.num_clients // len(W)
+        losses, grads = self._evaluate(np.repeat(W, block, axis=0), self._x, self.labels, True)
+        penalties = self._penalties(W)
+        if penalties is not None:
+            losses += np.repeat(penalties, block)
+        return losses, grads
 
     def client_grads(self, w: ParamVector) -> np.ndarray:
         """Every client's full gradient (N, dim) at w."""
@@ -169,8 +198,11 @@ class Objective:
         """Analytic E||batch grad - full grad||^2 where known, else None."""
         return None
 
-    def predict(self, w: ParamVector, features: np.ndarray) -> np.ndarray | None:
-        """Hard labels for classification objectives, None for regression."""
+    def predict(self, W: np.ndarray) -> np.ndarray | None:
+        """Hard labels (N, n) of models W (N, dim), model i on client i's samples.
+
+        None for regression objectives.
+        """
         return None
 
 
@@ -252,12 +284,18 @@ class _Classifier(Objective):
         self.num_classes = int(num_classes)
         self.reg = float(reg)
 
-    def predict(self, w: ParamVector, features: np.ndarray) -> np.ndarray:
-        w = _check_params(w, self.dim)
-        z = self._logits(w[None], _augment(np.asarray(features, dtype=np.float64))[None])[0]
-        if z.ndim == 1:  # one sigmoid head
+    def _penalties(self, W: np.ndarray) -> np.ndarray:
+        return np.array([0.5 * self.reg * np.dot(w, w) for w in W])
+
+    def predict(self, W: np.ndarray) -> np.ndarray:
+        W = np.asarray(W, dtype=np.float64)
+        if W.shape != (self.num_clients, self.dim):
+            raise ConfigError(f"predict takes ({self.num_clients}, {self.dim}) models, "
+                              f"got {W.shape}")
+        z = self._logits(W, self._x)
+        if z.ndim == 2:  # one sigmoid head
             return (z >= 0.0).astype(np.int64)
-        return np.argmax(z, axis=1).astype(np.int64)
+        return np.argmax(z, axis=2).astype(np.int64)
 
 
 class LogisticObjective(_Classifier):
@@ -302,14 +340,11 @@ class LogisticObjective(_Classifier):
         if self.num_classes == 2:
             losses = None
             if with_loss:
-                data = -np.mean(y * _log_sigmoid(z) + (1 - y) * _log_sigmoid(-z), axis=1)
-                losses = data + self._penalty(W)
+                losses = -np.mean(y * _log_sigmoid(z) + (1 - y) * _log_sigmoid(-z), axis=1)
             p = 1.0 / (1.0 + np.exp(-z))
             residual = (p - y)[..., None]
             return losses, np.matmul(x.transpose(0, 2, 1), residual)[..., 0] / b + self.reg * W
         losses, p = _cross_entropy(z, y, with_loss)
-        if with_loss:
-            losses = losses + self._penalty(W)
         mats = W.reshape(len(W), self.num_classes, -1)
         grads = np.matmul(p.transpose(0, 2, 1), x) / b + self.reg * mats
         return losses, grads.reshape(len(grads), -1)
@@ -351,17 +386,22 @@ class MlpObjective(_Classifier):
     @property
     def smoothness(self) -> float:
         if self._smoothness is None:
-            self._smoothness = self._probe_smoothness()
+            (self._smoothness,) = self._probe_smoothness(1)
         return self._smoothness
 
     @property
     def params(self) -> dict:
         return {"num_classes": self.num_classes, "hidden": self.hidden, "reg": self.reg}
 
-    def _probe_smoothness(self) -> float:
-        # Per client, the max gradient-difference ratio over fixed random
-        # pairs, padded by 2x; the largest over the clients.  Good enough for
-        # step-size warnings; never used in convergence math.
+    def _probe_smoothness(self, runs: int) -> list[float]:
+        """The probed L of each of `runs` equal runs of clients, such as each seed's in a stack.
+
+        Per client, the max gradient-difference ratio over fixed random
+        pairs, padded by 2x; the largest over the run's clients.  Every run
+        sees the same pairs, so a run's L does not depend on what it is
+        stacked with.  Good enough for step-size warnings; never used in
+        convergence math.
+        """
         rng = np.random.Generator(np.random.Philox(0x5E0071))
         best = np.zeros(self.num_clients)
         for _ in range(64):
@@ -374,7 +414,7 @@ class MlpObjective(_Classifier):
                 best = np.maximum(best, num / den)
         # The floor stays the float 1.0 unless a ratio exceeds it, which
         # keeps the audit lines of summary.txt printed as before.
-        return 2.0 * max(1.0, best.max())
+        return [2.0 * max(1.0, run.max()) for run in best.reshape(runs, -1)]
 
     def _forward(self, W: np.ndarray, x: np.ndarray):
         rows = len(W)
@@ -387,8 +427,6 @@ class MlpObjective(_Classifier):
     def _evaluate(self, W, x, y, with_loss):
         w2, act, act1, logits = self._forward(W, x)
         losses, p = _cross_entropy(logits, y, with_loss)
-        if with_loss:
-            losses = losses + self._penalty(W)
         p /= x.shape[1]
         back = np.matmul(p, w2[:, :, : self.hidden])
         back *= 1.0 - act * act
@@ -432,6 +470,19 @@ def stack(objectives: Objective | Sequence[Objective]) -> Objective:
     if any(type(o) is not type(first) or o.params != first.params for o in objectives):
         raise ConfigError("stacked objectives must share one kind and one set of parameters")
     return type(first)(_stacked(objectives), **first.params)
+
+
+def smoothness_of(objectives: Sequence[Objective]) -> list[float]:
+    """Each objective's smoothness L; the MLPs not yet probed are probed in one stacked pass.
+
+    The MLPs must share one set of parameters and one client data shape, as
+    the seeds of one run do.  Each keeps its L for later reads.
+    """
+    unprobed = [o for o in objectives if isinstance(o, MlpObjective) and o._smoothness is None]
+    if unprobed:
+        for o, value in zip(unprobed, stack(unprobed)._probe_smoothness(len(unprobed))):
+            o._smoothness = value
+    return [o.smoothness for o in objectives]
 
 
 def global_optimum(objectives: Objective | Sequence[Objective]) -> ParamVector | None:

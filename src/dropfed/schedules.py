@@ -19,6 +19,12 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 
 
+def check_steps(steps: int) -> None:
+    """Reject a local step count K below 1."""
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+
+
 def drift_gain(local_lr: float, smoothness: float, steps: int) -> float:
     """Amplification of a broadcast-model perturbation through K local steps.
 
@@ -26,8 +32,7 @@ def drift_gain(local_lr: float, smoothness: float, steps: int) -> float:
     Grows geometrically in K, so absurd K overflows; that raises rather than
     returning inf because downstream feasibility math would silently pass.
     """
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
+    check_steps(steps)
     if local_lr < 0 or smoothness <= 0:
         raise ConfigError("need local_lr >= 0 and smoothness > 0")
     a = (local_lr * smoothness) ** 2
@@ -39,8 +44,7 @@ def drift_gain(local_lr: float, smoothness: float, steps: int) -> float:
 
 def divergence_gain(local_lr: float, smoothness: float, steps: int) -> float:
     """16 (lr L)^2 K (K-1): plain local SGD needs this below 1 to stay stable."""
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
+    check_steps(steps)
     return 16.0 * (local_lr * smoothness) ** 2 * steps * (steps - 1)
 
 

@@ -107,12 +107,17 @@ def test_update_variance_stderr_requirements():
 def test_evaluate_classification_and_regression():
     features = np.array([[-2.0], [2.0]])
     labels = np.array([0, 1])
+    w = np.array([3.0, 0.0])
     logit = LogisticObjective(ClientDataset(features, labels))
-    assert evaluate(logit, np.array([3.0, 0.0]), ClientDataset(features, labels)) == 1.0
+    assert evaluate(logit, w[None]).tolist() == [1.0]
     flipped = ClientDataset(features, labels[::-1].copy())
-    assert evaluate(logit, np.array([3.0, 0.0]), flipped) == 0.0
+    assert evaluate(LogisticObjective(flipped), w[None]).tolist() == [0.0]
+    # Test set i is client i, scored by model i alone.
+    both = LogisticObjective([ClientDataset(features, labels), flipped])
+    assert evaluate(both, np.array([w, w])).tolist() == [1.0, 0.0]
+    assert evaluate(both, np.array([w, -w])).tolist() == [1.0, 1.0]
     quad = point_client(0.0)
-    assert evaluate(quad, np.array([0.0]), ClientDataset(quad.features, quad.labels)) is None
+    assert evaluate(quad, np.zeros((1, 1))) is None
 
 
 def test_metrics_csv_roundtrip_and_format(tmp_path):

@@ -2,8 +2,9 @@
 
 The run files under tests/data/golden/ were written by the code before the
 stacked-client refactor.  Each case re-runs its config and compares every
-CSV and summary.txt with them: integers and flags exactly, floats to 1e-12
-relative, NaN where NaN was.
+CSV and summary.txt with them, first value by value (integers and flags
+exactly, floats to 1e-12 relative, NaN where NaN was) for a readable
+report, then byte for byte.
 
 The schedule files under tests/data/golden/availability/ were written by the
 code before availability schedules became one boolean mask: the text of
@@ -138,6 +139,9 @@ def test_golden_outputs(name, tmp_path):
     assert written == stored
     problems = [p for f in stored for p in _differences(tmp_path / f, GOLDEN / name / f)]
     assert not problems, "\n".join(problems[:20])
+    # Within tolerance is not enough: a 1-ulp move in a printed L is a change.
+    changed = [f for f in stored if (tmp_path / f).read_bytes() != (GOLDEN / name / f).read_bytes()]
+    assert not changed, f"not byte-identical: {changed}"
 
 
 SCHEDULE_CONFIG = """\

@@ -360,16 +360,17 @@ def test_accuracy_is_measured_on_the_test_set(task):
     trial = run_trial(population, sched, build_rates(cfg, sched), "fedavg", K1, w0, 2,
                       test_data=test_data)
     reference = make_objective(task, test_data, **population.params)
-    assert trial.rows[0].acc == evaluate(reference, w0, test_data)
-    assert trial.final_acc == evaluate(reference, trial.final_w, test_data)
+    assert trial.rows[0].acc == evaluate(reference, w0[None])[0]
+    assert trial.final_acc == evaluate(reference, trial.final_w[None])[0]
     assert not math.isnan(trial.final_acc)
 
 
 @pytest.mark.parametrize("task", ["logistic", "quadratic"])
 def test_every_reported_number_comes_from_one_population_pass(task, monkeypatch):
-    # Each round and the final model take one losses_and_grads pass per
-    # seed; a quadratic adds one loss at its optimum.  The final fields
-    # equal the objective's own loss, gradient and evaluation, bit for bit.
+    # Each round takes one losses_and_grads pass over every seed's model,
+    # and the final models take one more; a quadratic seed adds one loss at
+    # its optimum.  The final fields equal the seed's own objective's loss,
+    # gradient and evaluation, bit for bit.
     cfg = ExperimentConfig(task=task, classes=2, per_class=10, clients=4, test_per_class=6,
                            iterations=5, scenario="round_robin", tau_max=3, init="normal")
     tasks = [seed_task(cfg, seed) for seed in (3, 4)]
@@ -387,14 +388,16 @@ def test_every_reported_number_comes_from_one_population_pass(task, monkeypatch)
         patch.setattr(Objective, "losses_and_grads", counted)
         patch.setattr(Objective, "client_grads", refuse)
         trials = run_trials(tasks, "fedavg", K1)
-    assert len(calls) == len(tasks) * (cfg.iterations + 1 + (task == "quadratic"))
+    assert len(calls) == cfg.iterations + 1 + (len(tasks) if task == "quadratic" else 0)
     for one, trial in zip(tasks, trials):
         population, w = one.population, trial.final_w
         assert not trial.failed
         g = population.grad(w)
         assert trial.final_loss == population.loss(w)
         assert trial.final_grad_norm2 == float(g @ g)
-        acc = None if one.test_data is None else evaluate(population, w, one.test_data)
+        acc = None
+        if one.test_data is not None:
+            acc = evaluate(make_objective(task, one.test_data, **population.params), w[None])[0]
         if acc is None:
             assert task == "quadratic" and math.isnan(trial.final_acc)
         else:

@@ -5,17 +5,21 @@ lockstep training of every participant must reproduce a plain per-client
 loop over dict-held server memory, for all five aggregation rules.  Rounds
 whose rng_for returns stream keys (batches drawn for all rows in one pass)
 must equal the same rounds given each key's Generator.  A run of several
-seeds in lockstep must equal each seed's trial run alone, bit for bit.
+seeds in lockstep must equal each seed's trial run alone, bit for bit, and
+so must its stacked measurements: the population pass with one model per
+seed, the stacked test sets, and the MLP smoothness probe.  The softmax
+kernel's class-by-class folds must equal numpy's axis reductions.
 """
 
 from dataclasses import astuple
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dropfed.aggregation import ALGORITHMS, init_state, play_round, replay_round
 from dropfed.availability import AvailabilitySchedule
+from dropfed.diagnostics import evaluate
 from dropfed.harness import SeedTask, run_trial, run_trials
 from dropfed.local_trainer import LocalConfig, sample_batch
 from dropfed.objectives import (
@@ -23,6 +27,9 @@ from dropfed.objectives import (
     LogisticObjective,
     MlpObjective,
     QuadraticObjective,
+    _cross_entropy,
+    make_objective,
+    smoothness_of,
     stack,
 )
 from dropfed.rng import batch_key, replay_key
@@ -264,3 +271,142 @@ def test_lockstep_seeds_equal_separate_trials(
         assert got.conditions.summary_lines() == alone.conditions.summary_lines()
     if diverge:
         assert together[bad].failed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    seeds=st.integers(1, 4),
+    clients=st.integers(1, 4),
+    n=st.integers(1, 5),
+    scale=st.sampled_from((1e-3, 1.0, 1e3)),
+)
+def test_population_pass_with_one_model_per_seed(kind, seed, seeds, clients, n, scale):
+    # Model s measured on seed s's clients in one stacked pass equals each
+    # seed's own pass, ridge term included; likewise each seed's accuracy
+    # on its own test set.
+    rng = np.random.default_rng(seed)
+    populations = [stack(client_objectives(kind, rng, clients, n, 2)) for _ in range(seeds)]
+    W = scale * rng.normal(size=(seeds, populations[0].dim))
+    tests = [ClientDataset(rng.normal(size=(4, 2)), rng.integers(0, 2, size=4))
+             for _ in range(seeds)]
+    population = populations[0]
+    with np.errstate(over="ignore"):
+        losses, grads = stack(populations).losses_and_grads(W)
+        own_passes = [one.losses_and_grads(W[s]) for s, one in enumerate(populations)]
+    acc = evaluate(make_objective(population.kind, tests, **population.params), W)
+    for s, (one, (own_losses, own_grads)) in enumerate(zip(populations, own_passes)):
+        block = slice(s * clients, (s + 1) * clients)
+        assert same_bits(losses[block], own_losses)
+        assert same_bits(grads[block], own_grads)
+        own = evaluate(make_objective(one.kind, tests[s], **one.params), W[s][None])
+        assert (acc is None) == (own is None) == (kind == "quadratic")
+        if acc is not None:
+            assert same_bits(acc[s], own[0])
+
+
+def probe_one(objective):
+    """The smoothness probe of one objective alone, pair by pair: the reference."""
+    rng = np.random.Generator(np.random.Philox(0x5E0071))
+    best = np.zeros(objective.num_clients)
+    for _ in range(64):
+        w1 = rng.normal(scale=1.0, size=objective.dim)
+        w2 = w1 + rng.normal(scale=0.1, size=objective.dim)
+        diff = objective.client_grads(w1) - objective.client_grads(w2)
+        den = np.linalg.norm(w1 - w2)
+        if den > 0:
+            num = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+            best = np.maximum(best, num / den)
+    return 2.0 * max(1.0, best.max())
+
+
+def probe_objectives(seed, seeds, classes, hidden, clients, n, scale):
+    rng = np.random.default_rng(seed)
+    objectives = []
+    for _ in range(seeds):
+        ds = ClientDataset(scale * rng.normal(size=(clients, n, 3)),
+                           rng.integers(0, classes, size=(clients, n)))
+        objectives.append(MlpObjective(ds, num_classes=classes, hidden=hidden, reg=0.01))
+    return objectives
+
+
+# Small features keep every probe ratio below 1.
+FLOOR = dict(seed=5, seeds=3, classes=2, hidden=3, clients=2, n=4, scale=0.01)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    seeds=st.integers(1, 4),
+    classes=st.integers(2, 5),
+    hidden=st.sampled_from((1, 3, 8, 16)),
+    clients=st.integers(1, 3),
+    n=st.integers(1, 6),
+    scale=st.sampled_from((0.01, 1.0, 4.0)),
+)
+@example(**FLOOR)
+def test_stacked_probe_equals_each_objective_alone(
+    seed, seeds, classes, hidden, clients, n, scale
+):
+    objectives = probe_objectives(seed, seeds, classes, hidden, clients, n, scale)
+    want = [probe_one(o) for o in objectives]
+    got = smoothness_of(objectives)
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+    assert same_bits(got, want)
+    # The one-objective case takes the same path.
+    alone = MlpObjective(ClientDataset(objectives[0].features, objectives[0].labels),
+                         num_classes=classes, hidden=hidden, reg=0.01)
+    assert repr(alone.smoothness) == repr(want[0])
+
+
+def test_stacked_probe_keeps_the_float_floor():
+    # No probe ratio exceeds 1 here, so every seed's L is the float 2.0 that
+    # summary.txt prints as before, not a numpy scalar.
+    got = smoothness_of(probe_objectives(**FLOOR))
+    assert got == [2.0] * FLOOR["seeds"] and all(type(v) is float for v in got)
+
+
+def axis_cross_entropy(logits, y, with_loss):
+    """Cross-entropy and softmax residual through numpy's class-axis reductions."""
+    losses = None
+    if with_loss:
+        picked = np.take_along_axis(logits, y[..., None], axis=2)[..., 0]
+        losses = np.mean(np.logaddexp.reduce(logits, axis=2) - picked, axis=1)
+    logits -= logits.max(axis=2, keepdims=True)
+    p = np.exp(logits)
+    p /= p.sum(axis=2, keepdims=True)
+    p -= y[..., None] == np.arange(p.shape[2])
+    return losses, p
+
+
+LOGITS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # wide exponents, subnormals
+    st.floats(-30.0, 30.0),
+    st.sampled_from((0.0, -0.0, np.inf, -np.inf, np.nan)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    classes=st.integers(2, 10),
+    rows=st.integers(1, 3),
+    b=st.integers(1, 4),
+    data=st.data(),
+)
+def test_class_folds_equal_axis_reductions(classes, rows, b, data):
+    # The sign of a zero maximum may differ, so the overwritten logits are
+    # not compared; the loss and softmax residual that leave the kernel are.
+    values = data.draw(st.lists(LOGITS, min_size=rows * b * classes,
+                                max_size=rows * b * classes))
+    logits = np.array(values).reshape(rows, b, classes)
+    y = np.array(data.draw(st.lists(st.integers(0, classes - 1), min_size=rows * b,
+                                    max_size=rows * b))).reshape(rows, b)
+    with np.errstate(all="ignore"):
+        for with_loss in (True, False):
+            want = axis_cross_entropy(logits.copy(), y, with_loss)
+            got = _cross_entropy(logits.copy(), y, with_loss)
+            assert same_bits(got[1], want[1])
+            assert (got[0] is None) == (want[0] is None) == (not with_loss)
+            if with_loss:
+                assert same_bits(got[0], want[0])

@@ -198,10 +198,16 @@ def test_logistic_predict_separable_case():
     labels = np.array([0, 0, 1, 1])
     obj = LogisticObjective(ClientDataset(features, labels))
     w = np.array([5.0, 0.0])  # weight on x, zero bias
-    np.testing.assert_array_equal(obj.predict(w, features), labels)
+    np.testing.assert_array_equal(obj.predict(w[None]), labels[None])
+    # Model i predicts client i only: the flipped client needs the flipped weight.
+    both = LogisticObjective([ClientDataset(features, labels),
+                              ClientDataset(features, labels[::-1].copy())])
+    np.testing.assert_array_equal(both.predict(np.array([w, -w])), [labels, labels[::-1]])
+    with pytest.raises(ConfigError):
+        both.predict(w[None])
     multi = LogisticObjective(ClientDataset(features, labels), num_classes=3)
     w3 = np.zeros(multi.dim)
-    assert multi.predict(w3, features).shape == (4,)
+    assert multi.predict(w3[None]).shape == (1, 4)
 
 
 def test_logistic_validation():
@@ -257,8 +263,8 @@ def test_mlp_predict_and_probe_smoothness():
     rng = np.random.default_rng(67)
     ds = small_dataset(rng, n=8, dim=2, classes=2)
     obj = MlpObjective(ds, num_classes=2, hidden=3)
-    preds = obj.predict(rng.normal(size=obj.dim), ds.features)
-    assert preds.shape == (8,)
+    preds = obj.predict(rng.normal(size=(1, obj.dim)))
+    assert preds.shape == (1, 8)
     assert set(np.unique(preds)) <= {0, 1}
     assert obj.smoothness > 0
 
@@ -323,4 +329,4 @@ def test_quadratic_predict_is_none():
     rng = np.random.default_rng(89)
     ds = small_dataset(rng, n=4, dim=2)
     obj = QuadraticObjective(ds)
-    assert obj.predict(np.zeros(2), ds.features) is None
+    assert obj.predict(np.zeros((1, 2))) is None
