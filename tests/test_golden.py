@@ -83,6 +83,13 @@ EXTRA = {
         separation=3.0, clients=8, shards_per_client=2, iterations=5, local_steps=5,
         batch_size=5, seeds=(1,), scenario="round_robin", tau_max=4, expected_mode="mc",
         expected_replays=4)),
+    # Monte Carlo expectation with phi: fewer phi replays than expected ones.
+    "logistic_mifa_mc_phi": ("logistic", dict(algorithm="mifa", expected_mode="mc",
+                                              expected_replays=4, phi_replays=3, phi_every=2)),
+    # More phi replays than expected ones; seed 2 has no participant at
+    # round 6, a phi round on which seed 1 plays.
+    "mlp_mimic_mc_phi_empty_round": ("mlp", dict(algorithm="mimic", expected_mode="mc",
+                                                 expected_replays=2, phi_replays=4, phi_every=2)),
 }
 
 
