@@ -22,15 +22,20 @@ scaffold's control variates): one (S * N, dim) array plus the round each
 row was last written, -1 if never.  A round's participants are a sorted id
 array and their uploads one (R, dim) array.  Each seed aggregates over its
 own rows with its own step size; a seed with no participant keeps its
-model.  Local training of every participant, and of every replica of a
-replayed round, runs in one lockstep pass, each row with its own batch
-stream per client and round (and replica), all drawn in one call (see
-local_trainer).  Averages add rows in id order, one at a time, so every
-path that averages the same rows agrees bit for bit.
+model.
+
+A round is one training pass: its participants and replicas (replays from
+the same state for the Monte Carlo expectation and the phi samples; in mc
+mode the phi samples are its first phi_replays) train in lockstep, each row
+on its own batch stream per client, round and replica, drawn in one call
+(see local_trainer).  Rows never interact, so blocks of ROW_BLOCK_BYTES give
+the bits of one call.  Only the real round builds a state; a replica gives
+only its v.  Averages add rows in id order, one at a time, so every path
+that averages the same rows agrees bit for bit.
 
 Round functions never mutate their input state; they return a fresh state.
-That makes deterministic replays (full-batch expectations, variance probes)
-a matter of calling them again on the same state.
+That makes deterministic replays (full-batch expectations) a matter of
+calling them again on the same state.
 """
 
 from __future__ import annotations
@@ -84,6 +89,7 @@ class RoundResult:
     ids: np.ndarray
     uploads: np.ndarray
     state: ServerState
+    replays: np.ndarray | None = None  # from play_round: its replicas' v, (replicas, *w.shape)
 
 
 def init_state(
@@ -145,21 +151,36 @@ def _result(state, ids, uploads, v, eta, **changes) -> RoundResult:
     return RoundResult(v.reshape(state.w.shape), ids, uploads, new)
 
 
+def _updates(state: ServerState, ids: np.ndarray, uploads: np.ndarray) -> np.ndarray:
+    """The rule's v (copies, S, dim) for each copy of a round, its (len(ids), dim) uploads in turn."""
+    n, seeds, dim = state.num_clients, len(state.models), uploads.shape[1]
+    copies = len(uploads) // len(ids)
+    if state.algorithm == "mifa":
+        playing = np.bincount(ids // n, minlength=seeds) > 0
+        every, memory, out = np.arange(seeds * n) // n, state.rows.copy(), []
+        for block in uploads.reshape(copies, len(ids), dim):
+            memory[ids] = block
+            out.append(np.where(playing[:, None], _sums(every, memory, seeds)[0] / n, 0.0))
+        return np.array(out)
+    if state.algorithm == "mimic":
+        uploads = (uploads.reshape(copies, len(ids), dim) + state.rows[ids]).reshape(-1, dim)
+    groups = (np.arange(copies)[:, None] * seeds + ids // n).ravel()
+    return _means(groups, uploads, copies * seeds).reshape(copies, seeds, dim)
+
+
 def fedavg_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate) -> RoundResult:
-    v = _means(ids // state.num_clients, uploads, len(state.models))
-    return _result(state, ids, uploads, v, eta)
+    return _result(state, ids, uploads, _updates(state, ids, uploads)[0], eta)
 
 
 def mifa_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate) -> RoundResult:
     """Average every memorized upload of each seed that has a participant."""
     changes = _write(state, ids, uploads)
-    n, seeds = state.num_clients, len(state.models)
-    playing = np.bincount(ids // n, minlength=seeds) > 0
+    n = state.num_clients
+    playing = np.bincount(ids // n, minlength=len(state.models)) > 0
     missing = np.flatnonzero((changes["written"] < 0) & np.repeat(playing, n))
     if missing.size:
         raise IntegrityError(f"memorized updates missing for clients {missing.tolist()}")
-    memory = _sums(np.arange(seeds * n) // n, changes["rows"], seeds)[0] / n
-    return _result(state, ids, uploads, np.where(playing[:, None], memory, 0.0), eta, **changes)
+    return _result(state, ids, uploads, _updates(state, ids, uploads)[0], eta, **changes)
 
 
 def mimic_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate) -> RoundResult:
@@ -172,9 +193,9 @@ def mimic_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: R
     before the round, and a client absent since round t' contributes exactly
     the correction written at t'.
     """
-    owner = ids // state.num_clients
-    v = _means(owner, uploads + state.rows[ids], len(state.models))
-    return _result(state, ids, uploads, v, eta, **_write(state, ids, v[owner] - uploads))
+    v = _updates(state, ids, uploads)[0]
+    return _result(state, ids, uploads, v, eta,
+                   **_write(state, ids, v[ids // state.num_clients] - uploads))
 
 
 def scaffold_round(
@@ -187,7 +208,7 @@ def scaffold_round(
     server variate absorbs (1/N) of their change.  With state.scaffold_literal
     (variates rebuilt inside the round from anchors) every variate stays.
     """
-    v = _means(ids // state.num_clients, uploads, len(state.models))
+    v = _updates(state, ids, uploads)[0]
     if state.scaffold_literal:
         return _result(state, ids, uploads, v, eta)
     change = _sums(ids // state.num_clients, variates - state.rows[ids], len(state.models))[0]
@@ -200,50 +221,15 @@ def scaffold_round(
 
 _RULES = {"fedavg": fedavg_round, "fedprox": fedavg_round, "mifa": mifa_round, "mimic": mimic_round}
 
-
-def _population(state: ServerState, objectives, active) -> tuple[Objective, np.ndarray]:
-    population = stack(objectives)
-    if population.num_clients != len(state.rows):
-        raise ConfigError(f"{population.num_clients} objectives for {len(state.rows)} clients")
-    return population, np.sort(np.asarray(active, dtype=np.int64))
-
-
-def _rounds(state, population, ids, cfg, eta, rngs, replicas) -> list[RoundResult]:
-    """Train every (replica, participant) row in lockstep, then aggregate each replica.
-
-    Every row's batches are drawn in one call before training.  Control
-    variates are those of scaffold: persistent ones from the state, or with
-    state.scaffold_literal anchors taken on batch 0 of each row's stream at
-    the broadcast point, ahead of its K training batches: client i steps with
-    g_i(w_k) - g_i(w_t) + mean_j g_j(w_t), the mean over its seed's
-    participants in its replica.
-    """
-    rows = np.tile(ids, replicas)
-    seeds = len(state.models)
-    owner = rows // state.num_clients
-    start = state.models[owner]
-    anchored = state.scaffold_literal
-    batches = draw_batches(population.n, rows, cfg.batch_size, rngs, cfg.steps + anchored)
-    shift = None
-    if anchored:
-        anchors = population.batch_grad(start, batches[0])
-        groups = np.repeat(np.arange(replicas) * seeds, len(ids)) + owner
-        shift = _means(groups, anchors, replicas * seeds)[groups] - anchors
-        batches = batches[1:]
-    elif state.algorithm == "scaffold":
-        shift = state.server_variate.reshape(seeds, -1)[owner] - state.rows[rows]
-    uploads, grad_means, _ = local_train(population, start, batches, cfg, shift)
-    dim = start.shape[1]
-    per_replica = zip(uploads.reshape(replicas, len(ids), dim),
-                      grad_means.reshape(replicas, len(ids), dim))
-    if state.algorithm == "scaffold":
-        return [scaffold_round(state, ids, up, eta, g) for up, g in per_replica]
-    return [_RULES[state.algorithm](state, ids, up, eta) for up, _ in per_replica]
+# Bytes of one (rows, dim) float64 array of a training block; local_train
+# holds about ten such arrays, so this bounds a round's memory at any size.
+ROW_BLOCK_BYTES = 192 * 1024
 
 
 def play_round(
     state: ServerState, objectives: Objective | list[Objective], active: list[int] | np.ndarray,
     cfg: LocalConfig, eta: Rate, rng_for: RngFactory, *, full_batch: bool = False,
+    replicas: int = 0, replay_for: RngFactory | None = None,
 ) -> RoundResult:
     """Run one full round: local training on each active client, then aggregate.
 
@@ -253,28 +239,53 @@ def play_round(
     untouched (v = 0) and just advances the round counter, as it does for
     each seed without participants.  full_batch swaps every batch draw for
     the whole client dataset, which is how deterministic per-round
-    expectations are replayed; it builds no stream at all.
+    expectations are replayed; it builds no stream at all.  `replicas`
+    replicas of the round train beside it from the same state, replica r of
+    row i on the stream replay_for(i, r); result.replays holds their v.
+
+    Scaffold's control variates are persistent ones from the state, or with
+    state.scaffold_literal anchors on batch 0 of each row's stream at w_t,
+    ahead of its K training batches: client i steps with g_i(w_k) - g_i(w_t)
+    + mean_j g_j(w_t), the mean over its seed's participants in its copy.
     """
-    population, ids = _population(state, objectives, active)
+    population = stack(objectives)
+    if population.num_clients != len(state.rows):
+        raise ConfigError(f"{population.num_clients} objectives for {len(state.rows)} clients")
+    ids = np.sort(np.asarray(active, dtype=np.int64))
+    seeds, dim = state.models.shape
     if not ids.size:
-        new = replace(state, w=state.w.copy(), round_index=state.round_index + 1)
-        return RoundResult(np.zeros_like(state.w), ids, np.zeros((0, state.w.shape[-1])), new)
-    rngs = None if full_batch else [rng_for(i) for i in ids.tolist()]
-    return _rounds(state, population, ids, cfg, eta, rngs, 1)[0]
-
-
-def replay_round(
-    state: ServerState, objectives: Objective | list[Objective], active: list[int] | np.ndarray,
-    cfg: LocalConfig, eta: Rate, rng_for: RngFactory, replicas: int,
-) -> np.ndarray:
-    """Applied updates (replicas, *w.shape) of independent replays of one nonempty round.
-
-    All replicas train in one lockstep pass from `state`, which is not
-    advanced; rng_for(i, r) names replica r's batch stream for row i.
-    """
-    population, ids = _population(state, objectives, active)
-    if not ids.size:
-        raise ConfigError("cannot replay an empty round")
-    rngs = [rng_for(i, r) for r in range(replicas) for i in ids.tolist()]
-    results = _rounds(state, population, ids, cfg, eta, rngs, replicas)
-    return np.array([res.v for res in results])
+        result = _result(state, ids, np.zeros((0, dim)), np.zeros((seeds, dim)), eta)
+        return replace(result, replays=np.zeros((replicas, *state.w.shape)))
+    sources = None
+    if not full_batch:
+        sources = [rng_for(i) for i in ids.tolist()]
+        sources += [replay_for(i, r) for r in range(replicas) for i in ids.tolist()]
+    rows = np.tile(ids, replicas + 1)
+    owner = rows // state.num_clients
+    size = max(1, ROW_BLOCK_BYTES // (8 * dim))
+    blocks = [slice(a, a + size) for a in range(0, len(rows), size)]
+    anchored = state.scaffold_literal
+    batches = draw_batches(population.n, rows, cfg.batch_size, sources, cfg.steps + anchored)
+    if anchored:
+        anchors = np.concatenate([population.batch_grad(state.models[owner[b]], batches[0, b])
+                                  for b in blocks])
+        groups = np.repeat(np.arange(replicas + 1) * seeds, len(ids)) + owner
+        anchor_shift = _means(groups, anchors, (replicas + 1) * seeds)[groups] - anchors
+        batches = batches[1:]
+    # Only the round's own rows keep their mean raw gradients: scaffold's new variates.
+    uploads, grad_means = np.empty((len(rows), dim)), np.empty((len(ids), dim))
+    for b in blocks:
+        shift = None
+        if anchored:
+            shift = anchor_shift[b]
+        elif state.algorithm == "scaffold":
+            shift = state.server_variate.reshape(seeds, -1)[owner[b]] - state.rows[rows[b]]
+        uploads[b], grads, _ = local_train(population, state.models[owner[b]], batches[:, b], cfg,
+                                           shift)
+        grad_means[b] = grads[: len(grad_means[b])]
+    if state.algorithm == "scaffold":
+        result = scaffold_round(state, ids, uploads[: len(ids)], eta, grad_means)
+    else:
+        result = _RULES[state.algorithm](state, ids, uploads[: len(ids)], eta)
+    replays = _updates(state, ids, uploads[len(ids):]) if replicas else np.zeros((0, seeds, dim))
+    return replace(result, replays=replays.reshape(replicas, *state.w.shape))

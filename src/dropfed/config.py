@@ -18,7 +18,7 @@ from .data import check_blobs, check_shards
 from .errors import ConfigError
 from .local_trainer import LocalConfig
 from .objectives import MlpObjective, check_classifier
-from .schedules import check_decay, check_nu, check_positive
+from .schedules import check_decay, check_finite, check_nu, check_positive
 
 # The allowed values of each option that names a choice.
 CHOICES = {
@@ -75,6 +75,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            if isinstance(field.default, float):
+                check_finite(field.name, getattr(self, field.name))
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as streams
-from .aggregation import init_state, play_round, replay_round
+from .aggregation import init_state, play_round
 from .availability import (
     AvailabilitySchedule,
     round_robin_schedule,
@@ -145,8 +145,8 @@ def run_trials(
     The seeds share N, T and the client data shape, and either all have a
     test set of one size or none has.  Their clients are stacked into one
     population, seed s's client i at row s * N + i, so a round trains every
-    seed's participants in one call, and replays them in one call per kind
-    of replay.  Each round measures every live seed's model in one
+    seed's participants and the replicas its measurements need in one pass
+    (see play_round).  Each round measures every live seed's model in one
     population pass and one pass over the stacked test sets, and so do the
     final models.  Before round 0, the MLP smoothness probe runs once over
     every seed's clients, and each seed's worst staleness, audit, optimum
@@ -195,24 +195,24 @@ def run_trials(
         playing = masks[:, t] & live[:, None]
         rows = np.flatnonzero(playing)
         eta = rates[:, t]
+        phi_round = phi_replays >= 2 and phi_every > 0 and t % phi_every == 0
 
         def train_rng(i: int, t: int = t) -> streams.StreamKey:
             return streams.batch_key(seeds[i // n], i % n, t)
 
-        def replays(count: int, t: int = t) -> np.ndarray:
-            return _replay_updates(state, population, rows, local_cfg, eta, seeds, t, count)
+        def replay_rng(i: int, r: int, t: int = t) -> streams.StreamKey:
+            return streams.replay_key(seeds[i // n], i % n, t, r)
 
-        result = play_round(state, population, rows, local_cfg, eta, train_rng)
-        expected = samples = None  # (replicas, S, dim)
-        if rows.size:
-            if expected_mode == "fullbatch":
-                expected = play_round(
-                    state, population, rows, local_cfg, eta, train_rng, full_batch=True
-                ).v[None]
-            else:
-                expected = replays(expected_replays)
-            if phi_replays >= 2 and phi_every > 0 and t % phi_every == 0:
-                samples = replays(phi_replays)
+        # The Monte Carlo expectation and the phi samples read the first so many replicas.
+        replicas = max(expected_replays if expected_mode == "mc" else 0,
+                       phi_replays if phi_round else 0)
+        result = play_round(state, population, rows, local_cfg, eta, train_rng,
+                            replicas=replicas, replay_for=replay_rng)
+        expected = result.replays[:expected_replays]  # (replicas, S, dim)
+        if expected_mode == "fullbatch" and rows.size:
+            expected = play_round(state, population, rows, local_cfg, eta, train_rng,
+                                  full_batch=True).v[None]
+        samples = result.replays[:phi_replays] if phi_round else None
         for k, (loss, grad, client_grads, acc) in zip(meter.seeds, meter(state.models)):
             active = np.flatnonzero(playing[k]).tolist()
             gamma = e_t = phi = math.nan
@@ -224,13 +224,9 @@ def run_trials(
                 e_t = expected_update_error(v_exp, grad)
                 if samples is not None:
                     phi = update_variance(np.ascontiguousarray(samples[:, k]))
-            outs[k].rows.append(
-                RoundMetrics(
-                    t=t, loss=loss, grad_norm2=float(grad @ grad), E_t=e_t, gamma_t=gamma,
-                    phi_hat=phi, n_active=len(active), uploads=int(uploads[k, t]), acc=acc,
-                    eta_t=float(eta[k]),
-                )
-            )
+            outs[k].rows.append(RoundMetrics(
+                t=t, loss=loss, grad_norm2=float(grad @ grad), E_t=e_t, gamma_t=gamma, phi_hat=phi,
+                n_active=len(active), uploads=int(uploads[k, t]), acc=acc, eta_t=float(eta[k])))
         state = result.state
         failed = np.flatnonzero(live & ~np.isfinite(state.models).all(axis=1))
         for k in failed:
@@ -270,21 +266,6 @@ def audit_schedule(
         smoothness=smoothness, tau_max=max(1, staleness),
         num_clients=task.population.num_clients, nu=nu,
     )
-
-
-def _replay_updates(
-    state, population, active, local_cfg, eta, master_seeds, t, count
-) -> np.ndarray:
-    """Replay one round `count` times with fresh batch draws, in one lockstep pass.
-
-    Row i of the stacked population is client i % N of master_seeds[i // N].
-    """
-    n = state.num_clients
-
-    def replay_rng(i: int, r: int) -> streams.StreamKey:
-        return streams.replay_key(master_seeds[i // n], i % n, t, r)
-
-    return replay_round(state, population, active, local_cfg, eta, replay_rng, count)
 
 
 def build_task(cfg: ExperimentConfig, seed: int) -> tuple[Objective, ClientDataset | None]:

@@ -1,8 +1,8 @@
 """Client-side training: K steps of mini-batch SGD from the broadcast model.
 
-Training runs in lockstep over rows: the active clients of a round, or the
-active clients times the replicas of a replayed round.  Each step computes
-every row's batch gradient in one batched call on the stacked objective.
+Training runs in lockstep over rows: the active clients of a round, then
+the same clients once per replica of the round.  Each step computes every
+row's batch gradient in one batched call on the stacked objective.
 
 RNG rule: every row has its own stream, one per (client, round) or per
 (client, round, replica), and takes its batches from it in step order, so a
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError
 from .objectives import Objective, ParamVector
 from .rng import StreamKey, draw_without_replacement
-from .schedules import check_steps
+from .schedules import check_finite, check_steps
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,8 @@ class LocalConfig:
 
     def __post_init__(self) -> None:
         check_steps(self.steps)
+        check_finite("lr", self.lr)
+        check_finite("prox_mu", self.prox_mu)
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if self.batch_size < 1:

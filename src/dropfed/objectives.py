@@ -66,13 +66,6 @@ def _stacked(parts: Sequence) -> ClientDataset:
                          np.concatenate([p.labels.reshape(-1, n) for p in parts]))
 
 
-def _check_params(w: np.ndarray, dim: int) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (dim,):
-        raise ConfigError(f"parameter vector has shape {w.shape}, expected ({dim},)")
-    return w
-
-
 def _augment(features: np.ndarray) -> np.ndarray:
     """Append a constant-1 column so the bias rides inside the weight vector."""
     return np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
@@ -183,7 +176,9 @@ class Objective:
 
     def client_grads(self, w: ParamVector) -> np.ndarray:
         """Every client's full gradient (N, dim) at w."""
-        w = _check_params(w, self.dim)
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != (self.dim,):
+            raise ConfigError(f"parameter vector has shape {w.shape}, expected ({self.dim},)")
         return self._evaluate(w[None], self._x, self.labels, False)[1]
 
     def loss(self, w: ParamVector) -> float:
@@ -235,11 +230,6 @@ class QuadraticObjective(Objective):
     @property
     def params(self) -> dict:
         return {}
-
-    @property
-    def optimum(self) -> ParamVector:
-        """Minimizer of the clients' average: the mean of their means."""
-        return np.mean(self.means, axis=0)
 
     def _evaluate(self, W, x, y, with_loss):
         losses = None

@@ -117,12 +117,13 @@ def _run_pool(master_seed: int) -> tuple[np.ndarray, int]:
 _STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 4)
 
 
-def _philox_keys(master_seeds: Sequence[int], spawn: np.ndarray) -> list[list[int]]:
-    """Philox(SeedSequence(master_seeds[r], spawn_key=spawn[r])) keys for spawn words (R, m).
+def _philox_keys(master_seeds: Sequence[int], spawn: np.ndarray,
+                 lengths: np.ndarray) -> list[list[int]]:
+    """Philox(SeedSequence(master_seeds[r], spawn_key=spawn[r, :lengths[r]])) keys, spawn (R, m).
 
     Each row starts from its own master seed's pool and hash constant (the
-    constant differs only between seeds of different word counts); rows
-    that share one master seed share one pool.
+    constant differs only between seeds of different word counts); rows that
+    share one master seed share one pool, and each pool mixes only its own words.
     """
     which = {seed: j for j, seed in enumerate(dict.fromkeys(master_seeds))}
     at = [which[seed] for seed in master_seeds] if len(which) > 1 else [0]
@@ -136,8 +137,9 @@ def _philox_keys(master_seeds: Sequence[int], spawn: np.ndarray) -> list[list[in
     mixed ^= mixed >> 16
     mixed *= np.uint32(_MIX_R)
     for c in range(spawn.shape[1]):
-        pool = _MIX_L * pool - mixed[:, c]
-        pool ^= pool >> 16
+        step = _MIX_L * pool - mixed[:, c]
+        step ^= step >> 16
+        pool = step if c < lengths.min() else np.where((c < lengths)[:, None], step, pool)
     state = (pool ^ _STATE_STEPS[:, 0]) * _STATE_STEPS[:, 1]
     state ^= state >> 16
     return state.astype("<u4").view("<u8").tolist()
@@ -210,10 +212,10 @@ def draw_without_replacement(
     exact (R,): rows marked False hold no valid draws, and the caller must
     draw them from keys[r].generator().  That happens on a rejected bounded
     draw (odds about n / 2**32 per draw), on numpy's tail-shuffle branch
-    (n > 10000 and size > n // 50), for a spawn word >= 2**32, for a
-    negative master seed, when the keys do not share one nonempty spawn-key
-    length, and for every row if this numpy draws otherwise (see
-    _matches_numpy).  Keys may differ in master seed.
+    (n > 10000 and size > n // 50), for a spawn word >= 2**32 or an empty
+    spawn key, for a negative master seed, and for every row if this numpy
+    draws otherwise (see _matches_numpy).  Keys may differ in master seed
+    and in spawn-key length.
     """
     rows, drawn = len(keys), None
     if rows and n <= _MASK32 and not (n > 10000 and size > n // 50) and _matches_numpy():
@@ -224,14 +226,18 @@ def draw_without_replacement(
 def _draw(keys, n, size, count) -> tuple[np.ndarray, np.ndarray] | None:
     """draw_without_replacement's kernel; None when the keys do not fit it."""
     seeds, spawn = zip(*keys)
+    lengths = np.fromiter(map(len, spawn), dtype=np.intp, count=len(spawn))
+    width = lengths.max()
+    if lengths.min() < width:  # zero-padded: each row's hash stops at its own length
+        spawn = [(*words, *[0] * (width - len(words))) for words in spawn]
     try:
         spawn = np.array(spawn, dtype=np.uint64)
-    except (OverflowError, ValueError):  # a negative or huge word, or ragged keys
+    except OverflowError:  # a negative or huge word
         return None
-    if spawn.ndim != 2 or not spawn.shape[1] or min(map(operator.index, set(seeds))) < 0:
+    if not spawn.shape[1] or min(map(operator.index, set(seeds))) < 0:
         return None
-    wide = (spawn > _MASK32).any(axis=1)
-    philox_keys = _philox_keys(seeds, spawn.astype(np.uint32))
+    wide = (spawn > _MASK32).any(axis=1) | (lengths == 0)
+    philox_keys = _philox_keys(seeds, spawn.astype(np.uint32), lengths)
     raw = _raw_words(philox_keys, -(-count * (2 * size - 1) // 2))
     idx, exact = _batches_from_words(raw, n, size, count)
     return idx, exact & ~wide

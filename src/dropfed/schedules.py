@@ -66,6 +66,12 @@ class LrSchedule:
         object.__setattr__(self, "values", vals)
 
 
+def check_finite(name: str, value: float) -> None:
+    """The rule of every float option: NaN and +-inf pass range checks written with < and <=."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
 def check_positive(name: str, value: float) -> None:
     """The rule of eta0 (constant, exponential) and of scale and beta (inverse_time)."""
     if value <= 0:

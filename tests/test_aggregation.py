@@ -14,7 +14,6 @@ from dropfed.aggregation import (
     mifa_round,
     mimic_round,
     play_round,
-    replay_round,
 )
 from dropfed.errors import ConfigError, IntegrityError
 from dropfed.local_trainer import LocalConfig
@@ -330,9 +329,10 @@ def test_full_batch_builds_no_stream():
             assert res.state.round_index == 1
 
 
-def test_replay_round_matches_separate_rounds():
-    # All replicas in one lockstep pass equal one play_round per replica,
-    # bit for bit, and the state is not advanced.
+def test_replicas_match_separate_rounds():
+    # Replicas trained beside the round equal one play_round per replica,
+    # bit for bit; the round's own result is that of a round without them,
+    # and the state is not advanced.
     rng = np.random.default_rng(32)
     objs = [
         QuadraticObjective(ClientDataset(rng.normal(size=(6, 2)) + i, np.zeros(6, dtype=int)))
@@ -344,8 +344,14 @@ def test_replay_round_matches_separate_rounds():
             st = init_state(algo, rng.normal(size=2), 4, scaffold_literal=literal)
             st = play_round(st, objs, [0, 1, 2, 3], cfg, 0.2, rng_factory(33)).state
             replay_rng = lambda i, r: np.random.default_rng((34, i, r))
-            got = replay_round(st, objs, [3, 1], cfg, 0.2, replay_rng, 3)
+            got = play_round(st, objs, [3, 1], cfg, 0.2, rng_factory(35), replicas=3,
+                             replay_for=replay_rng)
+            alone = play_round(st, objs, [3, 1], cfg, 0.2, rng_factory(35))
+            np.testing.assert_array_equal(got.v, alone.v)
+            np.testing.assert_array_equal(got.state.w, alone.state.w)
+            np.testing.assert_array_equal(got.state.rows, alone.state.rows)
+            assert got.replays.shape == (3, 2)
             for r in range(3):
                 want = play_round(st, objs, [1, 3], cfg, 0.2, lambda i: replay_rng(i, r)).v
-                np.testing.assert_array_equal(got[r], want)
+                np.testing.assert_array_equal(got.replays[r], want)
             assert st.round_index == 1

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides, and exit codes."""
 
 import configparser
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from dropfed.cli import build_parser, main
+from dropfed.config import _SECTIONS, ExperimentConfig
 
 BASE_CONFIG = """\
 [task]
@@ -316,6 +318,26 @@ def test_schedule_rules_fail_before_any_work(tmp_path, capsys, command, section,
     cfg_path.write_text(text[:start] + f"[{section}]\n{lines}\n" + (text[end:] if end >= 0 else ""))
     assert main([command, str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+FLOAT_KEYS = [(section, f.name) for f in dataclasses.fields(ExperimentConfig)
+              if isinstance(f.default, float)
+              for section, names in _SECTIONS.items() if f.name in names]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_non_finite_floats_fail_before_any_work(tmp_path, capsys, section, key, value):
+    # Every float key, set to a non-finite value, whatever kind reads it.
+    cfg_path, out = write_config(tmp_path)
+    parser = configparser.ConfigParser()
+    parser.read(cfg_path)
+    parser.setdefault(section, {})[key] = value
+    with cfg_path.open("w") as f:
+        parser.write(f)
+    assert main(["run", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"config error: {key} must be finite, got {float(value)}\n"
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dropfed import aggregation
 from dropfed.availability import periodic_schedule
 from dropfed.config import ExperimentConfig, load_config
 from dropfed.data import make_synthetic_classification
@@ -23,7 +24,7 @@ from dropfed.harness import (
     run_trials,
     seed_task,
 )
-from dropfed.local_trainer import LocalConfig
+from dropfed.local_trainer import LocalConfig, draw_batches, local_train
 from dropfed.objectives import (
     ClientDataset,
     Objective,
@@ -402,6 +403,38 @@ def test_every_reported_number_comes_from_one_population_pass(task, monkeypatch)
             assert task == "quadratic" and math.isnan(trial.final_acc)
         else:
             assert trial.final_acc == acc
+
+
+def test_a_measured_round_trains_in_one_pass(monkeypatch):
+    # A round with a participant draws the batches of its rows in one call:
+    # its participants, then as many replicas as the larger of the Monte
+    # Carlo expectation and the phi samples needs.  It trains them with one
+    # local_train call per row block.  Seed 2 has no participant at round 6.
+    cfg = ExperimentConfig(task="mlp", classes=3, per_class=12, dim=3, hidden=4, clients=4,
+                           iterations=8, local_steps=3, local_lr=0.05, batch_size=3,
+                           algorithm="mimic", seeds=(1, 2))
+    tasks = [seed_task(cfg, seed) for seed in cfg.seeds]
+    drawn, trained = [], []
+
+    def draw(n, clients, *args):
+        drawn.append(len(clients))
+        return draw_batches(n, clients, *args)
+
+    def train(objective, start, *args):
+        trained.append(len(start))
+        return local_train(objective, start, *args)
+
+    monkeypatch.setattr(aggregation, "ROW_BLOCK_BYTES", 8 * tasks[0].population.dim * 5)
+    monkeypatch.setattr(aggregation, "draw_batches", draw)
+    monkeypatch.setattr(aggregation, "local_train", train)
+    run_trials(tasks, cfg.algorithm, cfg.local_config(), phi_replays=4, phi_every=2,
+               expected_mode="mc", expected_replays=2)
+    masks = np.stack([task.schedule.mask for task in tasks])
+    assert masks[0, 6].any() and not masks[1, 6].any()
+    active = masks.sum(axis=(0, 2))
+    rows = [a * (1 + (4 if t % 2 == 0 else 2)) for t, a in enumerate(active.tolist())]
+    assert drawn == rows
+    assert trained == [min(5, r - a) for r in rows for a in range(0, r, 5)]
 
 
 def test_build_schedule_dispatch():

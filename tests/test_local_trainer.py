@@ -5,6 +5,7 @@ independently of each other.
 """
 
 import logging
+import math
 import warnings
 
 import numpy as np
@@ -167,6 +168,11 @@ def test_local_config_validation():
         LocalConfig(batch_size=0)
     with pytest.raises(ConfigError):
         LocalConfig(prox_mu=-1.0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="lr must be finite"):
+            LocalConfig(lr=value)
+        with pytest.raises(ConfigError, match="prox_mu must be finite"):
+            LocalConfig(prox_mu=value)
 
 
 def test_local_config_is_frozen():

@@ -4,7 +4,9 @@ A batched gradient row must not depend on the other rows of its call, and
 lockstep training of every participant must reproduce a plain per-client
 loop over dict-held server memory, for all five aggregation rules.  Rounds
 whose rng_for returns stream keys (batches drawn for all rows in one pass)
-must equal the same rounds given each key's Generator.  A run of several
+must equal the same rounds given each key's Generator.  A round and its
+replicas trained in one pass, in row blocks of any size, must equal the
+round and each replica played in passes of their own.  A run of several
 seeds in lockstep must equal each seed's trial run alone, bit for bit, and
 so must its stacked measurements: the population pass with one model per
 seed, the stacked test sets, and the MLP smoothness probe.  The softmax
@@ -12,12 +14,14 @@ kernel's class-by-class folds must equal numpy's axis reductions.
 """
 
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dropfed.aggregation import ALGORITHMS, init_state, play_round, replay_round
+from dropfed import aggregation
+from dropfed.aggregation import ALGORITHMS, init_state, play_round
 from dropfed.availability import AvailabilitySchedule
 from dropfed.diagnostics import evaluate
 from dropfed.harness import SeedTask, run_trial, run_trials
@@ -193,21 +197,124 @@ def test_keyed_rounds_equal_generator_rounds(kind, seed, clients, n, steps, repl
         state = init_state(algo, w0, clients, scaffold_literal=literal)
         for t, active in enumerate(schedule):
             keyed = play_round(state, population, active, cfg, 0.3,
-                               lambda i, t=t: batch_key(seed, i, t))
+                               lambda i, t=t: batch_key(seed, i, t), replicas=replicas,
+                               replay_for=lambda i, r, t=t: replay_key(seed, i, t, r))
             built = play_round(state, population, active, cfg, 0.3,
-                               lambda i, t=t: batch_key(seed, i, t).generator())
+                               lambda i, t=t: batch_key(seed, i, t).generator(), replicas=replicas,
+                               replay_for=lambda i, r, t=t: replay_key(seed, i, t, r).generator())
             np.testing.assert_array_equal(keyed.v, built.v)
             np.testing.assert_array_equal(keyed.state.w, built.state.w)
             np.testing.assert_array_equal(keyed.state.rows, built.state.rows)
             if algo == "scaffold":
                 np.testing.assert_array_equal(keyed.state.server_variate, built.state.server_variate)
-            np.testing.assert_array_equal(
-                replay_round(state, population, active, cfg, 0.3,
-                             lambda i, r, t=t: replay_key(seed, i, t, r), replicas),
-                replay_round(state, population, active, cfg, 0.3,
-                             lambda i, r, t=t: replay_key(seed, i, t, r).generator(), replicas),
-            )
+            np.testing.assert_array_equal(keyed.replays, built.replays)
             state = keyed.state
+
+
+def separate_passes(state, population, active, cfg, eta, rng_for, replay_for, replicas):
+    """The round, then each replica, each in its own pass: the reference."""
+    real = play_round(state, population, active, cfg, eta, rng_for)
+    replays = [play_round(state, population, active, cfg, eta, lambda i, r=r: replay_for(i, r)).v
+               for r in range(replicas)]
+    return real, np.reshape(replays, (replicas, *state.w.shape))
+
+
+def assert_same_round(got, want, want_replays):
+    assert same_bits(got.v, want.v)
+    assert same_bits(got.replays, want_replays)
+    for name in ("w", "rows", "written", "server_variate"):
+        assert same_bits(getattr(got.state, name), getattr(want.state, name)), name
+    assert got.state.round_index == want.state.round_index
+
+
+def seed_rounds(rng, seeds, clients, empty):
+    """Rows of a full round, then two rounds in which seed `empty` has no participant."""
+    rounds = [np.arange(seeds * clients)]
+    for _ in range(2):
+        rows = [s * clients + np.flatnonzero(rng.random(clients) < 0.6) for s in range(seeds)]
+        rows[empty] = rows[empty][:0]
+        rounds.append(np.concatenate(rows))
+    return rounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    variant=st.sampled_from(VARIANTS),
+    masters=st.lists(st.integers(0, 2**70), min_size=2, max_size=3, unique=True),
+    clients=st.integers(1, 4),
+    n=st.integers(2, 5),
+    steps=st.integers(1, 3),
+    replicas=st.integers(1, 4),
+    data=st.data(),
+)
+def test_one_pass_round_equals_separate_passes(
+    kind, variant, masters, clients, n, steps, replicas, data
+):
+    # The round and its replicas trained in one pass give the round's v and
+    # state and each replica's v of separate passes, bit for bit, with S > 1
+    # seeds and one seed without participants.
+    algo, literal = variant
+    seeds = len(masters)
+    rng = np.random.default_rng(masters[0] % 2**32)
+    population = stack(client_objectives(kind, rng, seeds * clients, n, 2))
+    cfg = LocalConfig(steps=steps, lr=0.05, batch_size=data.draw(st.integers(1, n)),
+                      prox_mu=0.3 if algo == "fedprox" else 0.0)
+    empty = data.draw(st.integers(0, seeds - 1))
+    eta = rng.uniform(0.1, 0.5, size=seeds)
+    state = init_state(algo, rng.normal(size=(seeds, population.dim)), clients, literal)
+    for t, active in enumerate(seed_rounds(rng, seeds, clients, empty)):
+        def rng_for(i, t=t):
+            return batch_key(masters[i // clients], i % clients, t)
+
+        def replay_for(i, r, t=t):
+            return replay_key(masters[i // clients], i % clients, t, r)
+
+        got = play_round(state, population, active, cfg, eta, rng_for, replicas=replicas,
+                         replay_for=replay_for)
+        want = separate_passes(state, population, active, cfg, eta, rng_for, replay_for, replicas)
+        assert_same_round(got, *want)
+        if t:
+            assert not got.replays[:, empty].any()
+        state = got.state
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    variant=st.sampled_from(VARIANTS),
+    seed=st.integers(0, 2**32 - 1),
+    clients=st.integers(2, 4),
+    n=st.integers(2, 5),
+    steps=st.integers(1, 3),
+    replicas=st.integers(0, 3),
+    block=st.integers(1, 3),
+    data=st.data(),
+)
+def test_row_blocks_give_the_bits_of_one_call(
+    kind, variant, seed, clients, n, steps, replicas, block, data
+):
+    # A byte budget of `block` rows splits a round into several local_train
+    # calls (the full round 0 has 4 rows or more), which give the bits of
+    # one call over all rows.
+    algo, literal = variant
+    rng = np.random.default_rng(seed)
+    population = stack(client_objectives(kind, rng, 2 * clients, n, 2))
+    cfg = LocalConfig(steps=steps, lr=0.05, batch_size=data.draw(st.integers(1, n)),
+                      prox_mu=0.3 if algo == "fedprox" else 0.0)
+    state = init_state(algo, rng.normal(size=(2, population.dim)), clients, literal)
+    for t, active in enumerate(seed_rounds(rng, 2, clients, 1)):
+        args = (state, population, active, cfg, np.array([0.3, 0.2]),
+                lambda i, t=t: batch_key(seed, i, t))
+        replay_for = lambda i, r, t=t: replay_key(seed, i, t, r)
+        with (mock.patch.object(aggregation, "ROW_BLOCK_BYTES", 8 * population.dim * block),
+              mock.patch.object(aggregation, "local_train", wraps=aggregation.local_train) as train):
+            blocked = play_round(*args, replicas=replicas, replay_for=replay_for)
+        assert t or train.call_count > 1
+        with mock.patch.object(aggregation, "ROW_BLOCK_BYTES", 2**62):
+            whole = play_round(*args, replicas=replicas, replay_for=replay_for)
+        assert_same_round(blocked, whole, whole.replays)
+        state = whole.state
 
 
 TRIAL_SCALARS = ("seed", "failed", "failure_round", "final_loss", "final_grad_norm2",

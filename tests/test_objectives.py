@@ -76,7 +76,7 @@ def test_quadratic_hand_values():
     obj = QuadraticObjective(ds)
     assert obj.dim == 1
     assert obj.smoothness == 1.0
-    np.testing.assert_allclose(obj.optimum, [1.0])
+    np.testing.assert_allclose(global_optimum(obj), [1.0])
     assert obj.loss(np.array([0.0])) == pytest.approx(1.0)
     np.testing.assert_allclose(obj.grad(np.array([0.0])), [-1.0])
     np.testing.assert_allclose(obj.grad(np.array([1.0])), [0.0], atol=1e-15)
@@ -292,7 +292,7 @@ def test_global_optimum_is_mean_of_client_means():
         pts = rng.normal(size=(3 + i, 2)) + i
         objs.append(QuadraticObjective(ClientDataset(pts, np.zeros(3 + i, dtype=int))))
     w_star = global_optimum(objs)
-    np.testing.assert_allclose(w_star, np.mean([o.optimum for o in objs], axis=0))
+    np.testing.assert_allclose(w_star, np.mean([o.means[0] for o in objs], axis=0))
     # The averaged gradient must vanish there.
     avg_grad = np.mean([o.grad(w_star) for o in objs], axis=0)
     np.testing.assert_allclose(avg_grad, 0.0, atol=1e-14)

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropfed import local_trainer, rng
+from dropfed.config import ExperimentConfig
+from dropfed.harness import run_experiment
 from dropfed.local_trainer import draw_batches, sample_batch
 from dropfed.rng import (
     AVAILABILITY,
@@ -155,6 +157,46 @@ def test_rows_of_different_master_seeds_are_exact(masters, replay, count, n, dat
     np.testing.assert_array_equal(idx, reference(keys, n, b, count))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    masters=st.lists(st.integers(0, 2**130), min_size=1, max_size=4),
+    count=st.integers(1, 5),
+    n=st.integers(2, 200),
+    data=st.data(),
+)
+def test_keys_of_both_lengths_share_one_call(masters, count, n, data):
+    # A round trains its rows (3-word batch keys) beside its replicas
+    # (4-word replay keys), of several master seeds, in one call: every
+    # row comes from the kernel, in the order given.
+    b = data.draw(st.integers(1, n - 1))
+    slots = st.tuples(st.sampled_from(masters), st.integers(0, 2**32 - 1), st.integers(0, 999))
+    batch = [batch_key(*s) for s in data.draw(st.lists(slots, min_size=1, max_size=12))]
+    replay = [replay_key(*s, r) for s in data.draw(st.lists(slots, min_size=1, max_size=12))
+              for r in range(data.draw(st.integers(1, 3)))]
+    keys = data.draw(st.permutations(batch + replay))
+    idx, exact = draw_without_replacement(keys, n, b, count)
+    assert exact.all()
+    streams = [key.generator() for key in keys]
+    np.testing.assert_array_equal(idx, [[g.choice(n, b, replace=False) for _ in range(count)]
+                                        for g in streams])
+
+
+def test_a_run_builds_no_batch_stream(monkeypatch, tmp_path):
+    # Two seeds, a Monte Carlo expectation and phi samples: every round's
+    # training and replay keys are drawn by the kernel, and no row falls
+    # back to building its stream.
+    assert rng._matches_numpy()
+    built = []
+    original = StreamKey.generator
+    monkeypatch.setattr(StreamKey, "generator", lambda key: built.append(key) or original(key))
+    cfg = ExperimentConfig(task="logistic", classes=3, per_class=12, clients=4, iterations=6,
+                           local_steps=3, batch_size=3, algorithm="mifa", expected_mode="mc",
+                           expected_replays=3, phi_replays=4, phi_every=2, seeds=(1, 2),
+                           out=str(tmp_path))
+    run_experiment(cfg)
+    assert built == []
+
+
 def test_numpy_drift_sends_every_row_to_its_stream(monkeypatch):
     # Another numpy that draws otherwise: the check fails, nothing comes
     # from the kernel, and the draws still equal each row's own stream.
@@ -253,7 +295,7 @@ def test_rejected_draw_flags_only_its_row():
     n, b, count = 7, 3, 2
     keys = [batch_key(9, i, 4) for i in range(3)]
     spawn = np.array([key.spawn_key for key in keys], dtype=np.uint32)
-    words = rng._raw_words(rng._philox_keys([9] * len(keys), spawn), 5)
+    words = rng._raw_words(rng._philox_keys([9] * len(keys), spawn, np.full(len(keys), 3)), 5)
     words[1] = 0
     idx, exact = rng._batches_from_words(words, n, b, count)
     np.testing.assert_array_equal(exact, [True, False, True])
@@ -287,13 +329,12 @@ def test_rows_outside_the_kernel_fall_back():
     seeds = [batch_key(1, 0, 0), batch_key(2, 0, 0), batch_key(2**64 + 3, 0, 0)]
     assert draw_without_replacement(seeds, 9, 2, 3)[1].all()
     np.testing.assert_array_equal(drawn(seeds, 9, 2, 3), reference(seeds, 9, 2, 3))
-    # Keys that do not share a spawn-key length: every row.
-    mixed = [batch_key(1, 0, 0), batch_key(2, 0, 0), replay_key(1, 0, 0, 0)]
-    assert not draw_without_replacement(mixed, 9, 2, 3)[1].any()
-    np.testing.assert_array_equal(drawn(mixed, 9, 2, 3), reference(mixed, 9, 2, 3))
-    # A key without a purpose names no stream; it is not drawn either.
+    # A key without a purpose names no stream; it is not drawn, and the
+    # rows of other lengths beside it still are.
     bare = [StreamKey(1, ())]
     assert not draw_without_replacement(bare, 9, 2, 3)[1].any()
+    np.testing.assert_array_equal(
+        draw_without_replacement(bare + seeds, 9, 2, 3)[1], [False, True, True, True])
     with pytest.raises(TypeError):
         drawn(bare, 9, 2, 3)
 

@@ -12,8 +12,10 @@ from pathlib import Path
 import dropfed.cli  # noqa: F401  (loads the modules the benchmark traces)
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-# Their functions were deleted when the population pass replaced them.
-DEAD = {"diagnostics.global_loss", "diagnostics.global_grad"}
+# Their functions were deleted when the population pass replaced them,
+# and harness.replay's (_replay_updates) when replicas began to train
+# inside the round's one play_round pass.
+DEAD = {"diagnostics.global_loss", "diagnostics.global_grad", "harness.replay"}
 
 
 def load_tracer():
