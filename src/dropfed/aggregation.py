@@ -20,7 +20,8 @@ w 1-D), with seed s's client i at row s * N + i of the stacked population
 and of the per-client memory (mimic's corrections, mifa's last uploads,
 scaffold's control variates): one (S * N, dim) array plus the round each
 row was last written, -1 if never.  A round's participants are a sorted id
-array and their uploads one (R, dim) array.  Each seed aggregates over its
+array of R rows, and its uploads one (copies * R, dim) array: the round's
+own R rows, then those of each replica copy.  Each seed aggregates over its
 own rows with its own step size; a seed with no participant keeps its
 model.
 
@@ -29,13 +30,14 @@ the same state for the Monte Carlo expectation and the phi samples; in mc
 mode the phi samples are its first phi_replays) train in lockstep, each row
 on its own batch stream per client, round and replica, drawn in one call
 (see local_trainer).  Rows never interact, so blocks of ROW_BLOCK_BYTES give
-the bits of one call.  Only the real round builds a state; a replica gives
-only its v.  Averages add rows in id order, one at a time, so every path
-that averages the same rows agrees bit for bit.
+the bits of one call.  One aggregate call then gives every copy's v; only
+the round's own copy builds a state and writes the rule's memory.  Averages
+add rows in id order, one at a time, so every path that averages the same
+rows agrees bit for bit.
 
-Round functions never mutate their input state; they return a fresh state.
-That makes deterministic replays (full-batch expectations) a matter of
-calling them again on the same state.
+aggregate and play_round never mutate their input state; they return a
+fresh state.  That makes deterministic replays (full-batch expectations) a
+matter of calling them again on the same state.
 """
 
 from __future__ import annotations
@@ -83,13 +85,11 @@ class ServerState:
 
 @dataclass(frozen=True)
 class RoundResult:
-    """Applied update v_t (shaped like w), the participants and their uploads, and the new state."""
+    """Applied update v_t (shaped like w), the new state, and each replica's v (replicas, *w.shape)."""
 
     v: np.ndarray
-    ids: np.ndarray
-    uploads: np.ndarray
     state: ServerState
-    replays: np.ndarray | None = None  # from play_round: its replicas' v, (replicas, *w.shape)
+    replays: np.ndarray
 
 
 def init_state(
@@ -129,7 +129,7 @@ def _sums(groups: np.ndarray, values: np.ndarray, count: int) -> tuple[np.ndarra
 
 def _means(groups: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
     """Each group's mean (count, dim); zero for an empty group."""
-    if count == 1:
+    if count == 1 and len(values):
         return np.cumsum(values, axis=0)[-1:] / len(values)
     sums, sizes = _sums(groups, values, count)
     return sums / np.maximum(sizes, 1)[:, None]
@@ -144,82 +144,66 @@ def _write(state: ServerState, ids: np.ndarray, values: np.ndarray) -> dict:
     return {"rows": rows, "written": written}
 
 
-def _result(state, ids, uploads, v, eta, **changes) -> RoundResult:
-    """Apply each seed's update v (S, dim) with its step size (eta: one, or one per seed)."""
-    w = (state.models - np.asarray(eta)[..., None] * v).reshape(state.w.shape)
-    new = replace(state, w=w, round_index=state.round_index + 1, **changes)
-    return RoundResult(v.reshape(state.w.shape), ids, uploads, new)
-
-
-def _updates(state: ServerState, ids: np.ndarray, uploads: np.ndarray) -> np.ndarray:
-    """The rule's v (copies, S, dim) for each copy of a round, its (len(ids), dim) uploads in turn."""
-    n, seeds, dim = state.num_clients, len(state.models), uploads.shape[1]
-    copies = len(uploads) // len(ids)
-    if state.algorithm == "mifa":
-        playing = np.bincount(ids // n, minlength=seeds) > 0
-        every, memory, out = np.arange(seeds * n) // n, state.rows.copy(), []
-        for block in uploads.reshape(copies, len(ids), dim):
-            memory[ids] = block
-            out.append(np.where(playing[:, None], _sums(every, memory, seeds)[0] / n, 0.0))
-        return np.array(out)
-    if state.algorithm == "mimic":
-        uploads = (uploads.reshape(copies, len(ids), dim) + state.rows[ids]).reshape(-1, dim)
-    groups = (np.arange(copies)[:, None] * seeds + ids // n).ravel()
-    return _means(groups, uploads, copies * seeds).reshape(copies, seeds, dim)
-
-
-def fedavg_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate) -> RoundResult:
-    return _result(state, ids, uploads, _updates(state, ids, uploads)[0], eta)
-
-
-def mifa_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate) -> RoundResult:
-    """Average every memorized upload of each seed that has a participant."""
-    changes = _write(state, ids, uploads)
-    n = state.num_clients
-    playing = np.bincount(ids // n, minlength=len(state.models)) > 0
-    missing = np.flatnonzero((changes["written"] < 0) & np.repeat(playing, n))
-    if missing.size:
-        raise IntegrityError(f"memorized updates missing for clients {missing.tolist()}")
-    return _result(state, ids, uploads, _updates(state, ids, uploads)[0], eta, **changes)
-
-
-def mimic_round(state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate) -> RoundResult:
-    """Correction-variable aggregation.
-
-    Each participating upload is shifted by that client's stored correction
-    (zero until first written), the shifted vectors are averaged into v, and
-    afterwards every participant's correction becomes v minus its raw upload.
-    The participants' corrections therefore keep the same mean they had
-    before the round, and a client absent since round t' contributes exactly
-    the correction written at t'.
-    """
-    v = _updates(state, ids, uploads)[0]
-    return _result(state, ids, uploads, v, eta,
-                   **_write(state, ids, v[ids // state.num_clients] - uploads))
-
-
-def scaffold_round(
-    state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate, variates: np.ndarray,
+def aggregate(
+    state: ServerState, ids: np.ndarray, uploads: np.ndarray, eta: Rate,
+    variates: np.ndarray | None = None,
 ) -> RoundResult:
-    """Average the control-variate-corrected uploads.
+    """Apply the rule to a round's uploads and to any replica copies of them.
 
-    With persistent variates, `variates` holds the participants' mean raw
-    gradients: they become the participants' control variates, and the
-    server variate absorbs (1/N) of their change.  With state.scaffold_literal
-    (variates rebuilt inside the round from anchors) every variate stays.
+    ids are the round's sorted participants, and uploads holds their
+    len(ids) rows followed by those of each replica copy.  One pass gives
+    every copy's v, each seed averaging its own rows; only copy 0 moves the
+    model (by its seed's step size in eta) and writes the rule's memory:
+
+    * fedavg, fedprox, scaffold: v is the mean upload.
+    * mifa: the participants' uploads replace their memorized ones, and v is
+      the mean of the seed's N memorized uploads.  A participating seed with
+      a client never heard from is an IntegrityError.
+    * mimic: each upload is shifted by its client's stored correction (zero
+      until first written) before the mean, and afterwards every
+      participant's correction becomes v minus its raw upload.  The
+      participants' corrections therefore keep the mean they had before the
+      round, and a client absent since round t' contributes exactly the
+      correction written at t'.
+    * scaffold with persistent variates: `variates` holds the participants'
+      mean raw gradients.  They become the participants' control variates,
+      and the server variate absorbs (1/N) of their change.  With
+      state.scaffold_literal (variates rebuilt inside the round from
+      anchors) every variate stays.
     """
-    v = _updates(state, ids, uploads)[0]
-    if state.scaffold_literal:
-        return _result(state, ids, uploads, v, eta)
-    change = _sums(ids // state.num_clients, variates - state.rows[ids], len(state.models))[0]
-    server = state.server_variate.reshape(change.shape) + change / state.num_clients
-    return _result(
-        state, ids, uploads, v, eta,
-        server_variate=server.reshape(state.w.shape), **_write(state, ids, variates),
-    )
+    n, seeds, dim = state.num_clients, len(state.models), state.w.shape[-1]
+    copies = len(uploads) // len(ids) if len(ids) else 1
+    owner, real = ids // n, uploads[: len(ids)]
+    changes = {}
+    if state.algorithm == "mifa":
+        changes = _write(state, ids, real)
+        playing = np.bincount(owner, minlength=seeds) > 0
+        missing = np.flatnonzero((changes["written"] < 0) & np.repeat(playing, n))
+        if missing.size:
+            raise IntegrityError(f"memorized updates missing for clients {missing.tolist()}")
+        every, memory, v = np.arange(seeds * n) // n, changes["rows"], []
+        for c, block in enumerate(uploads.reshape(copies, len(ids), dim)):
+            if c:  # replicas put their rows into one scratch copy of the new memory
+                memory = memory.copy() if c == 1 else memory
+                memory[ids] = block
+            v.append(np.where(playing[:, None], _sums(every, memory, seeds)[0] / n, 0.0))
+        v = np.array(v)
+    else:
+        if state.algorithm == "mimic":
+            uploads = (uploads.reshape(copies, len(ids), dim) + state.rows[ids]).reshape(-1, dim)
+        groups = (np.arange(copies)[:, None] * seeds + owner).ravel()
+        v = _means(groups, uploads, copies * seeds).reshape(copies, seeds, dim)
+    if state.algorithm == "mimic":
+        changes = _write(state, ids, v[0][owner] - real)
+    elif state.algorithm == "scaffold" and not state.scaffold_literal:
+        change = _sums(owner, variates - state.rows[ids], seeds)[0]
+        server = state.server_variate.reshape(change.shape) + change / n
+        changes = {"server_variate": server.reshape(state.w.shape),
+                   **_write(state, ids, variates)}
+    w = (state.models - np.asarray(eta)[..., None] * v[0]).reshape(state.w.shape)
+    new = replace(state, w=w, round_index=state.round_index + 1, **changes)
+    return RoundResult(v[0].reshape(state.w.shape), new, v[1:].reshape(-1, *state.w.shape))
 
-
-_RULES = {"fedavg": fedavg_round, "fedprox": fedavg_round, "mifa": mifa_round, "mimic": mimic_round}
 
 # Bytes of one (rows, dim) float64 array of a training block; local_train
 # holds about ten such arrays, so this bounds a round's memory at any size.
@@ -253,8 +237,8 @@ def play_round(
         raise ConfigError(f"{population.num_clients} objectives for {len(state.rows)} clients")
     ids = np.sort(np.asarray(active, dtype=np.int64))
     seeds, dim = state.models.shape
-    if not ids.size:
-        result = _result(state, ids, np.zeros((0, dim)), np.zeros((seeds, dim)), eta)
+    if not ids.size:  # every seed keeps its model, in the round and in each replica
+        result = aggregate(state, ids, np.zeros((0, dim)), eta, np.zeros((0, dim)))
         return replace(result, replays=np.zeros((replicas, *state.w.shape)))
     sources = None
     if not full_batch:
@@ -283,9 +267,4 @@ def play_round(
         uploads[b], grads, _ = local_train(population, state.models[owner[b]], batches[:, b], cfg,
                                            shift)
         grad_means[b] = grads[: len(grad_means[b])]
-    if state.algorithm == "scaffold":
-        result = scaffold_round(state, ids, uploads[: len(ids)], eta, grad_means)
-    else:
-        result = _RULES[state.algorithm](state, ids, uploads[: len(ids)], eta)
-    replays = _updates(state, ids, uploads[len(ids):]) if replicas else np.zeros((0, seeds, dim))
-    return replace(result, replays=replays.reshape(replicas, *state.w.shape))
+    return aggregate(state, ids, uploads, eta, grad_means)

@@ -75,9 +75,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            if isinstance(field.default, float):
-                check_finite(field.name, getattr(self, field.name))
+        for name in _FLOATS:
+            check_finite(name, getattr(self, name))
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
@@ -117,6 +116,8 @@ class ExperimentConfig:
         if self.task == "mlp":
             MlpObjective.size(self.dim, self.classes, self.hidden)
         self.local_config()
+        if self.init == "normal":
+            check_positive("init_scale", self.init_scale)
         # The configured schedules' own checks; keys of other kinds stay free.
         if self.rate_kind == "inverse_time":
             check_positive("scale", self.scale)
@@ -187,6 +188,7 @@ def parse_seeds(raw: str) -> tuple[int, ...]:
         raise ConfigError(f"bad seed list {raw!r}") from exc
 
 
+_FLOATS = tuple(f.name for f in fields(ExperimentConfig) if isinstance(f.default, float))
 _CONVERTERS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 _CONVERTERS.update(
     seeds=parse_seeds, force_full_start=lambda raw: raw.lower() in ("1", "true", "yes", "on")

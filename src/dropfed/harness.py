@@ -94,34 +94,6 @@ class SeedTask:
     test_data: ClientDataset | None = None
 
 
-class _Meter:
-    """Measures the models of the live seeds in one pass over their stacked clients and test sets."""
-
-    def __init__(self, tasks: list[SeedTask], live: np.ndarray):
-        self.seeds = np.flatnonzero(live)
-        live_tasks = [tasks[k] for k in self.seeds]
-        self.population = stack([task.population for task in live_tasks])
-        # Seed s's test set is client s of one more stacked objective.
-        self.test_sets = None
-        if live_tasks[0].test_data is not None:
-            self.test_sets = make_objective(self.population.kind,
-                                            [task.test_data for task in live_tasks],
-                                            **self.population.params)
-
-    def __call__(self, models: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray, float]]:
-        """Each live seed's loss, mean and client (N, dim) gradients, and accuracy (NaN if none)."""
-        W = models[self.seeds]
-        losses, grads = self.population.losses_and_grads(W)
-        acc = None if self.test_sets is None else evaluate(self.test_sets, W)
-        n = self.population.num_clients // len(W)
-        out = []
-        for s in range(len(W)):
-            block = slice(s * n, (s + 1) * n)
-            out.append((float(np.mean(losses[block])), np.mean(grads[block], axis=0), grads[block],
-                        math.nan if acc is None else float(acc[s])))
-        return out
-
-
 def run_trial(
     objectives: Objective | list[Objective], schedule: AvailabilitySchedule, rates: LrSchedule,
     algorithm: str, local_cfg: LocalConfig, w0: np.ndarray, master_seed: int, *,
@@ -146,8 +118,9 @@ def run_trials(
     test set of one size or none has.  Their clients are stacked into one
     population, seed s's client i at row s * N + i, so a round trains every
     seed's participants and the replicas its measurements need in one pass
-    (see play_round).  Each round measures every live seed's model in one
-    population pass and one pass over the stacked test sets, and so do the
+    (see play_round).  The population and the test sets are stacked once,
+    and one helper measures every seed's model in one population pass and
+    one pass over the stacked test sets, each round and once more for the
     final models.  Before round 0, the MLP smoothness probe runs once over
     every seed's clients, and each seed's worst staleness, audit, optimum
     and upload counts are settled, so an audit that cannot be computed
@@ -155,8 +128,9 @@ def run_trials(
 
     Per-round columns describe the broadcast model w_t before the update;
     the *final* fields describe the model after the last round.  A seed
-    whose model turns non-finite stops at that round and is marked failed;
-    its rows drop out of the later rounds, and the other seeds go on.
+    whose model turns non-finite stops at that round and is marked failed:
+    its clients train no more, and its model, still measured because rows
+    never interact, is no longer recorded.  The other seeds go on.
     """
     for task in tasks:
         if len(task.rates.values) != task.schedule.iterations:
@@ -184,8 +158,25 @@ def run_trials(
         log.warning("local lr %r exceeds 1/(10 L), so small-step analysis does not apply, for %s",
                     local_cfg.lr, steep)
     live = np.ones(len(tasks), dtype=bool)
-    meter = _Meter(tasks, live)
-    population = meter.population  # every seed's clients, trained in lockstep
+    population = stack([task.population for task in tasks])  # every seed's clients, in lockstep
+    # Seed s's test set is client s of one more stacked objective.
+    test_sets = None
+    if tasks[0].test_data is not None:
+        test_sets = make_objective(population.kind, [task.test_data for task in tasks],
+                                   **population.params)
+
+    def measure(models: np.ndarray) -> list[tuple[int, float, np.ndarray, np.ndarray, float]]:
+        """Each live seed's index, loss, mean and client (N, dim) gradients, and accuracy.
+
+        Every seed's model goes through the one pass; rows never interact,
+        so a failed seed's non-finite model leaves the others' bits alone.
+        """
+        losses, grads = population.losses_and_grads(models)
+        losses, grads = losses.reshape(len(models), n), grads.reshape(len(models), n, -1)
+        acc = np.full(len(models), math.nan) if test_sets is None else evaluate(test_sets, models)
+        return [(k, float(np.mean(losses[k])), np.mean(grads[k], axis=0), grads[k], float(acc[k]))
+                for k in np.flatnonzero(live)]
+
     rates = np.stack([task.rates.values for task in tasks])  # (S, T)
     state = init_state(algorithm, np.stack([task.w0 for task in tasks]), n, scaffold_literal)
 
@@ -213,7 +204,7 @@ def run_trials(
             expected = play_round(state, population, rows, local_cfg, eta, train_rng,
                                   full_batch=True).v[None]
         samples = result.replays[:phi_replays] if phi_round else None
-        for k, (loss, grad, client_grads, acc) in zip(meter.seeds, meter(state.models)):
+        for k, loss, grad, client_grads, acc in measure(state.models):
             active = np.flatnonzero(playing[k]).tolist()
             gamma = e_t = phi = math.nan
             if active:
@@ -232,14 +223,11 @@ def run_trials(
         for k in failed:
             outs[k].failed, outs[k].failure_round, live[k] = True, t, False
             outs[k].final_w = state.models[k]
-        if failed.size and live.any():
-            meter = _Meter(tasks, live)
 
-    if live.any():
-        for k, (loss, grad, _, acc) in zip(meter.seeds, meter(state.models)):
-            out = outs[k]
-            out.final_w, out.final_loss, out.final_acc = state.models[k], loss, acc
-            out.final_grad_norm2 = float(grad @ grad)
+    for k, loss, grad, _, acc in measure(state.models):
+        out = outs[k]
+        out.final_w, out.final_loss, out.final_acc = state.models[k], loss, acc
+        out.final_grad_norm2 = float(grad @ grad)
     for out, task, optimum in zip(outs, tasks, optima):
         if not out.failed and optimum is not None:
             out.optimum_distance = float(np.linalg.norm(out.final_w - optimum))

@@ -2,19 +2,19 @@
 
 The quadratic single-point client (gradient w - m) makes every round
 traceable on paper, so most expected values here are written down exactly.
+A property test checks aggregate against each rule's law written out as a
+loop over copies, seeds and clients.
 """
+
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dropfed.aggregation import (
-    ALGORITHMS,
-    fedavg_round,
-    init_state,
-    mifa_round,
-    mimic_round,
-    play_round,
-)
+from dropfed.aggregation import ALGORITHMS, aggregate, init_state, play_round
 from dropfed.errors import ConfigError, IntegrityError
 from dropfed.local_trainer import LocalConfig
 from dropfed.objectives import ClientDataset, QuadraticObjective
@@ -96,7 +96,6 @@ def test_empty_round_is_a_no_op_on_the_model():
         st = init_state(algo, np.array([0.7]), 2)
         res = play_round(st, objs, [], FULL_CFG, 0.5, rng_factory(3))
         np.testing.assert_array_equal(res.v, [0.0])
-        assert res.uploads.shape == (0, 1)
         np.testing.assert_array_equal(res.state.w, st.w)
         assert res.state.round_index == 1
         assert res.state.w is not st.w  # fresh array, not an alias
@@ -137,8 +136,6 @@ def test_mimic_hand_simulation():
     np.testing.assert_array_equal(r0.state.rows, [[1.0], [-1.0]])
     np.testing.assert_array_equal(r0.state.written, [0, 0])
     r1 = play_round(r0.state, objs, [0], FULL_CFG, 0.5, rng_factory(7), full_batch=True)
-    np.testing.assert_array_equal(r1.ids, [0])
-    np.testing.assert_array_equal(r1.uploads, [[-1.0]])
     np.testing.assert_array_equal(r1.v, [0.0])
     # Absent client keeps its old correction and stamp.
     np.testing.assert_array_equal(r1.state.rows[1], [-1.0])
@@ -150,12 +147,12 @@ def test_mimic_correction_identity_and_mean_preservation():
     dim, n = 4, 6
     st = init_state("mimic", rng.normal(size=dim), n)
     # Seed corrections by a full round of random uploads.
-    st = mimic_round(st, np.arange(n), rng.normal(size=(n, dim)), 0.1).state
+    st = aggregate(st, np.arange(n), rng.normal(size=(n, dim)), 0.1).state
     for _ in range(20):
         ids = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
         uploads = rng.normal(size=(len(ids), dim))
         before = st.rows[ids].mean(axis=0)
-        res = mimic_round(st, ids, uploads, 0.1)
+        res = aggregate(st, ids, uploads, 0.1)
         # v - upload_i - correction_i = 0 after the write.
         np.testing.assert_allclose(res.v - uploads - res.state.rows[ids], 0.0, atol=1e-12)
         after = res.state.rows[ids].mean(axis=0)
@@ -166,8 +163,8 @@ def test_mimic_correction_identity_and_mean_preservation():
 def test_mimic_first_round_matches_fedavg():
     rng = np.random.default_rng(9)
     ids, uploads = np.arange(5), rng.normal(size=(5, 3))
-    v_avg = fedavg_round(init_state("fedavg", np.zeros(3), 5), ids, uploads, 0.2)
-    v_mim = mimic_round(init_state("mimic", np.zeros(3), 5), ids, uploads, 0.2)
+    v_avg = aggregate(init_state("fedavg", np.zeros(3), 5), ids, uploads, 0.2)
+    v_mim = aggregate(init_state("mimic", np.zeros(3), 5), ids, uploads, 0.2)
     np.testing.assert_array_equal(v_avg.v, v_mim.v)
     np.testing.assert_array_equal(v_avg.state.w, v_mim.state.w)
 
@@ -224,10 +221,10 @@ def test_mifa_requires_warm_memory():
 def test_mifa_round_averages_all_buffers():
     st = init_state("mifa", np.zeros(2), 3)
     first = {i: np.full(2, float(i)) for i in range(3)}  # 0, 1, 2 -> mean 1
-    res = mifa_round(st, *as_rows(first), 1.0)
+    res = aggregate(st, *as_rows(first), 1.0)
     np.testing.assert_array_equal(res.v, [1.0, 1.0])
     update = {1: np.full(2, 7.0)}  # buffers now 0, 7, 2 -> mean 3
-    res = mifa_round(res.state, *as_rows(update), 1.0)
+    res = aggregate(res.state, *as_rows(update), 1.0)
     np.testing.assert_array_equal(res.v, [3.0, 3.0])
 
 
@@ -279,7 +276,6 @@ def test_scaffold_literal_anchor_leaves_variates_alone():
     np.testing.assert_array_equal(res.state.rows, st.rows)
     np.testing.assert_array_equal(res.state.written, [-1, -1])
     np.testing.assert_array_equal(res.state.server_variate, st.server_variate)
-    assert len(res.uploads) == 2
 
 
 def test_scaffold_drift_correction_pulls_toward_population_descent():
@@ -355,3 +351,135 @@ def test_replicas_match_separate_rounds():
                 want = play_round(st, objs, [1, 3], cfg, 0.2, lambda i: replay_rng(i, r)).v
                 np.testing.assert_array_equal(got.replays[r], want)
             assert st.round_index == 1
+
+
+# ---------------------------------------------------------------------------
+# aggregate against a per-client reference
+
+
+def sequential_sum(vectors):
+    """The vectors added in order, one at a time: the order every average keeps."""
+    total = vectors[0]
+    for vector in vectors[1:]:
+        total = total + vector
+    return total
+
+
+def reference_aggregate(state, ids, uploads, eta, variates):
+    """Each rule's law as a loop over copies, seeds and clients: the reference.
+
+    Returns v (copies, S, dim), the new w, rows, written and server variate.
+    """
+    n, (seeds, dim) = state.num_clients, state.models.shape
+    algo = state.algorithm
+    persistent = algo == "scaffold" and not state.scaffold_literal
+    copies = len(uploads) // len(ids)
+    rows, written = state.rows.copy(), state.written.copy()
+    server = None if state.server_variate is None else state.server_variate.copy()
+    v = np.zeros((copies, seeds, dim))
+    if algo == "mifa":
+        # Every client of a participating seed must have been heard from.
+        playing = {i // n for i in ids.tolist()}
+        missing = [i for i in range(seeds * n)
+                   if i // n in playing and i not in ids and state.written[i] < 0]
+        if missing:
+            raise IntegrityError(f"memorized updates missing for clients {missing}")
+    for c in range(copies):
+        upload = {i: uploads[c * len(ids) + j] for j, i in enumerate(ids.tolist())}
+        for s in range(seeds):
+            mine = [i for i in ids.tolist() if i // n == s]
+            if not mine:
+                continue  # a seed without participants keeps its model and memory
+            if algo == "mifa":
+                # The participants' uploads replace their memorized ones; v is
+                # the mean of the seed's N memorized uploads.
+                clients = range(s * n, (s + 1) * n)
+                v[c, s] = sequential_sum([upload.get(i, state.rows[i]) for i in clients]) / n
+            elif algo == "mimic":
+                # Each upload shifted by its client's stored correction.
+                v[c, s] = sequential_sum([upload[i] + state.rows[i] for i in mine]) / len(mine)
+            else:
+                v[c, s] = sequential_sum([upload[i] for i in mine]) / len(mine)
+            if c:
+                continue  # replicas give only their v
+            for j, i in enumerate(ids.tolist()):
+                if i // n != s:
+                    continue
+                if algo == "mifa":
+                    rows[i] = upload[i]  # the memorized upload
+                elif algo == "mimic":
+                    rows[i] = v[0, s] - upload[i]  # the correction: v minus the raw upload
+                elif persistent:
+                    rows[i] = variates[j]  # the control variate: the mean raw gradient
+                else:
+                    continue  # fedavg, fedprox and within-round scaffold keep no memory
+                written[i] = state.round_index
+            if persistent:
+                # The server variate absorbs (1/N) of the participants' change.
+                change = sequential_sum([variates[j] - state.rows[i]
+                                         for j, i in enumerate(ids.tolist()) if i // n == s])
+                server[s] = server[s] + change / n
+    w = np.array([state.models[s] - eta[s] * v[0, s] for s in range(seeds)])
+    return v, w, rows, written, server
+
+
+VARIANTS = [(algo, False) for algo in ALGORITHMS] + [("scaffold", True)]
+
+
+def bits(a):
+    return None if a is None else np.asarray(a, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    seed=st.integers(0, 2**32 - 1),
+    seeds=st.integers(2, 3),
+    clients=st.integers(1, 4),
+    dim=st.integers(1, 3),
+    copies=st.integers(1, 3),
+    unwritten=st.sampled_from((0.0, 0.3)),
+    negative_zeros=st.booleans(),
+    data=st.data(),
+)
+def test_aggregate_equals_per_client_reference(
+    variant, seed, seeds, clients, dim, copies, unwritten, negative_zeros, data
+):
+    # A state part way through a run: memory written in earlier rounds, some
+    # rows perhaps never written, and one seed without participants.  Uploads
+    # of -0.0 check that no sum adds a +0.0 that the reference does not.
+    algo, literal = variant
+    rng = np.random.default_rng(seed)
+    empty = data.draw(st.integers(0, seeds - 1))
+    written = np.where(rng.random(seeds * clients) < unwritten, -1,
+                       rng.integers(0, 4, size=seeds * clients))
+    state = init_state(algo, rng.normal(size=(seeds, dim)), clients, literal)
+    state = replace(state, round_index=4, written=written,
+                    rows=np.where(written[:, None] < 0, 0.0, rng.normal(size=(seeds * clients, dim))))
+    if algo == "scaffold":
+        state = replace(state, server_variate=rng.normal(size=(seeds, dim)))
+    ids = np.concatenate([
+        s * clients + np.sort(rng.choice(clients, size=rng.integers(1, clients + 1), replace=False))
+        for s in range(seeds) if s != empty
+    ])
+    uploads = rng.normal(size=(copies * len(ids), dim))
+    if negative_zeros:
+        uploads[rng.random(len(uploads)) < 0.7] = -0.0
+    variates = rng.normal(size=(len(ids), dim)) if algo == "scaffold" else None
+    eta = rng.uniform(0.1, 0.5, size=seeds)
+    before = [bits(state.w), bits(state.rows), state.written.tobytes()]
+    try:
+        v, w, rows, written, server = reference_aggregate(state, ids, uploads, eta, variates)
+    except IntegrityError as missing:
+        with pytest.raises(IntegrityError, match=rf"^{re.escape(str(missing))}$"):
+            aggregate(state, ids, uploads, eta, variates)
+        return
+    got = aggregate(state, ids, uploads, eta, variates)
+    assert bits(got.v) == bits(v[0])
+    assert bits(got.replays) == bits(v[1:]) and got.replays.shape == (copies - 1, seeds, dim)
+    assert bits(got.state.w) == bits(w)
+    assert bits(got.state.rows) == bits(rows)
+    assert got.state.written.tobytes() == written.tobytes()
+    assert bits(got.state.server_variate) == bits(server)
+    assert got.state.round_index == 5
+    assert [bits(state.w), bits(state.rows), state.written.tobytes()] == before

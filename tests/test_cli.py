@@ -255,6 +255,7 @@ def test_mc_expectation_without_replays_is_a_config_error(tmp_path, capsys):
         ("local_lr = 0.0", "lr must be > 0, got 0.0"),
         ("batch_size = 0", "batch_size must be >= 1, got 0"),
         ("prox_mu = -0.5", "prox_mu must be >= 0, got -0.5"),
+        ("init = normal\ninit_scale = -1", "init_scale must be > 0, got -1.0"),
     ],
 )
 def test_local_training_rules_fail_before_any_work(tmp_path, capsys, command, line, message):
