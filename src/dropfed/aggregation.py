@@ -29,11 +29,11 @@ A round is one training pass: its participants and replicas (replays from
 the same state for the Monte Carlo expectation and the phi samples; in mc
 mode the phi samples are its first phi_replays) train in lockstep, each row
 on its own batch stream per client, round and replica, drawn in one call
-(see local_trainer).  Rows never interact, so blocks of ROW_BLOCK_BYTES give
-the bits of one call.  One aggregate call then gives every copy's v; only
-the round's own copy builds a state and writes the rule's memory.  Averages
-add rows in id order, one at a time, so every path that averages the same
-rows agrees bit for bit.
+(see local_trainer) or ahead by the caller.  Rows never interact, so blocks
+of ROW_BLOCK_BYTES give the bits of one call.  One aggregate call then
+gives every copy's v; only the round's own copy builds a state and writes
+the rule's memory.  Averages add rows in id order, one at a time, so every
+path that averages the same rows agrees bit for bit.
 
 aggregate and play_round never mutate their input state; they return a
 fresh state.  That makes deterministic replays (full-batch expectations) a
@@ -212,8 +212,8 @@ ROW_BLOCK_BYTES = 192 * 1024
 
 def play_round(
     state: ServerState, objectives: Objective | list[Objective], active: list[int] | np.ndarray,
-    cfg: LocalConfig, eta: Rate, rng_for: RngFactory, *, full_batch: bool = False,
-    replicas: int = 0, replay_for: RngFactory | None = None,
+    cfg: LocalConfig, eta: Rate, rng_for: RngFactory | None, *, full_batch: bool = False,
+    replicas: int = 0, replay_for: RngFactory | None = None, batches: np.ndarray | None = None,
 ) -> RoundResult:
     """Run one full round: local training on each active client, then aggregate.
 
@@ -226,6 +226,8 @@ def play_round(
     expectations are replayed; it builds no stream at all.  `replicas`
     replicas of the round train beside it from the same state, replica r of
     row i on the stream replay_for(i, r); result.replays holds their v.
+    batches (steps, rows, b), as draw_batches gives them for these rows,
+    replaces rng_for and replay_for when given.
 
     Scaffold's control variates are persistent ones from the state, or with
     state.scaffold_literal anchors on batch 0 of each row's stream at w_t,
@@ -240,16 +242,17 @@ def play_round(
     if not ids.size:  # every seed keeps its model, in the round and in each replica
         result = aggregate(state, ids, np.zeros((0, dim)), eta, np.zeros((0, dim)))
         return replace(result, replays=np.zeros((replicas, *state.w.shape)))
-    sources = None
-    if not full_batch:
-        sources = [rng_for(i) for i in ids.tolist()]
-        sources += [replay_for(i, r) for r in range(replicas) for i in ids.tolist()]
     rows = np.tile(ids, replicas + 1)
     owner = rows // state.num_clients
     size = max(1, ROW_BLOCK_BYTES // (8 * dim))
     blocks = [slice(a, a + size) for a in range(0, len(rows), size)]
     anchored = state.scaffold_literal
-    batches = draw_batches(population.n, rows, cfg.batch_size, sources, cfg.steps + anchored)
+    if batches is None:
+        sources = None
+        if not full_batch:
+            sources = [rng_for(i) for i in ids.tolist()]
+            sources += [replay_for(i, r) for r in range(replicas) for i in ids.tolist()]
+        batches = draw_batches(population.n, rows, cfg.batch_size, sources, cfg.steps + anchored)
     if anchored:
         anchors = np.concatenate([population.batch_grad(state.models[owner[b]], batches[0, b])
                                   for b in blocks])

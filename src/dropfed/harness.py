@@ -37,7 +37,7 @@ from .diagnostics import (
     write_metrics_csv,
 )
 from .errors import ConfigError
-from .local_trainer import LocalConfig
+from .local_trainer import LocalConfig, draw_batches
 from .objectives import (
     ClientDataset,
     Objective,
@@ -58,6 +58,10 @@ from .summary import render_summary
 
 OUTPUT_ROOT_ENV = "DROPFED_OUT"
 log = logging.getLogger(__name__)
+
+# Bytes of one draw's (rows, steps * (2 b - 1)) array of bounded draws, of
+# which the drawer holds a few: this bounds its memory at any size.
+DRAW_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -118,19 +122,22 @@ def run_trials(
     test set of one size or none has.  Their clients are stacked into one
     population, seed s's client i at row s * N + i, so a round trains every
     seed's participants and the replicas its measurements need in one pass
-    (see play_round).  The population and the test sets are stacked once,
-    and one helper measures every seed's model in one population pass and
-    one pass over the stacked test sets, each round and once more for the
-    final models.  Before round 0, the MLP smoothness probe runs once over
-    every seed's clients, and each seed's worst staleness, audit, optimum
-    and upload counts are settled, so an audit that cannot be computed
-    stops the run before any training.
+    (see play_round).  Their batches are drawn ahead, keyed as arrays from
+    the masks, in one draw per chunk of whole rounds (DRAW_CHUNK_BYTES).
+    The population and the test sets are stacked once, and one helper
+    measures every seed's model in one population pass and one pass over
+    the stacked test sets, each round and once more for the final models.
+    Before round 0, the MLP smoothness probe runs once over every seed's
+    clients, and each seed's worst staleness, audit, optimum and upload
+    counts are settled, so an audit that cannot be computed stops the run
+    before any training.
 
     Per-round columns describe the broadcast model w_t before the update;
     the *final* fields describe the model after the last round.  A seed
     whose model turns non-finite stops at that round and is marked failed:
-    its clients train no more, and its model, still measured because rows
-    never interact, is no longer recorded.  The other seeds go on.
+    its clients train no more, its rows drawn ahead go unread, and its
+    model, still measured because rows never interact, is no longer
+    recorded.  The other seeds go on.
     """
     for task in tasks:
         if len(task.rates.values) != task.schedule.iterations:
@@ -141,8 +148,9 @@ def run_trials(
     seeds = [task.seed for task in tasks]
     n = tasks[0].population.num_clients
     masks = np.stack([task.schedule.mask for task in tasks])  # (S, T, N)
+    participants = masks.sum(axis=2)  # (S, T)
     # Scaffold's control variates cross the wire with each upload.
-    uploads = np.cumsum(masks.sum(axis=2), axis=1) * (2 if algorithm == "scaffold" else 1)
+    uploads = np.cumsum(participants, axis=1) * (2 if algorithm == "scaffold" else 1)
     smoothness = smoothness_of([task.population for task in tasks])
     outs = []
     for task, L in zip(tasks, smoothness):
@@ -179,31 +187,50 @@ def run_trials(
 
     rates = np.stack([task.rates.values for task in tasks])  # (S, T)
     state = init_state(algorithm, np.stack([task.w0 for task in tasks]), n, scaffold_literal)
+    T = masks.shape[1]
+    phi_rounds = (phi_replays >= 2 and phi_every > 0) & (np.arange(T) % max(phi_every, 1) == 0)
+    # The Monte Carlo expectation and the phi samples read the first so many replicas.
+    copies = 1 + np.maximum(expected_replays * (expected_mode == "mc"), phi_replays * phi_rounds)
+    steps = local_cfg.steps + state.scaffold_literal  # scaffold's anchor batch comes first
+    row_bytes = 8 * steps * (2 * min(local_cfg.batch_size, population.n) - 1)
+    budget = max(1, DRAW_CHUNK_BYTES // row_bytes)  # rows of one draw
 
-    for t in range(masks.shape[1]):
+    def draw(t0: int) -> list[np.ndarray]:
+        """Batches (steps, rows, b) of each round from t0 on, whole rounds up to budget rows
+        (a larger round in pieces), in play_round's row order for the live seeds."""
+        sizes = np.cumsum(participants[live, t0:].sum(axis=0) * copies[t0:])
+        t1 = t0 + max(1, int(np.searchsorted(sizes, budget, side="right")))
+        at, seed, client = np.nonzero((masks[:, t0:t1] & live[:, None, None]).transpose(1, 0, 2))
+        per = np.bincount(at, minlength=t1 - t0)  # participants of each round
+        bounds = np.concatenate([[0], np.cumsum(per * copies[t0:t1])])
+        at = np.repeat(np.arange(t1 - t0), np.diff(bounds))  # now each row's round
+        copy, who = np.divmod(np.arange(bounds[-1]) - bounds[at], per[at])
+        who += (np.cumsum(per) - per)[at]
+        owner, client = seed[who], client[who]
+        spawn = np.stack([np.where(copy, streams.REPLAY, streams.BATCH), client, t0 + at,
+                          np.maximum(copy - 1, 0)], axis=1).astype(np.uint64)
+        master, lengths = np.array(seeds, dtype=object)[owner], 3 + (copy > 0)
+        pieces = [draw_batches(population.n, owner[p] * n + client[p], local_cfg.batch_size,
+                               streams.StreamKeys(master[p], spawn[p], lengths[p]), steps)
+                  for p in (slice(a, a + budget) for a in range(0, max(len(owner), 1), budget))]
+        batches = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+        return np.split(batches, bounds[1:-1], axis=1)
+
+    drawn: list[np.ndarray] = []
+    for t in range(T):
         if not live.any():
             break
+        drawn = drawn or draw(t)
         playing = masks[:, t] & live[:, None]
         rows = np.flatnonzero(playing)
         eta = rates[:, t]
-        phi_round = phi_replays >= 2 and phi_every > 0 and t % phi_every == 0
-
-        def train_rng(i: int, t: int = t) -> streams.StreamKey:
-            return streams.batch_key(seeds[i // n], i % n, t)
-
-        def replay_rng(i: int, r: int, t: int = t) -> streams.StreamKey:
-            return streams.replay_key(seeds[i // n], i % n, t, r)
-
-        # The Monte Carlo expectation and the phi samples read the first so many replicas.
-        replicas = max(expected_replays if expected_mode == "mc" else 0,
-                       phi_replays if phi_round else 0)
-        result = play_round(state, population, rows, local_cfg, eta, train_rng,
-                            replicas=replicas, replay_for=replay_rng)
+        result = play_round(state, population, rows, local_cfg, eta, None, replicas=copies[t] - 1,
+                            batches=drawn.pop(0))
         expected = result.replays[:expected_replays]  # (replicas, S, dim)
         if expected_mode == "fullbatch" and rows.size:
-            expected = play_round(state, population, rows, local_cfg, eta, train_rng,
+            expected = play_round(state, population, rows, local_cfg, eta, None,
                                   full_batch=True).v[None]
-        samples = result.replays[:phi_replays] if phi_round else None
+        samples = result.replays[:phi_replays] if phi_rounds[t] else None
         for k, loss, grad, client_grads, acc in measure(state.models):
             active = np.flatnonzero(playing[k]).tolist()
             gamma = e_t = phi = math.nan
@@ -223,6 +250,7 @@ def run_trials(
         for k in failed:
             outs[k].failed, outs[k].failure_round, live[k] = True, t, False
             outs[k].final_w = state.models[k]
+            drawn = []  # its rows drawn ahead go unread, and the next chunk holds none
 
     for k, loss, grad, _, acc in measure(state.models):
         out = outs[k]

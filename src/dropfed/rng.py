@@ -5,8 +5,8 @@ Every consumer of randomness gets its own counter-based generator keyed by
 that replays a round) never shifts the draws seen by any other consumer.
 
 Mini-batches are drawn in bulk.  A StreamKey names one batch stream
-without building it, and draw_without_replacement serves many keys in one
-vectorised pass: per key it gives exactly what `count` calls of
+without building it, StreamKeys names many as arrays, and draw_keyed serves
+them in one vectorised pass: per key it gives exactly what `count` calls of
 key.generator().choice(n, size, replace=False) would give.  It does so by
 redoing numpy's own steps (SeedSequence's hash, Philox words, Lemire's
 bounded draw, Floyd's selection and the shuffle) on whole arrays; rows that
@@ -21,6 +21,7 @@ import functools
 import operator
 import warnings
 from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +77,18 @@ def batch_key(master_seed: int, client: int, iteration: int) -> StreamKey:
 def replay_key(master_seed: int, client: int, iteration: int, replica: int) -> StreamKey:
     """Key of replay_stream(master_seed, client, iteration, replica)."""
     return StreamKey(master_seed, (REPLAY, client, iteration, replica))
+
+
+@dataclass(frozen=True)
+class StreamKeys:
+    """Many slots as arrays: row r is StreamKey(master_seeds[r], spawn[r, :lengths[r]])."""
+
+    master_seeds: Sequence[int]  # (R,), ints of any size
+    spawn: np.ndarray  # (R, width) uint64, zero past each row's length
+    lengths: np.ndarray  # (R,)
+
+    def __getitem__(self, r: int) -> StreamKey:
+        return StreamKey(self.master_seeds[r], tuple(self.spawn[r, : self.lengths[r]].tolist()))
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -172,40 +185,28 @@ def _batches_from_words(
     indices (R, count, size) and whether each row used no rejected draw;
     after a rejection numpy draws again, so such a row is not reproduced.
     """
-    rows = words.shape[0]
-    u32 = words.astype("<u8", copy=False).view("<u4")
-    u32 = u32[:, : count * (2 * size - 1)].reshape(rows * count, 2 * size - 1)
-    excl = np.concatenate([np.arange(n - size + 1, n + 1), np.arange(size, 1, -1)])
-    m = u32 * excl.astype(np.uint64)
+    rows, width = words.shape[0], 2 * size - 1
+    excl = np.concatenate([np.arange(n - size + 1, n + 1), np.arange(size, 1, -1)])[:, None]
+    # One row per bounded draw, one column per choice: each step is one pass over a row.
+    m = np.multiply(words.astype("<u8", copy=False).view("<u4")[:, : count * width]
+                    .reshape(-1, width).T, excl.astype(np.uint64), order="C")
     # Lemire: the draw is m >> 32, unless the low word falls below 2**32 mod excl.
-    exact = ~(m.astype(np.uint32) < (1 << 32) % excl).reshape(rows, -1).any(axis=1)
-    val = (m >> 32).astype(np.int64)
+    exact = ~(m.astype(np.uint32) < (1 << 32) % excl).any(axis=0).reshape(rows, count).any(axis=1)
+    m >>= np.uint64(32)
+    val = m.view(np.int64)
     # Floyd: step k draws v_k in [0, j_k] with j_k = n - size + k and takes
-    # j_k instead when v_k is already taken.  v_k is taken iff an earlier
-    # draw equals it, or it is some j_m (m < k) and step m took j_m.
-    v = val[:, :size]
-    order = np.argsort(v, axis=1, kind="stable")
-    ordered = np.take_along_axis(v, order, axis=1)
-    taken = np.zeros(v.shape, dtype=bool)
-    np.put_along_axis(taken, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
-    k = np.arange(size)
-    link = v - (n - size)
-    link = np.where((link >= 0) & (link < k), link, k)
-    at = np.arange(rows * count)[:, None]
-    for _ in range(int(size - 1).bit_length()):  # pointer jumping along links
-        taken |= taken[at, link]
-        link = link[at, link]
-    idx = np.where(taken, k + (n - size), v)
-    at = at[:, 0]
+    # j_k instead when an earlier step has taken v_k.
+    idx = val[:size].copy()
+    for k in range(1, size):
+        idx[k, (idx[:k] == idx[k]).any(axis=0)] = n - size + k
+    at = np.arange(rows * count)
     for col, i in enumerate(range(size - 1, 0, -1)):  # Fisher-Yates, last slot first
-        j = val[:, size + col]
-        idx[:, i], idx[at, j] = idx[at, j], idx[:, i].copy()
-    return idx.reshape(rows, count, size), exact
+        j = val[size + col]
+        idx[i], idx[j, at] = idx[j, at], idx[i].copy()
+    return idx.T.reshape(rows, count, size), exact
 
 
-def draw_without_replacement(
-    keys: Sequence[StreamKey], n: int, size: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
+def draw_keyed(keys: StreamKeys, n: int, size: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices (R, count, size): row r as count calls of keys[r].generator().choice.
 
     Each call is choice(n, size, replace=False), 1 <= size < n.  Also returns
@@ -214,30 +215,37 @@ def draw_without_replacement(
     draw (odds about n / 2**32 per draw), on numpy's tail-shuffle branch
     (n > 10000 and size > n // 50), for a spawn word >= 2**32 or an empty
     spawn key, for a negative master seed, and for every row if this numpy
-    draws otherwise (see _matches_numpy).  Keys may differ in master seed
-    and in spawn-key length.
+    draws otherwise (see _matches_numpy).  Rows may differ in master seed
+    and in spawn-key length, and never interact: any split of the rows
+    gives the same draws.
     """
-    rows, drawn = len(keys), None
+    rows, drawn = len(keys.lengths), None
     if rows and n <= _MASK32 and not (n > 10000 and size > n // 50) and _matches_numpy():
         drawn = _draw(keys, n, size, count)
     return drawn or (np.zeros((rows, count, size), dtype=np.int64), np.zeros(rows, dtype=bool))
 
 
-def _draw(keys, n, size, count) -> tuple[np.ndarray, np.ndarray] | None:
-    """draw_without_replacement's kernel; None when the keys do not fit it."""
-    seeds, spawn = zip(*keys)
+def draw_without_replacement(
+    keys: Sequence[StreamKey], n: int, size: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """draw_keyed on a list of StreamKey."""
+    seeds, spawn = zip(*keys) if keys else ((), ())
     lengths = np.fromiter(map(len, spawn), dtype=np.intp, count=len(spawn))
-    width = lengths.max()
-    if lengths.min() < width:  # zero-padded: each row's hash stops at its own length
-        spawn = [(*words, *[0] * (width - len(words))) for words in spawn]
-    try:
-        spawn = np.array(spawn, dtype=np.uint64)
-    except OverflowError:  # a negative or huge word
+    width = lengths.max(initial=0)
+    try:  # zero-padded: each row's hash stops at its own length
+        spawn = np.array([(*words, *[0] * (width - len(words))) for words in spawn],
+                         dtype=np.uint64).reshape(len(keys), width)
+    except OverflowError:  # a negative or huge word: no row fits the kernel
+        spawn = np.zeros((len(keys), 0), dtype=np.uint64)
+    return draw_keyed(StreamKeys(seeds, spawn, lengths), n, size, count)
+
+
+def _draw(keys: StreamKeys, n, size, count) -> tuple[np.ndarray, np.ndarray] | None:
+    """draw_keyed's kernel; None when the keys do not fit it."""
+    if not keys.spawn.shape[1] or min(map(operator.index, set(keys.master_seeds))) < 0:
         return None
-    if not spawn.shape[1] or min(map(operator.index, set(seeds))) < 0:
-        return None
-    wide = (spawn > _MASK32).any(axis=1) | (lengths == 0)
-    philox_keys = _philox_keys(seeds, spawn.astype(np.uint32), lengths)
+    wide = (keys.spawn > _MASK32).any(axis=1) | (keys.lengths == 0)
+    philox_keys = _philox_keys(keys.master_seeds, keys.spawn.astype(np.uint32), keys.lengths)
     raw = _raw_words(philox_keys, -(-count * (2 * size - 1) // 2))
     idx, exact = _batches_from_words(raw, n, size, count)
     return idx, exact & ~wide
@@ -249,8 +257,9 @@ def _matches_numpy() -> bool:
 
     The kernel copies numpy's internals, which another numpy may change.
     """
-    keys = [batch_key(3, 1, 2), batch_key(2**40 + 7, 5, 0), batch_key(11, 2, 7)]
-    streams = [key.generator() for key in keys]
+    keys = StreamKeys((3, 2**40 + 7, 11), np.array([[BATCH, 1, 2], [BATCH, 5, 0], [BATCH, 2, 7]],
+                                                   dtype=np.uint64), np.full(3, 3))
+    streams = [keys[r].generator() for r in range(3)]
     want = [[g.choice(30, 6, replace=False) for _ in range(2)] for g in streams]
     try:
         got = _draw(keys, 30, 6, 2)

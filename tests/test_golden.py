@@ -90,6 +90,11 @@ EXTRA = {
     # round 6, a phi round on which seed 1 plays.
     "mlp_mimic_mc_phi_empty_round": ("mlp", dict(algorithm="mimic", expected_mode="mc",
                                                  expected_replays=2, phi_replays=4, phi_every=2)),
+    # A step size that overflows seed 1 at round 9 and seed 2 at round 11,
+    # while seed 3 trains on: later rounds still hold live seeds' rows.
+    "logistic_mimic_mc_phi_failed_seed": ("logistic", dict(
+        algorithm="mimic", expected_mode="mc", expected_replays=3, phi_replays=2, phi_every=2,
+        iterations=12, eta0=1e33, seeds=(1, 2, 3))),
 }
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dropfed import aggregation
+from dropfed import aggregation, harness
 from dropfed.availability import periodic_schedule
 from dropfed.config import ExperimentConfig, load_config
 from dropfed.data import make_synthetic_classification
@@ -406,10 +406,11 @@ def test_every_reported_number_comes_from_one_population_pass(task, monkeypatch)
 
 
 def test_a_measured_round_trains_in_one_pass(monkeypatch):
-    # A round with a participant draws the batches of its rows in one call:
-    # its participants, then as many replicas as the larger of the Monte
-    # Carlo expectation and the phi samples needs.  It trains them with one
-    # local_train call per row block.  Seed 2 has no participant at round 6.
+    # The run draws the batches of all its rounds in one call: each round's
+    # participants, then as many replicas as the larger of the Monte Carlo
+    # expectation and the phi samples needs.  Each round trains its rows
+    # with one local_train call per row block.  Seed 2 has no participant
+    # at round 6.
     cfg = ExperimentConfig(task="mlp", classes=3, per_class=12, dim=3, hidden=4, clients=4,
                            iterations=8, local_steps=3, local_lr=0.05, batch_size=3,
                            algorithm="mimic", seeds=(1, 2))
@@ -425,7 +426,8 @@ def test_a_measured_round_trains_in_one_pass(monkeypatch):
         return local_train(objective, start, *args)
 
     monkeypatch.setattr(aggregation, "ROW_BLOCK_BYTES", 8 * tasks[0].population.dim * 5)
-    monkeypatch.setattr(aggregation, "draw_batches", draw)
+    monkeypatch.setattr(harness, "draw_batches", draw)
+    monkeypatch.setattr(aggregation, "draw_batches", None)  # no round draws its own
     monkeypatch.setattr(aggregation, "local_train", train)
     run_trials(tasks, cfg.algorithm, cfg.local_config(), phi_replays=4, phi_every=2,
                expected_mode="mc", expected_replays=2)
@@ -433,8 +435,20 @@ def test_a_measured_round_trains_in_one_pass(monkeypatch):
     assert masks[0, 6].any() and not masks[1, 6].any()
     active = masks.sum(axis=(0, 2))
     rows = [a * (1 + (4 if t % 2 == 0 else 2)) for t, a in enumerate(active.tolist())]
-    assert drawn == rows
+    assert drawn == [sum(rows)]
     assert trained == [min(5, r - a) for r in rows for a in range(0, r, 5)]
+    # A budget of the largest round's rows: each call draws whole rounds,
+    # as many as fit.  A row takes 3 steps of 2 * 3 - 1 bounded draws.
+    monkeypatch.setattr(harness, "DRAW_CHUNK_BYTES", max(rows) * 8 * 3 * 5)
+    drawn.clear()
+    run_trials(tasks, cfg.algorithm, cfg.local_config(), phi_replays=4, phi_every=2,
+               expected_mode="mc", expected_replays=2)
+    chunks = [0]
+    for r in rows:
+        if chunks[-1] + r > max(rows):
+            chunks.append(0)
+        chunks[-1] += r
+    assert drawn == chunks and len(chunks) > 1
 
 
 def test_build_schedule_dispatch():

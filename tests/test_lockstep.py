@@ -9,8 +9,10 @@ replicas trained in one pass, in row blocks of any size, must equal the
 round and each replica played in passes of their own.  A run of several
 seeds in lockstep must equal each seed's trial run alone, bit for bit, and
 so must its stacked measurements: the population pass with one model per
-seed, the stacked test sets, and the MLP smoothness probe.  The softmax
-kernel's class-by-class folds must equal numpy's axis reductions.
+seed, the stacked test sets, and the MLP smoothness probe.  A run whose
+batches are drawn ahead, whole rounds at a time, must equal one that draws
+each round's batches from its own keys.  The softmax kernel's
+class-by-class folds must equal numpy's axis reductions.
 """
 
 from dataclasses import astuple
@@ -20,7 +22,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dropfed import aggregation
+from dropfed import aggregation, harness, local_trainer
 from dropfed.aggregation import ALGORITHMS, init_state, play_round
 from dropfed.availability import AvailabilitySchedule
 from dropfed.diagnostics import evaluate
@@ -36,7 +38,7 @@ from dropfed.objectives import (
     smoothness_of,
     stack,
 )
-from dropfed.rng import batch_key, replay_key
+from dropfed.rng import batch_key, draw_keyed, replay_key
 from dropfed.schedules import constant_rates
 
 KINDS = ("quadratic", "binary", "softmax", "mlp")
@@ -378,6 +380,83 @@ def test_lockstep_seeds_equal_separate_trials(
         assert got.conditions.summary_lines() == alone.conditions.summary_lines()
     if diverge:
         assert together[bad].failed
+
+
+def per_round_play(seeds, clients):
+    """play_round on the per-round draw path: the round's keys from batch_key and replay_key."""
+    def play(state, population, rows, cfg, eta, rng_for, *, batches=None, **options):
+        t = state.round_index
+        return play_round(state, population, rows, cfg, eta,
+                          lambda i: batch_key(seeds[i // clients], i % clients, t),
+                          replay_for=lambda i, r: replay_key(seeds[i // clients], i % clients,
+                                                             t, r), **options)
+    return play
+
+
+def lossy_draw(keys, n, size, count):
+    """draw_keyed with every third row flagged, so that it draws from its own stream."""
+    idx, exact = draw_keyed(keys, n, size, count)
+    idx[::3], exact[::3] = -1, False
+    return idx, exact
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    variant=st.sampled_from(VARIANTS),
+    expected_mode=st.sampled_from(("fullbatch", "mc")),
+    phi=st.booleans(),
+    seeds=st.lists(st.integers(0, 2**70), min_size=1, max_size=3, unique=True),
+    clients=st.integers(1, 4),
+    n=st.integers(2, 5),
+    iterations=st.integers(2, 6),
+    steps=st.integers(1, 3),
+    chunk=st.one_of(st.just(1), st.integers(1, 2**14), st.just(2**40)),
+    data=st.data(),
+)
+def test_batches_drawn_ahead_equal_batches_drawn_each_round(
+    kind, variant, expected_mode, phi, seeds, clients, n, iterations, steps, chunk, data
+):
+    # run_trials draws whole rounds ahead, DRAW_CHUNK_BYTES at a time (1
+    # byte: one row a draw, every round in pieces; 2**40: the whole run in
+    # one), and every third row of a draw falls back to its own stream.  Its
+    # rows and finals must equal, bit for bit, those of the same loop drawing
+    # each round from batch_key and replay_key.  One seed may overflow at
+    # round 1, inside a chunk that holds its later rows.
+    algo, literal = variant
+    rng = np.random.default_rng(seeds[0] % 2**32)
+    cfg = LocalConfig(steps=steps, lr=0.05, batch_size=data.draw(st.integers(1, n)),
+                      prox_mu=0.3 if algo == "fedprox" else 0.0)
+    bad = data.draw(st.integers(-1, len(seeds) - 1))  # -1: every seed converges
+    tasks = []
+    for k, seed in enumerate(seeds):
+        population = stack(client_objectives(kind, rng, clients, n, 2))
+        mask = rng.random((iterations, clients)) < 0.6
+        mask[0] = True  # mifa needs every client's first upload
+        mask[1] |= k == bad
+        eta = 1e200 if k == bad else rng.uniform(0.05, 0.5)
+        test_data = None
+        if kind != "quadratic":
+            test_data = ClientDataset(rng.normal(size=(5, 2)), rng.integers(0, 2, size=5))
+        tasks.append(SeedTask(seed, population, AvailabilitySchedule(mask),
+                              constant_rates(eta, iterations), rng.normal(size=population.dim),
+                              test_data))
+    options = dict(phi_replays=3 if phi else 0, phi_every=2 if phi else 0,
+                   expected_mode=expected_mode, expected_replays=3, scaffold_literal=literal)
+    with (mock.patch.object(harness, "DRAW_CHUNK_BYTES", chunk),
+          mock.patch.object(local_trainer, "draw_keyed", lossy_draw)):
+        ahead = run_trials(tasks, algo, cfg, **options)
+    with mock.patch.object(harness, "play_round", per_round_play(seeds, clients)):
+        each = run_trials(tasks, algo, cfg, **options)
+    for got, want in zip(ahead, each):
+        assert len(got.rows) == len(want.rows)
+        for a, b in zip(got.rows, want.rows):
+            assert same_bits(astuple(a), astuple(b)), (a, b)
+        for name in TRIAL_SCALARS:
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        assert same_bits(got.final_w, want.final_w)
+    if bad >= 0:
+        assert ahead[bad].failed
 
 
 @settings(max_examples=60, deadline=None)

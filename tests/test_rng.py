@@ -184,11 +184,14 @@ def test_keys_of_both_lengths_share_one_call(masters, count, n, data):
 def test_a_run_builds_no_batch_stream(monkeypatch, tmp_path):
     # Two seeds, a Monte Carlo expectation and phi samples: every round's
     # training and replay keys are drawn by the kernel, and no row falls
-    # back to building its stream.
+    # back to building its stream.  The keys are arrays, not StreamKey
+    # tuples from batch_key or replay_key.
     assert rng._matches_numpy()
     built = []
     original = StreamKey.generator
     monkeypatch.setattr(StreamKey, "generator", lambda key: built.append(key) or original(key))
+    monkeypatch.setattr(rng, "batch_key", lambda *slot: built.append(slot))
+    monkeypatch.setattr(rng, "replay_key", lambda *slot: built.append(slot))
     cfg = ExperimentConfig(task="logistic", classes=3, per_class=12, clients=4, iterations=6,
                            local_steps=3, batch_size=3, algorithm="mifa", expected_mode="mc",
                            expected_replays=3, phi_replays=4, phi_every=2, seeds=(1, 2),
