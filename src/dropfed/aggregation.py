@@ -26,18 +26,17 @@ own rows with its own step size; a seed with no participant keeps its
 model.
 
 A round is one training pass: its participants and replicas (replays from
-the same state for the Monte Carlo expectation and the phi samples; in mc
-mode the phi samples are its first phi_replays) train in lockstep, each row
-on its own batch stream per client, round and replica, drawn in one call
-(see local_trainer) or ahead by the caller.  Rows never interact, so blocks
-of ROW_BLOCK_BYTES give the bits of one call.  One aggregate call then
-gives every copy's v; only the round's own copy builds a state and writes
-the rule's memory.  Averages add rows in id order, one at a time, so every
-path that averages the same rows agrees bit for bit.
+the same state for the Monte Carlo expectation, the phi samples and the
+full-batch expectation) train in lockstep, each row on its own batches:
+drawn ahead by the caller from a stream per client, round and replica (see
+local_trainer), or the whole client dataset every step.  Rows never
+interact, so blocks of ROW_BLOCK_BYTES give the bits of one call.  One
+aggregate call then gives every copy's v; only the round's own copy builds
+a state and writes the rule's memory.  Averages add rows in id order, one
+at a time, so every path that averages the same rows agrees bit for bit.
 
-aggregate and play_round never mutate their input state; they return a
-fresh state.  That makes deterministic replays (full-batch expectations) a
-matter of calling them again on the same state.
+aggregate and play_round never mutate their input state, nor does anything
+else: a round with no participant returns a state that shares its arrays.
 """
 
 from __future__ import annotations
@@ -50,13 +49,11 @@ import numpy as np
 from .errors import ConfigError, IntegrityError
 from .local_trainer import LocalConfig, draw_batches, local_train
 from .objectives import Objective, ParamVector, stack
-from .rng import StreamKey
 
 ALGORITHMS = ("fedavg", "fedprox", "mifa", "mimic", "scaffold")
 
-# rng_for(i) or rng_for(i, r) names row i's (replica r's) batch stream: a
-# StreamKey, whose rows are drawn in one vectorised pass, or a Generator.
-RngFactory = Callable[..., StreamKey | np.random.Generator]
+# rng_for(i) is row i's batch stream.
+RngFactory = Callable[[int], np.random.Generator]
 Rate = float | np.ndarray  # a step size for every seed of a state, or one for all
 
 
@@ -212,62 +209,64 @@ ROW_BLOCK_BYTES = 192 * 1024
 
 def play_round(
     state: ServerState, objectives: Objective | list[Objective], active: list[int] | np.ndarray,
-    cfg: LocalConfig, eta: Rate, rng_for: RngFactory | None, *, full_batch: bool = False,
-    replicas: int = 0, replay_for: RngFactory | None = None, batches: np.ndarray | None = None,
+    cfg: LocalConfig, eta: Rate, rng_for: RngFactory | None, *,
+    batches: list[np.ndarray] | None = None,
 ) -> RoundResult:
     """Run one full round: local training on each active client, then aggregate.
 
     With S seeds, active holds rows of the stacked population (seed s's
-    client i is s * N + i) and eta one step size per seed.  rng_for(i)
-    names row i's batch stream.  An empty active set leaves the model
-    untouched (v = 0) and just advances the round counter, as it does for
-    each seed without participants.  full_batch swaps every batch draw for
-    the whole client dataset, which is how deterministic per-round
-    expectations are replayed; it builds no stream at all.  `replicas`
-    replicas of the round train beside it from the same state, replica r of
-    row i on the stream replay_for(i, r); result.replays holds their v.
-    batches (steps, rows, b), as draw_batches gives them for these rows,
-    replaces rng_for and replay_for when given.
+    client i is s * N + i) and eta one step size per seed.  Row i draws its
+    batches from the Generator rng_for(i), or with rng_for None trains on
+    its whole dataset every step.  batches replaces rng_for when given: a
+    list of groups (steps, rows, b), as draw_batches gives them, holding the
+    round's sorted participants and then those of each replica copy in turn.
+    A group may hold several copies, and groups may differ in b (the
+    full-batch expectation is one group with b = n).  Replicas train beside
+    the round from the same state, and result.replays holds their v.  An
+    empty active set leaves every model and memory as it is (v = 0, and the
+    state's arrays are shared) and has no replica; it only advances the
+    round counter, as a round does for each seed without participants.
 
     Scaffold's control variates are persistent ones from the state, or with
-    state.scaffold_literal anchors on batch 0 of each row's stream at w_t,
-    ahead of its K training batches: client i steps with g_i(w_k) - g_i(w_t)
-    + mean_j g_j(w_t), the mean over its seed's participants in its copy.
+    state.scaffold_literal anchors on each row's first batch at w_t, ahead
+    of its K training batches: client i steps with g_i(w_k) - g_i(w_t) +
+    mean_j g_j(w_t), the mean over its seed's participants in its copy.
     """
     population = stack(objectives)
     if population.num_clients != len(state.rows):
         raise ConfigError(f"{population.num_clients} objectives for {len(state.rows)} clients")
     ids = np.sort(np.asarray(active, dtype=np.int64))
+    if not ids.size:  # w - eta * 0 is w, bit for bit: every step size is finite
+        new = replace(state, round_index=state.round_index + 1)
+        return RoundResult(np.zeros_like(state.w), new, np.zeros((0, *state.w.shape)))
     seeds, dim = state.models.shape
-    if not ids.size:  # every seed keeps its model, in the round and in each replica
-        result = aggregate(state, ids, np.zeros((0, dim)), eta, np.zeros((0, dim)))
-        return replace(result, replays=np.zeros((replicas, *state.w.shape)))
-    rows = np.tile(ids, replicas + 1)
-    owner = rows // state.num_clients
-    size = max(1, ROW_BLOCK_BYTES // (8 * dim))
-    blocks = [slice(a, a + size) for a in range(0, len(rows), size)]
     anchored = state.scaffold_literal
     if batches is None:
-        sources = None
-        if not full_batch:
-            sources = [rng_for(i) for i in ids.tolist()]
-            sources += [replay_for(i, r) for r in range(replicas) for i in ids.tolist()]
-        batches = draw_batches(population.n, rows, cfg.batch_size, sources, cfg.steps + anchored)
+        sources = None if rng_for is None else [rng_for(i) for i in ids.tolist()]
+        batches = [draw_batches(population.n, ids, cfg.batch_size, sources, cfg.steps + anchored)]
+    copies = sum(group.shape[1] for group in batches) // len(ids)
+    rows = np.tile(ids, copies)
+    owner = rows // state.num_clients
+    size = max(1, ROW_BLOCK_BYTES // (8 * dim))
+    blocks, start = [], 0  # (rows, their batches), of at most size rows, none across two groups
+    for group in batches:
+        blocks += [(slice(start + a, start + min(a + size, group.shape[1])), group[:, a:a + size])
+                   for a in range(0, group.shape[1], size)]
+        start += group.shape[1]
     if anchored:
-        anchors = np.concatenate([population.batch_grad(state.models[owner[b]], batches[0, b])
-                                  for b in blocks])
-        groups = np.repeat(np.arange(replicas + 1) * seeds, len(ids)) + owner
-        anchor_shift = _means(groups, anchors, (replicas + 1) * seeds)[groups] - anchors
-        batches = batches[1:]
+        anchors = np.concatenate([population.batch_grad(state.models[owner[b]], batch[0])
+                                  for b, batch in blocks])
+        groups = np.repeat(np.arange(copies) * seeds, len(ids)) + owner
+        anchor_shift = _means(groups, anchors, copies * seeds)[groups] - anchors
     # Only the round's own rows keep their mean raw gradients: scaffold's new variates.
     uploads, grad_means = np.empty((len(rows), dim)), np.empty((len(ids), dim))
-    for b in blocks:
+    for b, batch in blocks:
         shift = None
         if anchored:
             shift = anchor_shift[b]
         elif state.algorithm == "scaffold":
             shift = state.server_variate.reshape(seeds, -1)[owner[b]] - state.rows[rows[b]]
-        uploads[b], grads, _ = local_train(population, state.models[owner[b]], batches[:, b], cfg,
-                                           shift)
+        uploads[b], grads, _ = local_train(population, state.models[owner[b]], batch[anchored:],
+                                           cfg, shift)
         grad_means[b] = grads[: len(grad_means[b])]
     return aggregate(state, ids, uploads, eta, grad_means)

@@ -105,6 +105,8 @@ class ExperimentConfig:
                 "mifa needs every client's update before it aggregates; "
                 "use force_full_start = true with scenario = static"
             )
+        if not self.out.strip():
+            raise ConfigError(f"out must name an output directory, got {self.out!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         # The task's own checks, before any work.
@@ -191,7 +193,8 @@ def parse_seeds(raw: str) -> tuple[int, ...]:
 _FLOATS = tuple(f.name for f in fields(ExperimentConfig) if isinstance(f.default, float))
 _CONVERTERS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 _CONVERTERS.update(
-    seeds=parse_seeds, force_full_start=lambda raw: raw.lower() in ("1", "true", "yes", "on")
+    seeds=parse_seeds,
+    force_full_start=lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
 )
 
 
@@ -215,6 +218,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             try:
                 kwargs[name] = _CONVERTERS[name](raw.strip())
-            except ValueError as exc:
+            except (KeyError, ValueError) as exc:  # KeyError: not a boolean
                 raise ConfigError(f"{path}: bad value for {section}.{key}: {raw!r}") from exc
     return ExperimentConfig(**kwargs)

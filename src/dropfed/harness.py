@@ -122,8 +122,9 @@ def run_trials(
     test set of one size or none has.  Their clients are stacked into one
     population, seed s's client i at row s * N + i, so a round trains every
     seed's participants and the replicas its measurements need in one pass
-    (see play_round).  Their batches are drawn ahead, keyed as arrays from
-    the masks, in one draw per chunk of whole rounds (DRAW_CHUNK_BYTES).
+    (see play_round); in fullbatch mode the expectation is the last copy.
+    The other batches are drawn ahead, keyed as arrays from the masks, in
+    one draw per chunk of whole rounds (DRAW_CHUNK_BYTES).
     The population and the test sets are stacked once, and one helper
     measures every seed's model in one population pass and one pass over
     the stacked test sets, each round and once more for the final models.
@@ -224,12 +225,13 @@ def run_trials(
         playing = masks[:, t] & live[:, None]
         rows = np.flatnonzero(playing)
         eta = rates[:, t]
-        result = play_round(state, population, rows, local_cfg, eta, None, replicas=copies[t] - 1,
-                            batches=drawn.pop(0))
+        batches = [drawn.pop(0)]
+        if expected_mode == "fullbatch":  # the noise-free update trains as the last copy
+            batches.append(draw_batches(population.n, rows, population.n, None, steps))
+        result = play_round(state, population, rows, local_cfg, eta, None, batches=batches)
         expected = result.replays[:expected_replays]  # (replicas, S, dim)
-        if expected_mode == "fullbatch" and rows.size:
-            expected = play_round(state, population, rows, local_cfg, eta, None,
-                                  full_batch=True).v[None]
+        if expected_mode == "fullbatch":
+            expected = result.replays[-1:]
         samples = result.replays[:phi_replays] if phi_rounds[t] else None
         for k, loss, grad, client_grads, acc in measure(state.models):
             active = np.flatnonzero(playing[k]).tolist()

@@ -8,10 +8,9 @@ RNG rule: every row has its own stream, one per (client, round) or per
 (client, round, replica), and takes its batches from it in step order, so a
 row's batches never depend on which other rows share the call.  The caller
 draws the batches up front with draw_batches, a run's for several rounds
-at once: rows named by keys (StreamKeys arrays or StreamKey tuples) in one
-vectorised pass that equals per-row sample_batch calls, rows given a
-Generator with sample_batch itself.  Full-batch rows draw nothing and need
-no stream.
+at once: rows named by StreamKeys in one vectorised pass that equals
+per-row sample_batch calls, rows given a Generator with sample_batch
+itself.  Full-batch rows draw nothing and need no stream.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .objectives import Objective, ParamVector
-from .rng import StreamKey, StreamKeys, draw_keyed, draw_without_replacement
+from .rng import StreamKeys, draw_keyed
 from .schedules import check_finite, check_steps
 
 
@@ -64,22 +63,22 @@ def sample_batch(rng: np.random.Generator | None, n: int, batch_size: int) -> np
 
 def draw_batches(
     n: int, clients: np.ndarray, batch_size: int,
-    sources: StreamKeys | Sequence[StreamKey] | Sequence[np.random.Generator] | None, count: int,
+    sources: StreamKeys | Sequence[np.random.Generator] | None, count: int,
 ) -> np.ndarray:
     """Flat sample indices (count, rows, b) for rows of clients holding n samples.
 
     Row s takes its `count` batches in order from sources[s].  Keys are
     drawn for all rows in one pass (rng.draw_keyed); a row that pass cannot
     reproduce, or a Generator, draws with sample_batch.  sources None, or a
-    batch that covers n, gives every row the full range.
+    batch that covers n, gives every row the full range: a read-only view
+    in which every step shares one (rows, n) array.
     """
     clients = np.asarray(clients)
     if sources is None or batch_size >= n or not len(clients):
         full = sample_batch(None, n, batch_size) if len(clients) and sources else np.arange(n)
-        local = np.broadcast_to(full, (count, len(clients), n))
-    elif isinstance(sources[0], StreamKey):
-        draw = draw_keyed if isinstance(sources, StreamKeys) else draw_without_replacement
-        local, exact = draw(sources, n, batch_size, count)
+        return np.broadcast_to(clients[:, None] * n + full, (count, len(clients), n))
+    if isinstance(sources, StreamKeys):
+        local, exact = draw_keyed(sources, n, batch_size, count)
         for s in np.flatnonzero(~exact):
             rng = sources[s].generator()
             local[s] = [sample_batch(rng, n, batch_size) for _ in range(count)]

@@ -4,9 +4,9 @@ Every consumer of randomness gets its own counter-based generator keyed by
 (purpose, *indices), so adding or removing one consumer (say, a diagnostic
 that replays a round) never shifts the draws seen by any other consumer.
 
-Mini-batches are drawn in bulk.  A StreamKey names one batch stream
-without building it, StreamKeys names many as arrays, and draw_keyed serves
-them in one vectorised pass: per key it gives exactly what `count` calls of
+Mini-batches are drawn in bulk.  StreamKeys names many batch streams as
+arrays without building them, each row a StreamKey, and draw_keyed serves
+them in one vectorised pass: per row it gives exactly what `count` calls of
 key.generator().choice(n, size, replace=False) would give.  It does so by
 redoing numpy's own steps (SeedSequence's hash, Philox words, Lemire's
 bounded draw, Floyd's selection and the shuffle) on whole arrays; rows that
@@ -67,16 +67,6 @@ class StreamKey(NamedTuple):
 
     def generator(self) -> np.random.Generator:
         return stream(self.master_seed, *self.spawn_key)
-
-
-def batch_key(master_seed: int, client: int, iteration: int) -> StreamKey:
-    """Key of the batch stream of one client at one global iteration."""
-    return StreamKey(master_seed, (BATCH, client, iteration))
-
-
-def replay_key(master_seed: int, client: int, iteration: int, replica: int) -> StreamKey:
-    """Key of replay_stream(master_seed, client, iteration, replica)."""
-    return StreamKey(master_seed, (REPLAY, client, iteration, replica))
 
 
 @dataclass(frozen=True)
@@ -223,21 +213,6 @@ def draw_keyed(keys: StreamKeys, n: int, size: int, count: int) -> tuple[np.ndar
     if rows and n <= _MASK32 and not (n > 10000 and size > n // 50) and _matches_numpy():
         drawn = _draw(keys, n, size, count)
     return drawn or (np.zeros((rows, count, size), dtype=np.int64), np.zeros(rows, dtype=bool))
-
-
-def draw_without_replacement(
-    keys: Sequence[StreamKey], n: int, size: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """draw_keyed on a list of StreamKey."""
-    seeds, spawn = zip(*keys) if keys else ((), ())
-    lengths = np.fromiter(map(len, spawn), dtype=np.intp, count=len(spawn))
-    width = lengths.max(initial=0)
-    try:  # zero-padded: each row's hash stops at its own length
-        spawn = np.array([(*words, *[0] * (width - len(words))) for words in spawn],
-                         dtype=np.uint64).reshape(len(keys), width)
-    except OverflowError:  # a negative or huge word: no row fits the kernel
-        spawn = np.zeros((len(keys), 0), dtype=np.uint64)
-    return draw_keyed(StreamKeys(seeds, spawn, lengths), n, size, count)
 
 
 def _draw(keys: StreamKeys, n, size, count) -> tuple[np.ndarray, np.ndarray] | None:

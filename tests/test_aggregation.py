@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from keyed_streams import batch_key, replay_key, round_batches
 
 from dropfed.aggregation import ALGORITHMS, aggregate, init_state, play_round
 from dropfed.errors import ConfigError, IntegrityError
@@ -74,7 +75,7 @@ def test_update_law_is_exact():
     objs = [point_client(1.0, 0), point_client(-2.0, 1)]
     for algo in ALGORITHMS:
         st = init_state(algo, np.array([0.3]), 2)
-        res = play_round(st, objs, [0, 1], FULL_CFG, 0.37, rng_factory(1), full_batch=True)
+        res = play_round(st, objs, [0, 1], FULL_CFG, 0.37, None)
         np.testing.assert_array_equal(res.state.w, st.w - 0.37 * res.v)
         assert res.state.round_index == 1
 
@@ -86,7 +87,7 @@ def test_full_participation_single_step_gives_population_gradient():
     want = np.mean([o.grad(w0) for o in objs], axis=0)
     for algo in ALGORITHMS:
         st = init_state(algo, w0, 3)
-        res = play_round(st, objs, [0, 1, 2], FULL_CFG, 0.1, rng_factory(2), full_batch=True)
+        res = play_round(st, objs, [0, 1, 2], FULL_CFG, 0.1, None)
         np.testing.assert_allclose(res.v, want, atol=1e-15)
 
 
@@ -96,9 +97,10 @@ def test_empty_round_is_a_no_op_on_the_model():
         st = init_state(algo, np.array([0.7]), 2)
         res = play_round(st, objs, [], FULL_CFG, 0.5, rng_factory(3))
         np.testing.assert_array_equal(res.v, [0.0])
-        np.testing.assert_array_equal(res.state.w, st.w)
-        assert res.state.round_index == 1
-        assert res.state.w is not st.w  # fresh array, not an alias
+        assert res.state.round_index == 1 and res.replays.shape == (0, 1)
+        # Nothing changes, so nothing is copied: no state is ever mutated.
+        for name in ("w", "rows", "written", "server_variate"):
+            assert getattr(res.state, name) is getattr(st, name), name
 
 
 def test_rounds_do_not_mutate_input_state():
@@ -106,12 +108,12 @@ def test_rounds_do_not_mutate_input_state():
     for algo in ALGORITHMS:
         st = init_state(algo, np.array([1.0]), 2)
         # Prime one round so memory exists, then snapshot and replay.
-        st = play_round(st, objs, [0, 1], FULL_CFG, 0.1, rng_factory(4), full_batch=True).state
+        st = play_round(st, objs, [0, 1], FULL_CFG, 0.1, None).state
         w_before = st.w.copy()
         rows_before = st.rows.copy()
         written_before = st.written.copy()
-        res1 = play_round(st, objs, [0], FULL_CFG, 0.1, rng_factory(5), full_batch=True)
-        res2 = play_round(st, objs, [0], FULL_CFG, 0.1, rng_factory(5), full_batch=True)
+        res1 = play_round(st, objs, [0], FULL_CFG, 0.1, None)
+        res2 = play_round(st, objs, [0], FULL_CFG, 0.1, None)
         np.testing.assert_array_equal(st.w, w_before)
         np.testing.assert_array_equal(st.rows, rows_before)
         np.testing.assert_array_equal(st.written, written_before)
@@ -131,11 +133,11 @@ def test_mimic_hand_simulation():
     # population gradient at w = 0.
     objs = [point_client(1.0, 0), point_client(-1.0, 1)]
     st = init_state("mimic", np.array([0.0]), 2)
-    r0 = play_round(st, objs, [0, 1], FULL_CFG, 0.5, rng_factory(6), full_batch=True)
+    r0 = play_round(st, objs, [0, 1], FULL_CFG, 0.5, None)
     np.testing.assert_array_equal(r0.v, [0.0])
     np.testing.assert_array_equal(r0.state.rows, [[1.0], [-1.0]])
     np.testing.assert_array_equal(r0.state.written, [0, 0])
-    r1 = play_round(r0.state, objs, [0], FULL_CFG, 0.5, rng_factory(7), full_batch=True)
+    r1 = play_round(r0.state, objs, [0], FULL_CFG, 0.5, None)
     np.testing.assert_array_equal(r1.v, [0.0])
     # Absent client keeps its old correction and stamp.
     np.testing.assert_array_equal(r1.state.rows[1], [-1.0])
@@ -177,10 +179,10 @@ def test_mimic_exact_on_quadratics_any_schedule():
     means = rng.normal(size=(5, 2)) * 3
     objs = [point_client(means[i], i) for i in range(5)]
     st = init_state("mimic", rng.normal(size=2), 5)
-    res = play_round(st, objs, list(range(5)), FULL_CFG, 0.3, rng_factory(11), full_batch=True)
+    res = play_round(st, objs, list(range(5)), FULL_CFG, 0.3, None)
     for t in range(1, 15):
         active = sorted(rng.choice(5, size=rng.integers(1, 6), replace=False).tolist())
-        res = play_round(res.state, objs, active, FULL_CFG, 0.3, rng_factory(11 + t), full_batch=True)
+        res = play_round(res.state, objs, active, FULL_CFG, 0.3, None)
         want = np.mean([o.grad(res.state.w + 0.3 * res.v) for o in objs], axis=0)
         np.testing.assert_allclose(res.v, want, atol=1e-12)
 
@@ -196,16 +198,16 @@ def test_mifa_hand_simulation():
     #   t=2 {1}:   buffer = (0, -1.25),  v = -0.625, w -> 2.0625
     objs = [point_client(1.0, 0), point_client(3.0, 1)]
     st = init_state("mifa", np.array([0.0]), 2)
-    r0 = play_round(st, objs, [0, 1], FULL_CFG, 0.5, rng_factory(20), full_batch=True)
+    r0 = play_round(st, objs, [0, 1], FULL_CFG, 0.5, None)
     np.testing.assert_allclose(r0.v, [-2.0])
     np.testing.assert_allclose(r0.state.w, [1.0])
     np.testing.assert_array_equal(r0.state.written, [0, 0])
-    r1 = play_round(r0.state, objs, [0], FULL_CFG, 0.5, rng_factory(21), full_batch=True)
+    r1 = play_round(r0.state, objs, [0], FULL_CFG, 0.5, None)
     np.testing.assert_allclose(r1.v, [-1.5])
     np.testing.assert_allclose(r1.state.w, [1.75])
     np.testing.assert_array_equal(r1.state.written, [1, 0])
     np.testing.assert_allclose(r1.state.rows[1], [-3.0])  # untouched stale entry
-    r2 = play_round(r1.state, objs, [1], FULL_CFG, 0.5, rng_factory(22), full_batch=True)
+    r2 = play_round(r1.state, objs, [1], FULL_CFG, 0.5, None)
     np.testing.assert_allclose(r2.v, [-0.625])
     np.testing.assert_allclose(r2.state.w, [2.0625])
     np.testing.assert_array_equal(r2.state.written, [1, 2])
@@ -215,7 +217,7 @@ def test_mifa_requires_warm_memory():
     objs = [point_client(1.0, 0), point_client(-1.0, 1)]
     st = init_state("mifa", np.zeros(1), 2)
     with pytest.raises(IntegrityError, match=r"\[1\]"):
-        play_round(st, objs, [0], FULL_CFG, 0.1, rng_factory(23), full_batch=True)
+        play_round(st, objs, [0], FULL_CFG, 0.1, None)
 
 
 def test_mifa_round_averages_all_buffers():
@@ -243,16 +245,15 @@ def test_scaffold_matches_fedavg_under_full_participation():
         sc = init_state("scaffold", np.zeros(2), 4, scaffold_literal=literal)
         fa = init_state("fedavg", np.zeros(2), 4)
         for t in range(6):
-            sc = play_round(sc, objs, [0, 1, 2, 3], cfg, 0.3, rng_factory(t), full_batch=True).state
-            fa = play_round(fa, objs, [0, 1, 2, 3], cfg, 0.3, rng_factory(t),
-                            full_batch=True).state
+            sc = play_round(sc, objs, [0, 1, 2, 3], cfg, 0.3, None).state
+            fa = play_round(fa, objs, [0, 1, 2, 3], cfg, 0.3, None).state
         np.testing.assert_allclose(sc.w, fa.w, atol=1e-12)
 
 
 def test_scaffold_variate_bookkeeping():
     objs = [point_client(1.0, 0), point_client(3.0, 1)]
     st = init_state("scaffold", np.array([0.0]), 2)
-    res = play_round(st, objs, [0, 1], FULL_CFG, 0.5, rng_factory(25), full_batch=True)
+    res = play_round(st, objs, [0, 1], FULL_CFG, 0.5, None)
     # K = 1 full batch: each client's variate is its full gradient at w0,
     # and the server variate is their mean over N.
     np.testing.assert_allclose(res.state.rows, [[-1.0], [-3.0]])
@@ -260,7 +261,7 @@ def test_scaffold_variate_bookkeeping():
     np.testing.assert_array_equal(res.state.written, [0, 0])
     # Partial round: only the participant's variate moves; the server
     # variate absorbs 1/N of the change.
-    r1 = play_round(res.state, objs, [0], FULL_CFG, 0.5, rng_factory(26), full_batch=True)
+    r1 = play_round(res.state, objs, [0], FULL_CFG, 0.5, None)
     np.testing.assert_allclose(r1.state.rows[1], [-3.0])
     g0_new = objs[0].grad(res.state.w)  # raw gradient, variate shift removed
     np.testing.assert_allclose(r1.state.rows[0], g0_new)
@@ -272,7 +273,7 @@ def test_scaffold_variate_bookkeeping():
 def test_scaffold_literal_anchor_leaves_variates_alone():
     objs = [point_client(1.0, 0), point_client(-1.0, 1)]
     st = init_state("scaffold", np.zeros(1), 2, scaffold_literal=True)
-    res = play_round(st, objs, [0, 1], FULL_CFG, 0.2, rng_factory(27), full_batch=True)
+    res = play_round(st, objs, [0, 1], FULL_CFG, 0.2, None)
     np.testing.assert_array_equal(res.state.rows, st.rows)
     np.testing.assert_array_equal(res.state.written, [-1, -1])
     np.testing.assert_array_equal(res.state.server_variate, st.server_variate)
@@ -285,10 +286,10 @@ def test_scaffold_drift_correction_pulls_toward_population_descent():
     objs = [point_client(4.0, 0), point_client(-4.0, 1)]
     cfg = LocalConfig(steps=8, lr=0.05, batch_size=1)
     st = init_state("scaffold", np.zeros(1), 2)
-    st = play_round(st, objs, [0, 1], cfg, 0.4, rng_factory(28), full_batch=True).state
-    only0 = play_round(st, objs, [0], cfg, 0.4, rng_factory(29), full_batch=True)
+    st = play_round(st, objs, [0, 1], cfg, 0.4, None).state
+    only0 = play_round(st, objs, [0], cfg, 0.4, None)
     fa = init_state("fedavg", st.w.copy(), 2)
-    fa_only0 = play_round(fa, objs, [0], cfg, 0.4, rng_factory(29), full_batch=True)
+    fa_only0 = play_round(fa, objs, [0], cfg, 0.4, None)
     # Population gradient at st.w is just st.w (means cancel).
     pop = float(st.w[0])
     assert abs(float(only0.v[0]) - pop) < abs(float(fa_only0.v[0]) - pop)
@@ -305,23 +306,25 @@ def test_written_rows_by_algorithm():
     for algo in ALGORITHMS:
         st = init_state(algo, np.zeros(1), 3)
         cfg = LocalConfig(steps=1, lr=0.1, batch_size=1, prox_mu=0.1 if algo == "fedprox" else 0.0)
-        st = play_round(st, objs, [0, 1, 2], cfg, 0.1, rng_factory(30), full_batch=True).state
-        st = play_round(st, objs, [1], cfg, 0.1, rng_factory(31), full_batch=True).state
+        st = play_round(st, objs, [0, 1, 2], cfg, 0.1, None).state
+        st = play_round(st, objs, [1], cfg, 0.1, None).state
         want = [-1, -1, -1] if algo in ("fedavg", "fedprox") else [0, 1, 0]
         np.testing.assert_array_equal(st.written, want)
         assert np.any(st.rows != 0) == (algo not in ("fedavg", "fedprox"))
 
 
-def test_full_batch_builds_no_stream():
+def test_full_batch_builds_no_stream(monkeypatch):
     def refuse(*_):
         raise AssertionError("full-batch rounds must not build a stream")
 
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     objs = [point_client(1.0, 0), point_client(-2.0, 1)]
     cfg = LocalConfig(steps=3, lr=0.1, batch_size=1)
     for algo in ALGORITHMS:
         for literal in (False, True):
             st = init_state(algo, np.array([0.3]), 2, scaffold_literal=literal)
-            res = play_round(st, objs, [0, 1], cfg, 0.2, refuse, full_batch=True)
+            res = play_round(st, objs, [0, 1], cfg, 0.2, None)
             assert res.state.round_index == 1
 
 
@@ -335,20 +338,21 @@ def test_replicas_match_separate_rounds():
         for i in range(4)
     ]
     cfg = LocalConfig(steps=3, lr=0.1, batch_size=2)
+    train_key, replay_for = (lambda i: batch_key(35, i, 1)), (lambda i, r: replay_key(34, i, 1, r))
     for algo in ALGORITHMS:
         for literal in (False, True):
             st = init_state(algo, rng.normal(size=2), 4, scaffold_literal=literal)
             st = play_round(st, objs, [0, 1, 2, 3], cfg, 0.2, rng_factory(33)).state
-            replay_rng = lambda i, r: np.random.default_rng((34, i, r))
-            got = play_round(st, objs, [3, 1], cfg, 0.2, rng_factory(35), replicas=3,
-                             replay_for=replay_rng)
-            alone = play_round(st, objs, [3, 1], cfg, 0.2, rng_factory(35))
+            batches = round_batches(6, [3, 1], cfg, st.scaffold_literal, train_key, 3, replay_for)
+            got = play_round(st, objs, [3, 1], cfg, 0.2, None, batches=batches)
+            alone = play_round(st, objs, [3, 1], cfg, 0.2, lambda i: train_key(i).generator())
             np.testing.assert_array_equal(got.v, alone.v)
             np.testing.assert_array_equal(got.state.w, alone.state.w)
             np.testing.assert_array_equal(got.state.rows, alone.state.rows)
             assert got.replays.shape == (3, 2)
             for r in range(3):
-                want = play_round(st, objs, [1, 3], cfg, 0.2, lambda i: replay_rng(i, r)).v
+                want = play_round(st, objs, [1, 3], cfg, 0.2,
+                                  lambda i: replay_for(i, r).generator()).v
                 np.testing.assert_array_equal(got.replays[r], want)
             assert st.round_index == 1
 

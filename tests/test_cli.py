@@ -202,6 +202,27 @@ def test_cold_start_mifa_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_misspelt_boolean_is_a_config_error(tmp_path, capsys):
+    # Only configparser's booleans are read: `ture` is not a silent cold start.
+    cfg_path, out = _config_with(tmp_path, availability="force_full_start = ture")
+    assert main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {cfg_path}: bad value for availability.force_full_start: 'ture'\n"
+    assert not out.exists()
+
+
+def test_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # An empty out would be the working directory, and the run would
+    # overwrite any summary.txt there.
+    cfg_path, out = write_config(tmp_path)
+    cfg_path.write_text(cfg_path.read_text().replace(f"out = {out}\n", "out =\n"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DROPFED_OUT", raising=False)
+    assert main(["run", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "config error: out must name an output directory, got ''\n"
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 @pytest.mark.parametrize("command", ["run", "check-schedule"])
 def test_uneven_shards_are_a_config_error_before_data(tmp_path, capsys, monkeypatch, command):
     # 20 samples cannot be dealt as 4 clients x 3 shards; no data is built.

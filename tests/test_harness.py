@@ -301,6 +301,10 @@ def test_load_config_seed_formats_and_booleans(tmp_path):
     assert load_config(path).force_full_start is False
     path.write_text("[availability]\nforce_full_start = YES\n")
     assert load_config(path).force_full_start is True
+    # Only configparser's booleans: a misspelt true is no silent false.
+    path.write_text("[availability]\nforce_full_start = ture\n")
+    with pytest.raises(ConfigError, match="bad value for availability.force_full_start: 'ture'"):
+        load_config(path)
 
 
 def test_load_config_rejects_unknowns(tmp_path):
@@ -408,37 +412,53 @@ def test_every_reported_number_comes_from_one_population_pass(task, monkeypatch)
 def test_a_measured_round_trains_in_one_pass(monkeypatch):
     # The run draws the batches of all its rounds in one call: each round's
     # participants, then as many replicas as the larger of the Monte Carlo
-    # expectation and the phi samples needs.  Each round trains its rows
-    # with one local_train call per row block.  Seed 2 has no participant
-    # at round 6.
+    # expectation and the phi samples needs.  Each round is one play_round
+    # call, which trains its rows with one local_train call per row block.
+    # In fullbatch mode the expectation is one more group of full-range
+    # batches, trained in blocks of its own.  Seed 2 has no participant at
+    # round 6.
     cfg = ExperimentConfig(task="mlp", classes=3, per_class=12, dim=3, hidden=4, clients=4,
                            iterations=8, local_steps=3, local_lr=0.05, batch_size=3,
                            algorithm="mimic", seeds=(1, 2))
     tasks = [seed_task(cfg, seed) for seed in cfg.seeds]
-    drawn, trained = [], []
+    drawn, full, trained, played = [], [], [], []
 
-    def draw(n, clients, *args):
-        drawn.append(len(clients))
-        return draw_batches(n, clients, *args)
+    def draw(n, clients, batch_size, sources, count):
+        (full if sources is None else drawn).append(len(clients))
+        return draw_batches(n, clients, batch_size, sources, count)
 
-    def train(objective, start, *args):
-        trained.append(len(start))
-        return local_train(objective, start, *args)
+    def train(objective, start, batches, *args):
+        trained.append((len(start), batches.shape[-1]))
+        return local_train(objective, start, batches, *args)
+
+    def play(state, *args, **kwargs):
+        played.append(state.round_index)
+        return aggregation.play_round(state, *args, **kwargs)
 
     monkeypatch.setattr(aggregation, "ROW_BLOCK_BYTES", 8 * tasks[0].population.dim * 5)
     monkeypatch.setattr(harness, "draw_batches", draw)
     monkeypatch.setattr(aggregation, "draw_batches", None)  # no round draws its own
     monkeypatch.setattr(aggregation, "local_train", train)
+    monkeypatch.setattr(harness, "play_round", play)
     run_trials(tasks, cfg.algorithm, cfg.local_config(), phi_replays=4, phi_every=2,
                expected_mode="mc", expected_replays=2)
     masks = np.stack([task.schedule.mask for task in tasks])
     assert masks[0, 6].any() and not masks[1, 6].any()
-    active = masks.sum(axis=(0, 2))
-    rows = [a * (1 + (4 if t % 2 == 0 else 2)) for t, a in enumerate(active.tolist())]
-    assert drawn == [sum(rows)]
-    assert trained == [min(5, r - a) for r in rows for a in range(0, r, 5)]
+    active = masks.sum(axis=(0, 2)).tolist()
+    rows = [a * (1 + (4 if t % 2 == 0 else 2)) for t, a in enumerate(active)]
+    assert drawn == [sum(rows)] and full == [] and played == list(range(cfg.iterations))
+    assert trained == [(min(5, r - a), 3) for r in rows for a in range(0, r, 5)]
+    for log in (drawn, trained, played):
+        log.clear()
+    run_trials(tasks, cfg.algorithm, cfg.local_config(), phi_replays=4, phi_every=2)
+    rows = [a * (1 + (4 if t % 2 == 0 else 0)) for t, a in enumerate(active)]
+    assert drawn == [sum(rows)] and full == active and played == list(range(cfg.iterations))
+    n = tasks[0].population.n
+    assert trained == [(min(5, size - a), b) for r, f in zip(rows, active)
+                       for size, b in ((r, 3), (f, n)) for a in range(0, size, 5)]
     # A budget of the largest round's rows: each call draws whole rounds,
     # as many as fit.  A row takes 3 steps of 2 * 3 - 1 bounded draws.
+    rows = [a * (1 + (4 if t % 2 == 0 else 2)) for t, a in enumerate(active)]
     monkeypatch.setattr(harness, "DRAW_CHUNK_BYTES", max(rows) * 8 * 3 * 5)
     drawn.clear()
     run_trials(tasks, cfg.algorithm, cfg.local_config(), phi_replays=4, phi_every=2,

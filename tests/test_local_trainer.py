@@ -223,6 +223,10 @@ def test_draw_batches_offsets_and_full_batch():
     full = draw_batches(3, np.array([0, 2]), 5, None, 2)
     assert full.shape == (2, 2, 3)
     np.testing.assert_array_equal(full[1], [[0, 1, 2], [6, 7, 8]])
+    # Every step of a full-range draw reads one (rows, n) array.
+    wide = draw_batches(500, np.arange(900), 500, None, 6)
+    assert np.shares_memory(wide[0], wide[-1]) and not wide.flags.writeable
+    np.testing.assert_array_equal(wide[5, 899], 899 * 500 + np.arange(500))
     drawn = draw_batches(4, np.array([1]), 2, [np.random.default_rng(15)], 3)
     ref = np.random.default_rng(15)
     want = [4 + sample_batch(ref, 4, 2) for _ in range(3)]

@@ -3,10 +3,11 @@
 A batched gradient row must not depend on the other rows of its call, and
 lockstep training of every participant must reproduce a plain per-client
 loop over dict-held server memory, for all five aggregation rules.  Rounds
-whose rng_for returns stream keys (batches drawn for all rows in one pass)
-must equal the same rounds given each key's Generator.  A round and its
-replicas trained in one pass, in row blocks of any size, must equal the
-round and each replica played in passes of their own.  A run of several
+whose batches are drawn from stream keys, all rows in one pass, must equal
+the same rounds drawn from each key's Generator.  A round, its replicas and
+its full-batch expectation trained in one pass, in row blocks of any size,
+must equal the round, each replica and the expectation played in passes of
+their own.  A run of several
 seeds in lockstep must equal each seed's trial run alone, bit for bit, and
 so must its stacked measurements: the population pass with one model per
 seed, the stacked test sets, and the MLP smoothness probe.  A run whose
@@ -19,15 +20,17 @@ from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from keyed_streams import batch_key, replay_key, round_batches
 
 from dropfed import aggregation, harness, local_trainer
 from dropfed.aggregation import ALGORITHMS, init_state, play_round
 from dropfed.availability import AvailabilitySchedule
 from dropfed.diagnostics import evaluate
 from dropfed.harness import SeedTask, run_trial, run_trials
-from dropfed.local_trainer import LocalConfig, sample_batch
+from dropfed.local_trainer import LocalConfig, draw_batches, sample_batch
 from dropfed.objectives import (
     ClientDataset,
     LogisticObjective,
@@ -38,7 +41,7 @@ from dropfed.objectives import (
     smoothness_of,
     stack,
 )
-from dropfed.rng import batch_key, draw_keyed, replay_key
+from dropfed.rng import draw_keyed
 from dropfed.schedules import constant_rates
 
 KINDS = ("quadratic", "binary", "softmax", "mlp")
@@ -164,7 +167,7 @@ def test_lockstep_training_matches_per_client_loop(
         mem = {"w": w0.copy(), "memory": {}, "corr": {}, "var": {}, "c": np.zeros_like(w0)}
         for t, active in enumerate(schedule):
             rng_for = lambda i, t=t: np.random.default_rng((seed, t, i))
-            res = play_round(state, population, active, cfg, 0.3, rng_for, full_batch=full_batch)
+            res = play_round(state, population, active, cfg, 0.3, None if full_batch else rng_for)
             v = reference_round(algo, mem, objs, active, cfg, 0.3, rng_for, literal, full_batch)
             np.testing.assert_allclose(res.v, v, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(res.state.w, mem["w"], rtol=1e-12, atol=1e-12)
@@ -198,12 +201,13 @@ def test_keyed_rounds_equal_generator_rounds(kind, seed, clients, n, steps, repl
                           prox_mu=0.3 if algo == "fedprox" else 0.0)
         state = init_state(algo, w0, clients, scaffold_literal=literal)
         for t, active in enumerate(schedule):
-            keyed = play_round(state, population, active, cfg, 0.3,
-                               lambda i, t=t: batch_key(seed, i, t), replicas=replicas,
-                               replay_for=lambda i, r, t=t: replay_key(seed, i, t, r))
-            built = play_round(state, population, active, cfg, 0.3,
-                               lambda i, t=t: batch_key(seed, i, t).generator(), replicas=replicas,
-                               replay_for=lambda i, r, t=t: replay_key(seed, i, t, r).generator())
+            keys = (population.n, active, cfg, state.scaffold_literal,
+                    lambda i, t=t: batch_key(seed, i, t), replicas,
+                    lambda i, r, t=t: replay_key(seed, i, t, r))
+            keyed = play_round(state, population, active, cfg, 0.3, None,
+                               batches=round_batches(*keys))
+            built = play_round(state, population, active, cfg, 0.3, None,
+                               batches=round_batches(*keys, build=True))
             np.testing.assert_array_equal(keyed.v, built.v)
             np.testing.assert_array_equal(keyed.state.w, built.state.w)
             np.testing.assert_array_equal(keyed.state.rows, built.state.rows)
@@ -213,12 +217,18 @@ def test_keyed_rounds_equal_generator_rounds(kind, seed, clients, n, steps, repl
             state = keyed.state
 
 
-def separate_passes(state, population, active, cfg, eta, rng_for, replay_for, replicas):
-    """The round, then each replica, each in its own pass: the reference."""
-    real = play_round(state, population, active, cfg, eta, rng_for)
-    replays = [play_round(state, population, active, cfg, eta, lambda i, r=r: replay_for(i, r)).v
-               for r in range(replicas)]
-    return real, np.reshape(replays, (replicas, *state.w.shape))
+def separate_passes(state, population, active, cfg, eta, key_for, replay_for, replicas):
+    """The round, each replica, then the full-batch expectation, each in its own pass.
+
+    Each pass draws from its rows' Generators: the reference.
+    """
+    real = play_round(state, population, active, cfg, eta, lambda i: key_for(i).generator())
+    if not len(active):  # a round without participants has no replica
+        return real, np.zeros((0, *state.w.shape))
+    replays = [play_round(state, population, active, cfg, eta,
+                          lambda i, r=r: replay_for(i, r).generator()).v for r in range(replicas)]
+    replays.append(play_round(state, population, active, cfg, eta, None).v)
+    return real, np.reshape(replays, (replicas + 1, *state.w.shape))
 
 
 def assert_same_round(got, want, want_replays):
@@ -239,11 +249,12 @@ def seed_rounds(rng, seeds, clients, empty):
     return rounds
 
 
+@pytest.mark.filterwarnings("ignore:batch_size")
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
     variant=st.sampled_from(VARIANTS),
-    masters=st.lists(st.integers(0, 2**70), min_size=2, max_size=3, unique=True),
+    masters=st.lists(st.integers(0, 2**70), min_size=1, max_size=3, unique=True),
     clients=st.integers(1, 4),
     n=st.integers(2, 5),
     steps=st.integers(1, 3),
@@ -253,28 +264,33 @@ def seed_rounds(rng, seeds, clients, empty):
 def test_one_pass_round_equals_separate_passes(
     kind, variant, masters, clients, n, steps, replicas, data
 ):
-    # The round and its replicas trained in one pass give the round's v and
-    # state and each replica's v of separate passes, bit for bit, with S > 1
-    # seeds and one seed without participants.
+    # The round, its replicas and the full-batch expectation as the last
+    # group, trained in one pass, give the round's v and state and each
+    # copy's v of separate passes, bit for bit, with S = 1 to 3 seeds, one
+    # seed without participants (with S = 1, rounds without any), and
+    # batches that may cover every sample.
     algo, literal = variant
     seeds = len(masters)
     rng = np.random.default_rng(masters[0] % 2**32)
     population = stack(client_objectives(kind, rng, seeds * clients, n, 2))
-    cfg = LocalConfig(steps=steps, lr=0.05, batch_size=data.draw(st.integers(1, n)),
+    cfg = LocalConfig(steps=steps, lr=0.05, batch_size=data.draw(st.integers(1, n + 1)),
                       prox_mu=0.3 if algo == "fedprox" else 0.0)
     empty = data.draw(st.integers(0, seeds - 1))
     eta = rng.uniform(0.1, 0.5, size=seeds)
     state = init_state(algo, rng.normal(size=(seeds, population.dim)), clients, literal)
+    count = cfg.steps + state.scaffold_literal  # batches a row takes
     for t, active in enumerate(seed_rounds(rng, seeds, clients, empty)):
-        def rng_for(i, t=t):
+        def key_for(i, t=t):
             return batch_key(masters[i // clients], i % clients, t)
 
         def replay_for(i, r, t=t):
             return replay_key(masters[i // clients], i % clients, t, r)
 
-        got = play_round(state, population, active, cfg, eta, rng_for, replicas=replicas,
-                         replay_for=replay_for)
-        want = separate_passes(state, population, active, cfg, eta, rng_for, replay_for, replicas)
+        batches = round_batches(population.n, active, cfg, state.scaffold_literal, key_for,
+                                replicas, replay_for)
+        batches.append(draw_batches(population.n, active, population.n, None, count))
+        got = play_round(state, population, active, cfg, eta, None, batches=batches)
+        want = separate_passes(state, population, active, cfg, eta, key_for, replay_for, replicas)
         assert_same_round(got, *want)
         if t:
             assert not got.replays[:, empty].any()
@@ -296,25 +312,29 @@ def test_one_pass_round_equals_separate_passes(
 def test_row_blocks_give_the_bits_of_one_call(
     kind, variant, seed, clients, n, steps, replicas, block, data
 ):
-    # A byte budget of `block` rows splits a round into several local_train
-    # calls (the full round 0 has 4 rows or more), which give the bits of
-    # one call over all rows.
+    # A byte budget of `block` rows splits each group of a round (its rows
+    # and replicas, then the full-batch expectation) into local_train calls
+    # of at most `block` rows, none across two groups, which give the bits
+    # of one call over each group.
     algo, literal = variant
     rng = np.random.default_rng(seed)
     population = stack(client_objectives(kind, rng, 2 * clients, n, 2))
     cfg = LocalConfig(steps=steps, lr=0.05, batch_size=data.draw(st.integers(1, n)),
                       prox_mu=0.3 if algo == "fedprox" else 0.0)
     state = init_state(algo, rng.normal(size=(2, population.dim)), clients, literal)
+    count = cfg.steps + state.scaffold_literal  # batches a row takes
     for t, active in enumerate(seed_rounds(rng, 2, clients, 1)):
-        args = (state, population, active, cfg, np.array([0.3, 0.2]),
-                lambda i, t=t: batch_key(seed, i, t))
-        replay_for = lambda i, r, t=t: replay_key(seed, i, t, r)
+        batches = round_batches(population.n, active, cfg, state.scaffold_literal,
+                                lambda i, t=t: batch_key(seed, i, t), replicas,
+                                lambda i, r, t=t: replay_key(seed, i, t, r))
+        batches.append(draw_batches(population.n, active, population.n, None, count))
+        args = (state, population, active, cfg, np.array([0.3, 0.2]), None)
         with (mock.patch.object(aggregation, "ROW_BLOCK_BYTES", 8 * population.dim * block),
               mock.patch.object(aggregation, "local_train", wraps=aggregation.local_train) as train):
-            blocked = play_round(*args, replicas=replicas, replay_for=replay_for)
-        assert t or train.call_count > 1
+            blocked = play_round(*args, batches=batches)
+        assert train.call_count == sum(-(-group.shape[1] // block) for group in batches)
         with mock.patch.object(aggregation, "ROW_BLOCK_BYTES", 2**62):
-            whole = play_round(*args, replicas=replicas, replay_for=replay_for)
+            whole = play_round(*args, batches=batches)
         assert_same_round(blocked, whole, whole.replays)
         state = whole.state
 
@@ -383,13 +403,17 @@ def test_lockstep_seeds_equal_separate_trials(
 
 
 def per_round_play(seeds, clients):
-    """play_round on the per-round draw path: the round's keys from batch_key and replay_key."""
-    def play(state, population, rows, cfg, eta, rng_for, *, batches=None, **options):
+    """play_round with the round's drawn rows redrawn from its own keys, one row at a time.
+
+    The replica count is the run's; a full-batch group after them is kept.
+    """
+    def play(state, population, rows, cfg, eta, rng_for, *, batches):
         t = state.round_index
-        return play_round(state, population, rows, cfg, eta,
-                          lambda i: batch_key(seeds[i // clients], i % clients, t),
-                          replay_for=lambda i, r: replay_key(seeds[i // clients], i % clients,
-                                                             t, r), **options)
+        replicas = batches[0].shape[1] // len(rows) - 1 if len(rows) else 0
+        own = round_batches(population.n, rows, cfg, state.scaffold_literal,
+                            lambda i: batch_key(seeds[i // clients], i % clients, t), replicas,
+                            lambda i, r: replay_key(seeds[i // clients], i % clients, t, r))
+        return play_round(state, population, rows, cfg, eta, rng_for, batches=own + batches[1:])
     return play
 
 

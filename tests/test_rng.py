@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keyed_streams import batch_key, draw_without_replacement, replay_key, stream_keys
+
 from dropfed import local_trainer, rng
 from dropfed.config import ExperimentConfig
 from dropfed.harness import run_experiment
@@ -26,10 +28,9 @@ from dropfed.rng import (
     PROBE,
     REPLAY,
     StreamKey,
-    batch_key,
-    draw_without_replacement,
+    StreamKeys,
+    draw_keyed,
     generator,
-    replay_key,
     replay_stream,
     seed_for,
     stream,
@@ -114,7 +115,8 @@ def reference(keys, n, b, count):
 
 def drawn(keys, n, b, count):
     """draw_batches on keys, as (R, count, b) local indices."""
-    return draw_batches(n, np.zeros(len(keys), dtype=np.int64), b, keys, count).transpose(1, 0, 2)
+    rows = np.zeros(len(keys), dtype=np.int64)
+    return draw_batches(n, rows, b, stream_keys(keys), count).transpose(1, 0, 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -184,14 +186,13 @@ def test_keys_of_both_lengths_share_one_call(masters, count, n, data):
 def test_a_run_builds_no_batch_stream(monkeypatch, tmp_path):
     # Two seeds, a Monte Carlo expectation and phi samples: every round's
     # training and replay keys are drawn by the kernel, and no row falls
-    # back to building its stream.  The keys are arrays, not StreamKey
-    # tuples from batch_key or replay_key.
+    # back to building its stream.  The keys stay arrays: no row becomes a
+    # StreamKey tuple.
     assert rng._matches_numpy()
     built = []
     original = StreamKey.generator
     monkeypatch.setattr(StreamKey, "generator", lambda key: built.append(key) or original(key))
-    monkeypatch.setattr(rng, "batch_key", lambda *slot: built.append(slot))
-    monkeypatch.setattr(rng, "replay_key", lambda *slot: built.append(slot))
+    monkeypatch.setattr(StreamKeys, "__getitem__", lambda keys, r: built.append(r))
     cfg = ExperimentConfig(task="logistic", classes=3, per_class=12, clients=4, iterations=6,
                            local_steps=3, batch_size=3, algorithm="mifa", expected_mode="mc",
                            expected_replays=3, phi_replays=4, phi_every=2, seeds=(1, 2),
@@ -308,12 +309,12 @@ def test_rejected_draw_flags_only_its_row():
 
 def test_flagged_rows_are_drawn_from_their_streams(monkeypatch):
     def lossy(keys, n, b, count):
-        idx, exact = draw_without_replacement(keys, n, b, count)
+        idx, exact = draw_keyed(keys, n, b, count)
         idx[1] = -1
         exact[1] = False
         return idx, exact
 
-    monkeypatch.setattr(local_trainer, "draw_without_replacement", lossy)
+    monkeypatch.setattr(local_trainer, "draw_keyed", lossy)
     keys = [batch_key(5, i, 2) for i in range(4)]
     np.testing.assert_array_equal(drawn(keys, 10, 3, 4), reference(keys, 10, 3, 4))
 
