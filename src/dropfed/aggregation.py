@@ -126,8 +126,6 @@ def _sums(groups: np.ndarray, values: np.ndarray, count: int) -> tuple[np.ndarra
 
 def _means(groups: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
     """Each group's mean (count, dim); zero for an empty group."""
-    if count == 1 and len(values):
-        return np.cumsum(values, axis=0)[-1:] / len(values)
     sums, sizes = _sums(groups, values, count)
     return sums / np.maximum(sizes, 1)[:, None]
 

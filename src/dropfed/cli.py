@@ -13,8 +13,7 @@ from dataclasses import replace
 
 from .config import load_config, parse_seeds
 from .errors import ConfigError, NumericalError
-from .harness import audit_schedule, build_schedule, resolve_outdir, run_experiment, seed_task
-from .objectives import smoothness_of
+from .harness import build_schedule, resolve_outdir, run_experiment, seed_task, settle_seeds
 from .summary import compare_runs
 
 
@@ -57,12 +56,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_check_schedule(args: argparse.Namespace) -> int:
     cfg = _load_with_overrides(args)
-    tasks = [seed_task(cfg, seed) for seed in cfg.seeds]
-    for task, smoothness in zip(tasks, smoothness_of([task.population for task in tasks])):
-        report = audit_schedule(task, task.schedule.max_staleness(), smoothness,
-                                cfg.local_config(), cfg.nu)
-        print(f"seed {task.seed}:")
-        for line in report.summary_lines():
+    _, outs = settle_seeds([seed_task(cfg, seed) for seed in cfg.seeds], cfg.local_config(), cfg.nu)
+    for out in outs:
+        if out.conditions is None:
+            raise ConfigError("need at least two rounds to audit growth")
+        print(f"seed {out.seed}:")
+        for line in out.conditions.summary_lines():
             print(f"  {line}")
     return 0
 

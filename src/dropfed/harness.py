@@ -128,17 +128,16 @@ def run_trials(
     The population and the test sets are stacked once, and one helper
     measures every seed's model in one population pass and one pass over
     the stacked test sets, each round and once more for the final models.
-    Before round 0, the MLP smoothness probe runs once over every seed's
-    clients, and each seed's worst staleness, audit, optimum and upload
-    counts are settled, so an audit that cannot be computed stops the run
-    before any training.
+    Before round 0, settle_seeds gives each seed's L, worst staleness and
+    audit, and the loop each seed's optimum and upload counts, so an audit
+    that cannot be computed stops the run before any training.
 
     Per-round columns describe the broadcast model w_t before the update;
     the *final* fields describe the model after the last round.  A seed
     whose model turns non-finite stops at that round and is marked failed:
     its clients train no more, its rows drawn ahead go unread, and its
     model, still measured because rows never interact, is no longer
-    recorded.  The other seeds go on.
+    recorded.  The other seeds go on; with none live, nothing more is measured.
     """
     for task in tasks:
         if len(task.rates.values) != task.schedule.iterations:
@@ -152,14 +151,7 @@ def run_trials(
     participants = masks.sum(axis=2)  # (S, T)
     # Scaffold's control variates cross the wire with each upload.
     uploads = np.cumsum(participants, axis=1) * (2 if algorithm == "scaffold" else 1)
-    smoothness = smoothness_of([task.population for task in tasks])
-    outs = []
-    for task, L in zip(tasks, smoothness):
-        out = TrialOutput(seed=task.seed, rows=[], final_w=task.w0,
-                          max_staleness=task.schedule.max_staleness())
-        if task.schedule.iterations >= 2:
-            out.conditions = audit_schedule(task, out.max_staleness, L, local_cfg, audit_nu)
-        outs.append(out)
+    smoothness, outs = settle_seeds(tasks, local_cfg, audit_nu)
     optima = [global_optimum(task.population) for task in tasks]
     steep = ", ".join(f"seed {s} (L = {L:.6g}, 1/(10 L) = {1 / (10 * L):.6g})"
                       for s, L in zip(seeds, smoothness) if L > 0 and local_cfg.lr > 1 / (10 * L))
@@ -254,7 +246,7 @@ def run_trials(
             outs[k].final_w = state.models[k]
             drawn = []  # its rows drawn ahead go unread, and the next chunk holds none
 
-    for k, loss, grad, _, acc in measure(state.models):
+    for k, loss, grad, _, acc in measure(state.models) if live.any() else []:
         out = outs[k]
         out.final_w, out.final_loss, out.final_acc = state.models[k], loss, acc
         out.final_grad_norm2 = float(grad @ grad)
@@ -272,18 +264,25 @@ def run_trials(
     return outs
 
 
-def audit_schedule(
-    task: SeedTask, staleness: int, smoothness: float, local_cfg: LocalConfig, nu: float
-) -> ConditionReport:
-    """Audit a seed's realized step sizes, with tau_max its worst staleness (at least 1).
+def settle_seeds(
+    tasks: list[SeedTask], local_cfg: LocalConfig, nu: float
+) -> tuple[list[float], list[TrialOutput]]:
+    """Each seed's L and output before round 0, for run and check-schedule alike.
 
-    smoothness is the seed's L, from objectives.smoothness_of.
+    The MLP smoothness probe runs once over every seed's clients.  The output
+    holds the seed's worst staleness and, when T >= 2, the audit of its step
+    sizes with that staleness (at least 1) as tau_max.
     """
-    return check_conditions(
-        task.rates, task.schedule.sizes(), local_lr=local_cfg.lr, steps=local_cfg.steps,
-        smoothness=smoothness, tau_max=max(1, staleness),
-        num_clients=task.population.num_clients, nu=nu,
-    )
+    smoothness = smoothness_of([task.population for task in tasks])
+    outs = [TrialOutput(task.seed, [], task.w0, max_staleness=task.schedule.max_staleness())
+            for task in tasks]
+    for task, L, out in zip(tasks, smoothness, outs):
+        if task.schedule.iterations >= 2:
+            out.conditions = check_conditions(
+                task.rates, task.schedule.sizes(), local_lr=local_cfg.lr, steps=local_cfg.steps,
+                smoothness=L, tau_max=max(1, out.max_staleness),
+                num_clients=task.population.num_clients, nu=nu)
+    return smoothness, outs
 
 
 def build_task(cfg: ExperimentConfig, seed: int) -> tuple[Objective, ClientDataset | None]:

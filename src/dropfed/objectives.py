@@ -343,8 +343,8 @@ class MlpObjective(_Classifier):
     """One-hidden-layer tanh network with a softmax head, trained by backprop.
 
     Deliberately tiny (at most 1000 parameters): it exists to exercise the
-    simulator on a nonconvex loss, not to chase accuracy.  The smoothness
-    value is an empirical probe, not a certified bound.
+    simulator on a nonconvex loss, not to chase accuracy.  Each smoothness
+    read runs an empirical probe (not a certified bound); nothing is cached.
     """
 
     kind = "mlp"
@@ -357,7 +357,6 @@ class MlpObjective(_Classifier):
         self._total = self.size(self.features.shape[2], num_classes, hidden)
         self.hidden = int(hidden)
         self._n1 = self.hidden * self._x.shape[2]
-        self._smoothness: float | None = None  # probed on first use
 
     @classmethod
     def size(cls, dim: int, num_classes: int, hidden: int) -> int:
@@ -375,9 +374,7 @@ class MlpObjective(_Classifier):
 
     @property
     def smoothness(self) -> float:
-        if self._smoothness is None:
-            (self._smoothness,) = self._probe_smoothness(1)
-        return self._smoothness
+        return self._probe_smoothness(1)[0]
 
     @property
     def params(self) -> dict:
@@ -463,15 +460,13 @@ def stack(objectives: Objective | Sequence[Objective]) -> Objective:
 
 
 def smoothness_of(objectives: Sequence[Objective]) -> list[float]:
-    """Each objective's smoothness L; the MLPs not yet probed are probed in one stacked pass.
+    """Each objective's smoothness L, in order; MLPs are probed in one stacked pass.
 
-    The MLPs must share one set of parameters and one client data shape, as
-    the seeds of one run do.  Each keeps its L for later reads.
+    The objectives share one kind, and MLPs one set of parameters and one
+    client data shape, as the seeds of one run do.
     """
-    unprobed = [o for o in objectives if isinstance(o, MlpObjective) and o._smoothness is None]
-    if unprobed:
-        for o, value in zip(unprobed, stack(unprobed)._probe_smoothness(len(unprobed))):
-            o._smoothness = value
+    if objectives and isinstance(objectives[0], MlpObjective):
+        return stack(objectives)._probe_smoothness(len(objectives))
     return [o.smoothness for o in objectives]
 
 

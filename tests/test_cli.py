@@ -2,12 +2,16 @@
 
 import configparser
 import dataclasses
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropfed.cli import build_parser, main
 from dropfed.config import _SECTIONS, ExperimentConfig
@@ -135,6 +139,66 @@ def test_check_schedule_command(tmp_path, capsys):
     assert "seed 1:" in out and "seed 2:" in out
     assert "passed = " in out
     assert "drift_gain = " in out
+
+
+AUDIT_CONFIG = """\
+[task]
+kind = {kind}
+classes = 3
+per_class = 12
+dim = 3
+hidden = 4
+reg = 0.01
+
+[partition]
+clients = 4
+
+[federation]
+algorithm = mimic
+iterations = {iterations}
+local_steps = 3
+batch_size = 3
+
+[availability]
+{availability}
+
+[rates]
+kind = inverse_time
+scale = 0.5
+
+[run]
+seeds = 1, 2
+out = {out}
+"""
+
+
+@pytest.mark.parametrize("kind, availability", [
+    ("logistic", "scenario = static\nprob = 0.5"),
+    ("mlp", "scenario = round_robin\ntau_max = 3"),  # L from the stacked probe
+])
+def test_check_schedule_prints_the_audit_that_run_records(tmp_path, capsys, kind, availability):
+    cfg_path, out = tmp_path / "exp.ini", tmp_path / "run"
+    cfg_path.write_text(AUDIT_CONFIG.format(kind=kind, iterations=6, availability=availability,
+                                            out=out))
+    assert main(["check-schedule", str(cfg_path)]) == 0
+    printed = capsys.readouterr().out.split("seed ")[1:]
+    assert main(["run", str(cfg_path)]) == 0
+    summary = (out / "summary.txt").read_text()
+    for seed, block in zip((1, 2), printed, strict=True):
+        head, *lines = block.splitlines()
+        section = summary.split(f"[trial.{seed}.conditions]\n")[1].split("\n\n")[0]
+        assert head == f"{seed}:" and lines
+        assert lines == [f"  {line}" for line in section.splitlines()]
+
+
+def test_check_schedule_needs_two_rounds(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(AUDIT_CONFIG.format(kind="logistic", iterations=1,
+                                            availability="scenario = static", out=tmp_path))
+    assert main(["check-schedule", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: need at least two rounds to audit growth\n"
 
 
 def test_dump_availability_stdout(tmp_path, capsys):
@@ -394,3 +458,45 @@ def test_closed_stdout_exits_quietly(tmp_path):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141
     assert b"Traceback" not in err and err == b""
+
+
+def example_config() -> configparser.ConfigParser:
+    """configs/example.ini at 6 rounds and one seed."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read(Path(__file__).resolve().parents[1] / "configs" / "example.ini")
+    parser["federation"]["iterations"] = "6"
+    parser["run"]["seeds"] = "1"
+    return parser
+
+
+EXAMPLE_KEYS = [(section, key) for section, keys in example_config().items() for key in keys]
+SWEEP_VALUES = ("nan", "inf", "-inf", "0", "-1", "abc", "", "1e400", "2.5")
+
+
+@pytest.mark.parametrize("section, key", EXAMPLE_KEYS)
+@settings(max_examples=len(SWEEP_VALUES), deadline=None)
+@given(value=st.sampled_from(SWEEP_VALUES))
+def test_every_key_takes_any_value_or_is_a_config_error(tmp_path_factory, section, key, value):
+    # One key of the example set to value: each command succeeds, or exits 1
+    # with one stderr line and leaves its working directory as it was.
+    parser = example_config()
+    parser[section][key] = value
+    home = tmp_path_factory.mktemp("sweep")
+    cfg_path, work = home / "exp.ini", home / "work"
+    with cfg_path.open("w") as f:
+        parser.write(f)
+    work.mkdir()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        for command in ("run", "check-schedule"):
+            before, err = sorted(work.rglob("*")), io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([command, str(cfg_path)])
+            if code:
+                assert code == 1, (command, err.getvalue())
+                assert err.getvalue().startswith("config error: ")
+                assert err.getvalue().count("\n") == 1
+                assert sorted(work.rglob("*")) == before
+    finally:
+        os.chdir(cwd)

@@ -95,6 +95,10 @@ EXTRA = {
     "logistic_mimic_mc_phi_failed_seed": ("logistic", dict(
         algorithm="mimic", expected_mode="mc", expected_replays=3, phi_replays=2, phi_every=2,
         iterations=12, eta0=1e33, seeds=(1, 2, 3))),
+    # A step size that overflows seed 1 at round 6 and seed 2 at round 7 of
+    # 10: the run stops after round 7, and no seed has final values.
+    "logistic_mimic_every_seed_failed": ("logistic", dict(algorithm="mimic", iterations=10,
+                                                          eta0=1e50)),
 }
 
 

@@ -409,6 +409,28 @@ def test_every_reported_number_comes_from_one_population_pass(task, monkeypatch)
             assert trial.final_acc == acc
 
 
+def test_a_run_without_live_seeds_measures_nothing_more(tmp_path, monkeypatch):
+    # Every seed of the golden case diverges (seed 1 at round 6, seed 2 at
+    # round 7 of 10): each executed round takes one population pass, and no
+    # final pass follows, since no seed is left to record it.  Its stored
+    # files, which test_golden compares, were written by the code that
+    # still made that pass.
+    from test_golden import CASES
+
+    name = "logistic_mimic_every_seed_failed"
+    calls = []
+    original = Objective.losses_and_grads
+
+    def counted(self, w):
+        calls.append(len(w))
+        return original(self, w)
+
+    monkeypatch.setattr(Objective, "losses_and_grads", counted)
+    result = run_experiment(ExperimentConfig(**CASES[name], out=str(tmp_path)))
+    assert [(t.failed, t.failure_round) for t in result.trials] == [(True, 6), (True, 7)]
+    assert calls == [2] * 8
+
+
 def test_a_measured_round_trains_in_one_pass(monkeypatch):
     # The run draws the batches of all its rounds in one call: each round's
     # participants, then as many replicas as the larger of the Monte Carlo
