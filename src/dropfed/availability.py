@@ -30,7 +30,6 @@ class AvailabilitySchedule:
     """Active clients for iterations 0..T-1 over clients 0..N-1, as a (T, N) mask."""
 
     mask: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self) -> None:
         if self.mask.dtype != np.bool_ or self.mask.ndim != 2:
@@ -86,7 +85,7 @@ def periodic_schedule(periods: np.ndarray | list[int], iterations: int) -> Avail
         raise ConfigError(f"periods must be >= 1, got {periods.tolist()}")
     distinct, column = np.unique(periods, return_inverse=True)
     mask = (np.arange(iterations)[:, None] % distinct == 0)[:, column]
-    return AvailabilitySchedule(mask, kind="round_robin")
+    return AvailabilitySchedule(mask)
 
 
 def check_tau_max(tau_max: int) -> None:
@@ -136,7 +135,7 @@ def static_prob_schedule(
     first = 1 if force_full_start else 0
     mask = np.ones((iterations, num_clients), dtype=bool)
     mask[first:] = generator(seed).random((max(iterations - first, 0), num_clients)) <= prob
-    return AvailabilitySchedule(mask, kind="static")
+    return AvailabilitySchedule(mask)
 
 
 def weighted_sample_schedule(
@@ -160,4 +159,4 @@ def weighted_sample_schedule(
             edges = np.cumsum(weights[remaining])
             j = int(np.searchsorted(edges, u * edges[-1], side="right"))
             row[remaining.pop(min(j, len(remaining) - 1))] = True
-    return AvailabilitySchedule(mask, kind="weighted")
+    return AvailabilitySchedule(mask)

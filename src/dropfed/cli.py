@@ -32,7 +32,6 @@ def _load_with_overrides(args: argparse.Namespace):
         cfg = replace(cfg, out=args.out)
     if getattr(args, "workers", None) is not None:
         cfg = replace(cfg, workers=args.workers)
-    cfg.check_partition()
     return cfg
 
 
@@ -56,10 +55,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_check_schedule(args: argparse.Namespace) -> int:
     cfg = _load_with_overrides(args)
-    _, outs = settle_seeds([seed_task(cfg, seed) for seed in cfg.seeds], cfg.local_config(), cfg.nu)
-    for out in outs:
-        if out.conditions is None:
-            raise ConfigError("need at least two rounds to audit growth")
+    cfg.check_partition()
+    if cfg.iterations < 2:
+        raise ConfigError("need at least two rounds to audit growth")
+    tasks = [seed_task(cfg, seed) for seed in cfg.seeds]
+    for out in settle_seeds(tasks, cfg.local_config(), cfg.nu)[2]:
         print(f"seed {out.seed}:")
         for line in out.conditions.summary_lines():
             print(f"  {line}")

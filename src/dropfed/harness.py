@@ -43,7 +43,6 @@ from .objectives import (
     Objective,
     global_optimum,
     make_objective,
-    smoothness_of,
     stack,
 )
 from .schedules import (
@@ -119,18 +118,17 @@ def run_trials(
     """Run every seed's trial in one lockstep pass and measure every round.
 
     The seeds share N, T and the client data shape, and either all have a
-    test set of one size or none has.  Their clients are stacked into one
-    population, seed s's client i at row s * N + i, so a round trains every
-    seed's participants and the replicas its measurements need in one pass
-    (see play_round); in fullbatch mode the expectation is the last copy.
-    The other batches are drawn ahead, keyed as arrays from the masks, in
-    one draw per chunk of whole rounds (DRAW_CHUNK_BYTES).
-    The population and the test sets are stacked once, and one helper
-    measures every seed's model in one population pass and one pass over
-    the stacked test sets, each round and once more for the final models.
-    Before round 0, settle_seeds gives each seed's L, worst staleness and
-    audit, and the loop each seed's optimum and upload counts, so an audit
-    that cannot be computed stops the run before any training.
+    test set of one size or none has.  Before round 0, settle_seeds stacks
+    their clients once into one population and gives each seed's L, worst
+    staleness and audit, and the loop each seed's optimum and upload counts,
+    so an audit that cannot be computed stops the run before any training.
+    A round trains every seed's participants and the replicas its
+    measurements need in one pass over that stack (see play_round); in
+    fullbatch mode the expectation is the last copy.  The other batches are
+    drawn ahead, keyed as arrays from the masks, in one draw per chunk of
+    whole rounds (DRAW_CHUNK_BYTES).  The test sets are stacked once, and one
+    helper measures every seed's model in one population pass and one pass
+    over the stacked test sets, each round and once more for the final models.
 
     Per-round columns describe the broadcast model w_t before the update;
     the *final* fields describe the model after the last round.  A seed
@@ -151,7 +149,7 @@ def run_trials(
     participants = masks.sum(axis=2)  # (S, T)
     # Scaffold's control variates cross the wire with each upload.
     uploads = np.cumsum(participants, axis=1) * (2 if algorithm == "scaffold" else 1)
-    smoothness, outs = settle_seeds(tasks, local_cfg, audit_nu)
+    population, smoothness, outs = settle_seeds(tasks, local_cfg, audit_nu)
     optima = [global_optimum(task.population) for task in tasks]
     steep = ", ".join(f"seed {s} (L = {L:.6g}, 1/(10 L) = {1 / (10 * L):.6g})"
                       for s, L in zip(seeds, smoothness) if L > 0 and local_cfg.lr > 1 / (10 * L))
@@ -159,7 +157,6 @@ def run_trials(
         log.warning("local lr %r exceeds 1/(10 L), so small-step analysis does not apply, for %s",
                     local_cfg.lr, steep)
     live = np.ones(len(tasks), dtype=bool)
-    population = stack([task.population for task in tasks])  # every seed's clients, in lockstep
     # Seed s's test set is client s of one more stacked objective.
     test_sets = None
     if tasks[0].test_data is not None:
@@ -266,14 +263,17 @@ def run_trials(
 
 def settle_seeds(
     tasks: list[SeedTask], local_cfg: LocalConfig, nu: float
-) -> tuple[list[float], list[TrialOutput]]:
-    """Each seed's L and output before round 0, for run and check-schedule alike.
+) -> tuple[Objective, list[float], list[TrialOutput]]:
+    """The stack of every seed's clients, each seed's L and its output before round 0.
 
-    The MLP smoothness probe runs once over every seed's clients.  The output
-    holds the seed's worst staleness and, when T >= 2, the audit of its step
-    sizes with that staleness (at least 1) as tau_max.
+    run and check-schedule alike call it; only run trains on the stack, seed
+    s's client i at row s * N + i.  Every seed's L comes from one smoothness
+    call on the stack (for an MLP, one probe over every seed's clients).  The
+    output holds the seed's worst staleness and, when T >= 2, the audit of
+    its step sizes with that staleness (at least 1) as tau_max.
     """
-    smoothness = smoothness_of([task.population for task in tasks])
+    population = stack([task.population for task in tasks])
+    smoothness = population.smoothness(len(tasks))
     outs = [TrialOutput(task.seed, [], task.w0, max_staleness=task.schedule.max_staleness())
             for task in tasks]
     for task, L, out in zip(tasks, smoothness, outs):
@@ -282,7 +282,7 @@ def settle_seeds(
                 task.rates, task.schedule.sizes(), local_lr=local_cfg.lr, steps=local_cfg.steps,
                 smoothness=L, tau_max=max(1, out.max_staleness),
                 num_clients=task.population.num_clients, nu=nu)
-    return smoothness, outs
+    return population, smoothness, outs
 
 
 def build_task(cfg: ExperimentConfig, seed: int) -> tuple[Objective, ClientDataset | None]:

@@ -9,10 +9,11 @@ i * n + j); 1-D w and indices are the one-row case.  Rows never interact, so
 a row's gradient is bit-identical whichever rows share the call, in any
 order.  losses_and_grads(w) is the fused population pass: every client's
 full loss and gradient at one w, or with one w per equal run of clients
-(each seed's clients in a stack).  loss(w) and grad(w) average it over the
-clients, so for one client they are its own.  All randomness stays with the
-caller, which passes explicit sample indices; the full gradient is the batch
-gradient over all of a client's indices, bit for bit.
+(each seed's clients in a stack), and smoothness(runs) gives the L of each
+such run.  loss(w) and grad(w) average the pass over the clients, so for one
+client they are its own.  All randomness stays with the caller, which passes
+explicit sample indices; the full gradient is the batch gradient over all of
+a client's indices, bit for bit.
 """
 
 from __future__ import annotations
@@ -119,9 +120,12 @@ class Objective:
     def dim(self) -> int:
         raise NotImplementedError
 
-    @property
-    def smoothness(self) -> float:
-        """Upper bound L on every client's gradient Lipschitz constant."""
+    def smoothness(self, runs: int = 1) -> list[float]:
+        """Upper bound L on every client's gradient Lipschitz constant, one per run.
+
+        The clients form `runs` equal runs, such as each seed's in a stack,
+        and a run's L reads only its own clients.
+        """
         raise NotImplementedError
 
     @property
@@ -223,9 +227,8 @@ class QuadraticObjective(Objective):
     def dim(self) -> int:
         return self.features.shape[2]
 
-    @property
-    def smoothness(self) -> float:
-        return 1.0
+    def smoothness(self, runs: int = 1) -> list[float]:
+        return [1.0] * runs
 
     @property
     def params(self) -> dict:
@@ -266,7 +269,7 @@ def check_classifier(num_classes: int, reg: float) -> None:
 class _Classifier(Objective):
     """Class count, ridge weight and hard labels; subclasses give _logits(W, x)."""
 
-    def __init__(self, dataset, num_classes: int, reg: float):
+    def __init__(self, dataset, num_classes: int = 2, reg: float = 0.0):
         super().__init__(dataset)
         check_classifier(num_classes, reg)
         if self.labels.min() < 0 or self.labels.max() >= num_classes:
@@ -300,20 +303,15 @@ class LogisticObjective(_Classifier):
 
     kind = "logistic"
 
-    def __init__(self, dataset: ClientDataset | Sequence[ClientDataset], num_classes: int = 2,
-                 reg: float = 0.0):
-        super().__init__(dataset, num_classes, reg)
-        self._max_row_norm2 = float(np.max(np.sum(self._x * self._x, axis=2)))
-
     @property
     def dim(self) -> int:
         cols = self._x.shape[2]
         return cols if self.num_classes == 2 else self.num_classes * cols
 
-    @property
-    def smoothness(self) -> float:
+    def smoothness(self, runs: int = 1) -> list[float]:
         curvature = 0.25 if self.num_classes == 2 else 0.5
-        return curvature * self._max_row_norm2 + self.reg
+        norms2 = np.sum(self._x * self._x, axis=2).reshape(runs, -1)
+        return [curvature * float(m) + self.reg for m in norms2.max(axis=1)]
 
     @property
     def params(self) -> dict:
@@ -344,7 +342,8 @@ class MlpObjective(_Classifier):
 
     Deliberately tiny (at most 1000 parameters): it exists to exercise the
     simulator on a nonconvex loss, not to chase accuracy.  Each smoothness
-    read runs an empirical probe (not a certified bound); nothing is cached.
+    call runs an empirical probe (not a certified bound) over every client
+    of the stack at once; nothing is cached.
     """
 
     kind = "mlp"
@@ -373,15 +372,11 @@ class MlpObjective(_Classifier):
         return self._total
 
     @property
-    def smoothness(self) -> float:
-        return self._probe_smoothness(1)[0]
-
-    @property
     def params(self) -> dict:
         return {"num_classes": self.num_classes, "hidden": self.hidden, "reg": self.reg}
 
-    def _probe_smoothness(self, runs: int) -> list[float]:
-        """The probed L of each of `runs` equal runs of clients, such as each seed's in a stack.
+    def smoothness(self, runs: int = 1) -> list[float]:
+        """The probed L of each run of clients.
 
         Per client, the max gradient-difference ratio over fixed random
         pairs, padded by 2x; the largest over the run's clients.  Every run
@@ -457,17 +452,6 @@ def stack(objectives: Objective | Sequence[Objective]) -> Objective:
     if any(type(o) is not type(first) or o.params != first.params for o in objectives):
         raise ConfigError("stacked objectives must share one kind and one set of parameters")
     return type(first)(_stacked(objectives), **first.params)
-
-
-def smoothness_of(objectives: Sequence[Objective]) -> list[float]:
-    """Each objective's smoothness L, in order; MLPs are probed in one stacked pass.
-
-    The objectives share one kind, and MLPs one set of parameters and one
-    client data shape, as the seeds of one run do.
-    """
-    if objectives and isinstance(objectives[0], MlpObjective):
-        return stack(objectives)._probe_smoothness(len(objectives))
-    return [o.smoothness for o in objectives]
 
 
 def global_optimum(objectives: Objective | Sequence[Objective]) -> ParamVector | None:

@@ -52,10 +52,7 @@ def divergence_gain(local_lr: float, smoothness: float, steps: int) -> float:
 class LrSchedule:
     """Realized per-iteration server step sizes."""
 
-    kind: str
     values: np.ndarray
-    # Iterations whose rate was carried over because the round was empty.
-    substituted: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -90,14 +87,14 @@ def check_nu(nu: float) -> None:
 
 def constant_rates(eta0: float, iterations: int) -> LrSchedule:
     check_positive("eta0", eta0)
-    return LrSchedule("constant", np.full(iterations, float(eta0)))
+    return LrSchedule(np.full(iterations, float(eta0)))
 
 
 def exponential_rates(eta0: float, decay: float, iterations: int) -> LrSchedule:
     """eta_t = eta0 * decay^t with decay in (0, 1]."""
     check_positive("eta0", eta0)
     check_decay(decay)
-    return LrSchedule("exponential", eta0 * decay ** np.arange(iterations, dtype=np.float64))
+    return LrSchedule(eta0 * decay ** np.arange(iterations, dtype=np.float64))
 
 
 def inverse_time_rates(
@@ -106,20 +103,17 @@ def inverse_time_rates(
     """eta_t = scale * |S_t| / (t + beta), the participation-scaled decay law.
 
     Empty rounds have no defined rate; they inherit the previous round's
-    value (full participation at t = 0 for an empty start) and are listed in
-    `substituted` so reports can flag them.
+    value (full participation at t = 0 for an empty start).
     """
     check_positive("scale", scale)
     check_positive("beta", beta)
     sizes = np.asarray(sizes, dtype=np.int64)
     rounds = np.arange(len(sizes))
-    filled = sizes > 0
     # Each round reads the rate of the last nonempty round up to it, if any.
-    source = np.maximum.accumulate(np.where(filled, rounds, -1))
+    source = np.maximum.accumulate(np.where(sizes > 0, rounds, -1))
     values = (scale * sizes / (rounds + beta))[source]
     values[source < 0] = scale * num_clients / beta
-    substituted = np.flatnonzero(~filled).tolist()
-    return LrSchedule("inverse_time", values, tuple(substituted))
+    return LrSchedule(values)
 
 
 def feasible_inverse_time_scale(

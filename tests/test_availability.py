@@ -77,7 +77,6 @@ def test_round_robin_respects_tau_max():
         assert sched.max_staleness() <= tau
         # Round 0 is full: every period divides 0.
         assert sched.active_sets[0] == tuple(range(12))
-        assert sched.kind == "round_robin"
     with pytest.raises(ConfigError):
         round_robin_schedule(3, 10, 0, seed_for(1, AVAILABILITY))
 
@@ -92,7 +91,6 @@ def test_static_prob_full_start_and_frequency():
     n, t_total, p = 10, 2000, 0.3
     sched = static_prob_schedule(n, t_total, p, seed_for(3, AVAILABILITY))
     assert sched.active_sets[0] == tuple(range(n))
-    assert sched.kind == "static"
     # Per-client frequency over rounds 1..T-1 stays within 3 binomial sigmas.
     trials = t_total - 1
     margin = 3 * np.sqrt(p * (1 - p) / trials)
@@ -121,7 +119,6 @@ def test_weighted_sample_exact_count():
     sizes = sched.sizes()
     assert sizes[0] == n  # forced full start
     assert all(sizes[1:] == 3)
-    assert sched.kind == "weighted"
     # No duplicates within a round (guaranteed by construction, checked anyway).
     for s in sched.active_sets:
         assert len(set(s)) == len(s)

@@ -191,7 +191,16 @@ def test_check_schedule_prints_the_audit_that_run_records(tmp_path, capsys, kind
         assert lines == [f"  {line}" for line in section.splitlines()]
 
 
-def test_check_schedule_needs_two_rounds(tmp_path, capsys):
+def refuse_data(monkeypatch):
+    """Fail the test if any synthetic data is built."""
+    def refuse(*_args):
+        raise AssertionError("data built for a config that fails before any work")
+
+    monkeypatch.setattr("dropfed.harness.make_synthetic_classification", refuse)
+
+
+def test_check_schedule_needs_two_rounds(tmp_path, capsys, monkeypatch):
+    refuse_data(monkeypatch)  # the rule is read from the config alone
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(AUDIT_CONFIG.format(kind="logistic", iterations=1,
                                             availability="scenario = static", out=tmp_path))
@@ -208,6 +217,15 @@ def test_dump_availability_stdout(tmp_path, capsys):
     lines = out.splitlines()
     assert len(lines) == 8  # one line per iteration
     assert lines[0] == "0,1,2,3"  # forced full start
+
+
+def test_dump_availability_takes_an_uneven_partition(tmp_path, capsys):
+    # 20 samples cannot be dealt as 4 clients x 3 shards, but no data is dealt here.
+    cfg_path, _ = _config_with(tmp_path, partition="shards_per_client = 3")
+    assert main(["dump-availability", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == "" and lines[0] == "0,1,2,3" and len(lines) == 8
 
 
 def test_dump_availability_files(tmp_path):
@@ -290,10 +308,7 @@ def test_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["run", "check-schedule"])
 def test_uneven_shards_are_a_config_error_before_data(tmp_path, capsys, monkeypatch, command):
     # 20 samples cannot be dealt as 4 clients x 3 shards; no data is built.
-    def refuse(*_args):
-        raise AssertionError("data built for a config that cannot be partitioned")
-
-    monkeypatch.setattr("dropfed.harness.make_synthetic_classification", refuse)
+    refuse_data(monkeypatch)
     cfg_path, out = _config_with(tmp_path, partition="shards_per_client = 3")
     assert main([command, str(cfg_path)]) == 1
     err = capsys.readouterr().err

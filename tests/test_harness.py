@@ -2,13 +2,19 @@
 
 import configparser
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dropfed import aggregation, harness
-from dropfed.availability import periodic_schedule
+from dropfed.availability import (
+    periodic_schedule,
+    round_robin_schedule,
+    static_prob_schedule,
+    weighted_sample_schedule,
+)
 from dropfed.config import ExperimentConfig, load_config
 from dropfed.data import make_synthetic_classification
 from dropfed.diagnostics import evaluate
@@ -32,7 +38,7 @@ from dropfed.objectives import (
     global_optimum,
     make_objective,
 )
-from dropfed.rng import DATA, seed_for
+from dropfed.rng import AVAILABILITY, DATA, seed_for
 from dropfed.schedules import constant_rates, inverse_time_rates
 from dropfed.summary import ComparisonRow, compare_runs, render_summary
 
@@ -494,11 +500,19 @@ def test_a_measured_round_trains_in_one_pass(monkeypatch):
 
 
 def test_build_schedule_dispatch():
-    for scenario, kind in [("round_robin", "round_robin"), ("static", "static"),
-                           ("weighted", "weighted")]:
-        cfg = ExperimentConfig(scenario=scenario, iterations=10, clients=5)
-        sched = build_schedule(cfg, seed=2)
-        assert sched.kind == kind
+    # Each scenario's mask is the one its own builder gives for the seed's key.
+    cfg = ExperimentConfig(iterations=10, clients=5)
+    key = seed_for(2, AVAILABILITY)
+    builders = {
+        "round_robin": round_robin_schedule(5, 10, cfg.tau_max, key),
+        "static": static_prob_schedule(5, 10, cfg.prob, key, cfg.force_full_start),
+        "weighted": weighted_sample_schedule(5, 10, cfg.ratio, key),
+    }
+    masks = {m.mask.tobytes() for m in builders.values()}
+    assert len(masks) == len(builders)  # so the comparison tells the builders apart
+    for scenario, want in builders.items():
+        sched = build_schedule(replace(cfg, scenario=scenario), seed=2)
+        np.testing.assert_array_equal(sched.mask, want.mask)
         assert sched.iterations == 10
         assert sched.active_sets[0] == tuple(range(5))
 

@@ -7,13 +7,13 @@ whose batches are drawn from stream keys, all rows in one pass, must equal
 the same rounds drawn from each key's Generator.  A round, its replicas and
 its full-batch expectation trained in one pass, in row blocks of any size,
 must equal the round, each replica and the expectation played in passes of
-their own.  A run of several
-seeds in lockstep must equal each seed's trial run alone, bit for bit, and
-so must its stacked measurements: the population pass with one model per
-seed, the stacked test sets, and the MLP smoothness probe.  A run whose
-batches are drawn ahead, whole rounds at a time, must equal one that draws
-each round's batches from its own keys.  The softmax kernel's
-class-by-class folds must equal numpy's axis reductions.
+their own.  A run of several seeds in lockstep must equal each seed's trial
+run alone, bit for bit, and so must its stacked measurements: the
+population pass with one model per seed, the stacked test sets, and every
+kind's smoothness, the MLP probe included.  A run whose batches are drawn
+ahead, whole rounds at a time, must equal one that draws each round's
+batches from its own keys.  The softmax kernel's class-by-class folds must
+equal numpy's axis reductions.
 """
 
 from dataclasses import astuple
@@ -38,7 +38,6 @@ from dropfed.objectives import (
     QuadraticObjective,
     _cross_entropy,
     make_objective,
-    smoothness_of,
     stack,
 )
 from dropfed.rng import draw_keyed
@@ -561,20 +560,71 @@ def test_stacked_probe_equals_each_objective_alone(
 ):
     objectives = probe_objectives(seed, seeds, classes, hidden, clients, n, scale)
     want = [probe_one(o) for o in objectives]
-    got = smoothness_of(objectives)
+    got = stack(objectives).smoothness(seeds)
     assert [repr(v) for v in got] == [repr(v) for v in want]
     assert same_bits(got, want)
     # The one-objective case takes the same path.
     alone = MlpObjective(ClientDataset(objectives[0].features, objectives[0].labels),
                          num_classes=classes, hidden=hidden, reg=0.01)
-    assert repr(alone.smoothness) == repr(want[0])
+    assert repr(alone.smoothness()[0]) == repr(want[0])
 
 
 def test_stacked_probe_keeps_the_float_floor():
     # No probe ratio exceeds 1 here, so every seed's L is the float 2.0 that
     # summary.txt prints as before, not a numpy scalar.
-    got = smoothness_of(probe_objectives(**FLOOR))
+    got = stack(probe_objectives(**FLOOR)).smoothness(FLOOR["seeds"])
     assert got == [2.0] * FLOOR["seeds"] and all(type(v) is float for v in got)
+
+
+def smoothness_one(objective):
+    """One objective's L from its own definition: the reference of the stacked call."""
+    if isinstance(objective, QuadraticObjective):
+        return 1.0
+    if isinstance(objective, MlpObjective):
+        return probe_one(objective)
+    features = objective.features
+    rows = np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
+    curvature = 0.25 if objective.num_classes == 2 else 0.5
+    return curvature * float(np.max(np.sum(rows * rows, axis=-1))) + objective.reg
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    seeds=st.integers(1, 4),
+    classes=st.integers(3, 5),
+    hidden=st.sampled_from((1, 3, 8)),
+    reg=st.sampled_from((0.01, 0.5)),
+    clients=st.integers(1, 3),
+    n=st.integers(1, 5),
+    d=st.integers(1, 3),
+    scale=st.sampled_from((0.01, 1.0, 4.0)),
+)
+def test_stacked_smoothness_equals_each_objective_alone(
+    kind, seed, seeds, classes, hidden, reg, clients, n, d, scale
+):
+    rng = np.random.default_rng(seed)
+    classes = 2 if kind in ("quadratic", "binary") else classes
+    objectives = []
+    for _ in range(seeds):
+        ds = ClientDataset(scale * rng.normal(size=(clients, n, d)),
+                           rng.integers(0, classes, size=(clients, n)))
+        if kind == "quadratic":
+            objectives.append(QuadraticObjective(ds))
+        elif kind == "mlp":
+            objectives.append(MlpObjective(ds, num_classes=classes, hidden=hidden, reg=reg))
+        else:
+            objectives.append(LogisticObjective(ds, num_classes=classes, reg=reg))
+    got = stack(objectives).smoothness(seeds)
+    alone = [o.smoothness()[0] for o in objectives]
+    want = [smoothness_one(o) for o in objectives]
+    # repr tells a Python float from a numpy float64, which summary.txt
+    # prints differently: the quadratic, logistic and MLP-floor values are
+    # Python floats, and an MLP value above the floor a float64.
+    assert [repr(v) for v in got] == [repr(v) for v in alone] == [repr(v) for v in want]
+    assert same_bits(got, alone)
+    assert all(isinstance(v, float) for v in got)
 
 
 def axis_cross_entropy(logits, y, with_loss):

@@ -75,7 +75,7 @@ def test_quadratic_hand_values():
     ds = ClientDataset(np.array([[0.0], [2.0]]), np.zeros(2, dtype=int))
     obj = QuadraticObjective(ds)
     assert obj.dim == 1
-    assert obj.smoothness == 1.0
+    assert obj.smoothness() == [1.0]
     np.testing.assert_allclose(global_optimum(obj), [1.0])
     assert obj.loss(np.array([0.0])) == pytest.approx(1.0)
     np.testing.assert_allclose(obj.grad(np.array([0.0])), [-1.0])
@@ -185,7 +185,7 @@ def test_logistic_smoothness_bounds_gradient_lipschitz():
     rng = np.random.default_rng(43)
     ds = small_dataset(rng, n=15, dim=3, classes=2)
     obj = LogisticObjective(ds, num_classes=2, reg=0.1)
-    L = obj.smoothness
+    (L,) = obj.smoothness()
     for _ in range(50):
         w1 = rng.normal(size=obj.dim) * 2
         w2 = rng.normal(size=obj.dim) * 2
@@ -266,7 +266,7 @@ def test_mlp_predict_and_probe_smoothness():
     preds = obj.predict(rng.normal(size=(1, obj.dim)))
     assert preds.shape == (1, 8)
     assert set(np.unique(preds)) <= {0, 1}
-    assert obj.smoothness > 0
+    assert obj.smoothness()[0] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The tracer in bench/ finds its targets by bare name in the modules that
 `dropfed.cli` loads.  A target that is renamed or moved out of sight is
-skipped without an error, and its per-layer metric then reads 0.
+skipped without an error, and its per-layer metric then reads 0.  A
+target that is found but no longer on a run's path reads 0 as well, so the
+smoothness target is also run.
 """
 
 import importlib.util
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import dropfed.cli  # noqa: F401  (loads the modules the benchmark traces)
+from dropfed.config import ExperimentConfig
+from dropfed.harness import seed_task, settle_seeds
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # Their functions were deleted when the population pass replaced them,
@@ -35,3 +39,20 @@ def test_every_trace_target_is_found():
     finally:
         installer.uninstall()
     assert {t.span for t in targets} - found == DEAD
+
+
+def test_settling_seeds_records_one_smoothness_span():
+    # Every seed's L comes from one smoothness call on the stack of the seeds.
+    tracer = load_tracer()
+    cfg = ExperimentConfig(task="mlp", classes=2, per_class=4, clients=2, hidden=2,
+                           iterations=3, seeds=(1, 2))
+    tasks = [seed_task(cfg, seed) for seed in cfg.seeds]
+    spans = tracer.Tracer()
+    installer = tracer.Installer()
+    try:
+        targets = [t for t in tracer.LAYERS if t.span == "objectives.smoothness"]
+        assert installer.install(spans, targets) == ["objectives.smoothness"]
+        settle_seeds(tasks, cfg.local_config(), cfg.nu)
+    finally:
+        installer.uninstall()
+    assert [s.name for s in spans.spans] == ["objectives.smoothness"]
