@@ -15,9 +15,9 @@ assembled:
 * scaffold: clients correct every local step with control variates before
   uploading (two vectors per client per round cross the wire).
 
-Layout: S seeds run in lockstep as one state, w (S, dim) (one seed may keep
-w 1-D), with seed s's client i at row s * N + i of the stacked population
-and of the per-client memory (mimic's corrections, mifa's last uploads,
+Layout: S seeds run in lockstep as one state, w (S, dim) even for one
+seed, with seed s's client i at row s * N + i of the stacked population and
+of the per-client memory (mimic's corrections, mifa's last uploads,
 scaffold's control variates): one (S * N, dim) array plus the round each
 row was last written, -1 if never.  A round's participants are a sorted id
 array of R rows, and its uploads one (copies * R, dim) array: the round's
@@ -62,27 +62,22 @@ class ServerState:
     """Global model plus whatever per-client memory the chosen algorithm carries."""
 
     algorithm: str
-    w: np.ndarray  # (dim,) for one seed, or (S, dim) for S seeds in lockstep
+    w: np.ndarray  # (S, dim): S seeds in lockstep
     num_clients: int  # per seed
     # (S * N, dim): mimic corrections, mifa memorized uploads or scaffold
     # client variates; zero until written.  fedavg and fedprox leave it untouched.
     rows: np.ndarray
     written: np.ndarray  # (S * N,): the round each row was last written, -1 if never
     round_index: int = 0
-    # scaffold only: the server control variate, shaped like w.
+    # scaffold only: the server control variate of each seed, (S, dim).
     server_variate: np.ndarray | None = None
     # scaffold only: variates rebuilt each round from anchors, not kept across rounds.
     scaffold_literal: bool = False
 
-    @property
-    def models(self) -> np.ndarray:
-        """w as (S, dim)."""
-        return self.w.reshape(-1, self.w.shape[-1])
-
 
 @dataclass(frozen=True)
 class RoundResult:
-    """Applied update v_t (shaped like w), the new state, and each replica's v (replicas, *w.shape)."""
+    """Applied update v_t (S, dim), the new state, and each replica's v (replicas, S, dim)."""
 
     v: np.ndarray
     state: ServerState
@@ -92,13 +87,13 @@ class RoundResult:
 def init_state(
     algorithm: str, w0: ParamVector, num_clients: int, scaffold_literal: bool = False
 ) -> ServerState:
-    """Fresh state for one seed's model w0 (dim,), or for S seeds' models (S, dim)."""
+    """Fresh state for S seeds' models w0 (S, dim); a 1-D w0 (dim,) is one seed."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if num_clients < 1:
         raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
-    w0 = np.array(w0, dtype=np.float64)
-    seeds, dim = w0.reshape(-1, w0.shape[-1]).shape
+    w0 = np.array(w0, dtype=np.float64, ndmin=2)
+    seeds, dim = w0.shape
     return ServerState(
         algorithm, w0, num_clients,
         rows=np.zeros((seeds * num_clients, dim)),
@@ -166,7 +161,7 @@ def aggregate(
       state.scaffold_literal (variates rebuilt inside the round from
       anchors) every variate stays.
     """
-    n, seeds, dim = state.num_clients, len(state.models), state.w.shape[-1]
+    n, (seeds, dim) = state.num_clients, state.w.shape
     copies = len(uploads) // len(ids) if len(ids) else 1
     owner, real = ids // n, uploads[: len(ids)]
     changes = {}
@@ -192,12 +187,11 @@ def aggregate(
         changes = _write(state, ids, v[0][owner] - real)
     elif state.algorithm == "scaffold" and not state.scaffold_literal:
         change = _sums(owner, variates - state.rows[ids], seeds)[0]
-        server = state.server_variate.reshape(change.shape) + change / n
-        changes = {"server_variate": server.reshape(state.w.shape),
+        changes = {"server_variate": state.server_variate + change / n,
                    **_write(state, ids, variates)}
-    w = (state.models - np.asarray(eta)[..., None] * v[0]).reshape(state.w.shape)
+    w = state.w - np.asarray(eta)[..., None] * v[0]
     new = replace(state, w=w, round_index=state.round_index + 1, **changes)
-    return RoundResult(v[0].reshape(state.w.shape), new, v[1:].reshape(-1, *state.w.shape))
+    return RoundResult(v[0], new, v[1:])
 
 
 # Bytes of one (rows, dim) float64 array of a training block; local_train
@@ -237,7 +231,7 @@ def play_round(
     if not ids.size:  # w - eta * 0 is w, bit for bit: every step size is finite
         new = replace(state, round_index=state.round_index + 1)
         return RoundResult(np.zeros_like(state.w), new, np.zeros((0, *state.w.shape)))
-    seeds, dim = state.models.shape
+    seeds, dim = state.w.shape
     anchored = state.scaffold_literal
     if batches is None:
         sources = None if rng_for is None else [rng_for(i) for i in ids.tolist()]
@@ -252,7 +246,7 @@ def play_round(
                    for a in range(0, group.shape[1], size)]
         start += group.shape[1]
     if anchored:
-        anchors = np.concatenate([population.batch_grad(state.models[owner[b]], batch[0])
+        anchors = np.concatenate([population.batch_grad(state.w[owner[b]], batch[0])
                                   for b, batch in blocks])
         groups = np.repeat(np.arange(copies) * seeds, len(ids)) + owner
         anchor_shift = _means(groups, anchors, copies * seeds)[groups] - anchors
@@ -263,8 +257,8 @@ def play_round(
         if anchored:
             shift = anchor_shift[b]
         elif state.algorithm == "scaffold":
-            shift = state.server_variate.reshape(seeds, -1)[owner[b]] - state.rows[rows[b]]
-        uploads[b], grads, _ = local_train(population, state.models[owner[b]], batch[anchored:],
+            shift = state.server_variate[owner[b]] - state.rows[rows[b]]
+        uploads[b], grads, _ = local_train(population, state.w[owner[b]], batch[anchored:],
                                            cfg, shift)
         grad_means[b] = grads[: len(grad_means[b])]
     return aggregate(state, ids, uploads, eta, grad_means)

@@ -198,16 +198,22 @@ _CONVERTERS.update(
 )
 
 
+def read_ini(path: str | Path) -> configparser.ConfigParser:
+    """The INI file at path; one that cannot be read as UTF-8 INI text is a ConfigError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:  # a message of one line
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
+    return parser
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse an INI-style experiment file; unknown sections or keys are errors."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    parser = read_ini(path)
     kwargs = {}
     for section in parser.sections():
         if section not in _FIELD_OF:

@@ -117,17 +117,17 @@ def write_metrics_csv(rows: list[RoundMetrics], path: str | Path) -> None:
 
 def read_metrics_csv(path: str | Path) -> list[RoundMetrics]:
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != METRIC_COLUMNS:
-            raise ConfigError(f"{path}: expected columns {METRIC_COLUMNS}, got {header}")
-        for parts in reader:
-            vals = {
-                c: (int(p) if c in _INT_COLUMNS else float(p))
-                for c, p in zip(METRIC_COLUMNS, parts)
-            }
-            rows.append(RoundMetrics(**vals))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(header) != METRIC_COLUMNS:
+                raise ValueError(f"expected columns {METRIC_COLUMNS}, got {header}")
+            for parts in reader:
+                rows.append(RoundMetrics(*(int(p) if c in _INT_COLUMNS else float(p)
+                                           for c, p in zip(METRIC_COLUMNS, parts))))
+    except (OSError, ValueError, TypeError) as exc:  # unreadable, bad header or cell, short row
+        raise ConfigError(f"{path}: {exc}") from exc
     return rows
 
 

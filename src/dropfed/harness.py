@@ -222,7 +222,7 @@ def run_trials(
         if expected_mode == "fullbatch":
             expected = result.replays[-1:]
         samples = result.replays[:phi_replays] if phi_rounds[t] else None
-        for k, loss, grad, client_grads, acc in measure(state.models):
+        for k, loss, grad, client_grads, acc in measure(state.w):
             active = np.flatnonzero(playing[k]).tolist()
             gamma = e_t = phi = math.nan
             if active:
@@ -237,15 +237,15 @@ def run_trials(
                 t=t, loss=loss, grad_norm2=float(grad @ grad), E_t=e_t, gamma_t=gamma, phi_hat=phi,
                 n_active=len(active), uploads=int(uploads[k, t]), acc=acc, eta_t=float(eta[k])))
         state = result.state
-        failed = np.flatnonzero(live & ~np.isfinite(state.models).all(axis=1))
+        failed = np.flatnonzero(live & ~np.isfinite(state.w).all(axis=1))
         for k in failed:
             outs[k].failed, outs[k].failure_round, live[k] = True, t, False
-            outs[k].final_w = state.models[k]
+            outs[k].final_w = state.w[k]
             drawn = []  # its rows drawn ahead go unread, and the next chunk holds none
 
-    for k, loss, grad, _, acc in measure(state.models) if live.any() else []:
+    for k, loss, grad, _, acc in measure(state.w) if live.any() else []:
         out = outs[k]
-        out.final_w, out.final_loss, out.final_acc = state.models[k], loss, acc
+        out.final_w, out.final_loss, out.final_acc = state.w[k], loss, acc
         out.final_grad_norm2 = float(grad @ grad)
     for out, task, optimum in zip(outs, tasks, optima):
         if not out.failed and optimum is not None:
@@ -351,24 +351,27 @@ class ExperimentResult:
 
 
 def resolve_outdir(out: str) -> Path:
-    """Interpret a run's output path, honoring the output-root env var."""
+    """Interpret a run's output path, honoring the output-root env var; no part may be a file."""
     path = Path(out)
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not path.is_absolute():
         path = Path(root) / path
+    for part in (path, *path.parents):
+        if part.exists() and not part.is_dir():
+            raise ConfigError(f"output path {part} exists and is not a directory")
     return path
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every seed in one lockstep pass, write per-seed CSVs plus one summary.txt."""
     cfg.check_partition()
+    outdir = resolve_outdir(cfg.out)
     trials = run_trials(
         [seed_task(cfg, seed) for seed in cfg.seeds], cfg.algorithm, cfg.local_config(),
         phi_replays=cfg.phi_replays, phi_every=cfg.phi_every,
         expected_mode=cfg.expected_mode, expected_replays=cfg.expected_replays,
         scaffold_literal=(cfg.scaffold_anchor == "within_round"), audit_nu=cfg.nu,
     )
-    outdir = resolve_outdir(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_paths = [outdir / f"{cfg.algorithm}_{cfg.scenario}_seed{seed}.csv" for seed in cfg.seeds]
     for trial, path in zip(trials, csv_paths):

@@ -15,7 +15,6 @@ itself.  Full-batch rows draw nothing and need no stream.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -54,8 +53,6 @@ def sample_batch(rng: np.random.Generator | None, n: int, batch_size: int) -> np
     The full-range case draws nothing from rng, so it takes rng None, and
     deterministic replays do not need a matching generator state.
     """
-    if batch_size > n:
-        warnings.warn(f"batch_size {batch_size} exceeds dataset size {n}; clamping")
     if batch_size >= n:
         return np.arange(n)
     return rng.choice(n, size=batch_size, replace=False)
@@ -75,8 +72,7 @@ def draw_batches(
     """
     clients = np.asarray(clients)
     if sources is None or batch_size >= n or not len(clients):
-        full = sample_batch(None, n, batch_size) if len(clients) and sources else np.arange(n)
-        return np.broadcast_to(clients[:, None] * n + full, (count, len(clients), n))
+        return np.broadcast_to(clients[:, None] * n + np.arange(n), (count, len(clients), n))
     if isinstance(sources, StreamKeys):
         local, exact = draw_keyed(sources, n, batch_size, count)
         for s in np.flatnonzero(~exact):
@@ -92,7 +88,7 @@ def local_train(
     objective: Objective, w_start: ParamVector, batches: np.ndarray, cfg: LocalConfig,
     shift: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run K local steps from w_start, one model or one per row, on every row at once.
+    """Run K local steps from w_start (rows, dim), one model per row, on every row at once.
 
     batches (K, rows, b) holds each row's flat sample indices for each step,
     as draw_batches gives them.  A step moves row s by -lr * (g + shift[s] +
@@ -106,8 +102,7 @@ def local_train(
     if len(batches) != cfg.steps:
         raise ValueError(f"{len(batches)} batches for {cfg.steps} local steps")
     start = np.asarray(w_start, dtype=np.float64)
-    # Each row's model, trained in place.
-    w = start.copy() if start.ndim == 2 else np.repeat(start[None], batches.shape[1], axis=0)
+    w = start.copy()  # each row's model, trained in place
     grad_sum = np.zeros_like(w)
     step_sum = grad_sum if shift is None else np.zeros_like(w)
     for batch in batches:

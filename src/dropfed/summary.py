@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import configparser
 import math
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, read_ini
 from .diagnostics import read_metrics_csv
 from .errors import ConfigError
 
@@ -91,36 +90,38 @@ def compare_runs(summary_paths: list[str | Path]) -> tuple[list[ComparisonRow], 
     if len(summary_paths) < 2:
         raise ConfigError("need at least two summaries to compare")
 
-    parsed = []
-    for raw in summary_paths:
-        path = Path(raw)
-        if not path.exists():
-            raise ConfigError(f"summary not found: {path}")
-        ini = configparser.ConfigParser()
-        ini.read(path)
-        if "run" not in ini:
-            raise ConfigError(f"{path}: not a run summary")
-        parsed.append((path, ini))
+    parsed = []  # (path, [run] keys, uploads budget, {trial section: csv name})
+    for path in map(Path, summary_paths):
+        ini = read_ini(path)
+        try:
+            run = {key: ini["run"][key] for key in ("fingerprint", "algorithm", "scenario")}
+            budget = int(ini["aggregate"]["uploads_budget"])
+            csvs = {section: ini[section]["csv"] for section in ini.sections()
+                    if section.startswith("trial.") and not section.endswith(".conditions")}
+        except KeyError as exc:
+            raise ConfigError(f"{path}: not a run summary: no {exc.args[0]!r}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad uploads_budget: {exc}") from exc
+        if not csvs:
+            raise ConfigError(f"{path}: not a run summary: no trial section")
+        parsed.append((path, run, budget, csvs))
 
-    prints = {ini["run"]["fingerprint"] for _, ini in parsed}
+    prints = {run["fingerprint"] for _, run, _, _ in parsed}
     if len(prints) != 1:
         raise ConfigError(f"runs are not comparable: task fingerprints {sorted(prints)}")
-    budget = min(int(ini["aggregate"]["uploads_budget"]) for _, ini in parsed)
+    budget = min(budget for _, _, budget, _ in parsed)
 
     rows = []
-    for path, ini in parsed:
+    for path, run, _, csvs in parsed:
         lasts = []
-        for section in ini.sections():
-            if not section.startswith("trial.") or section.endswith(".conditions"):
-                continue
-            metrics = read_metrics_csv(path.parent / ini[section]["csv"])
-            within = [m for m in metrics if m.uploads <= budget]
+        for section, name in csvs.items():
+            within = [m for m in read_metrics_csv(path.parent / name) if m.uploads <= budget]
             if not within:
                 raise ConfigError(f"{path}: trial {section} has no rounds within budget")
             lasts.append(within[-1])
         accs = [m.acc for m in lasts]
         rows.append(ComparisonRow(
-            path, ini["run"]["algorithm"], ini["run"]["scenario"], budget,
+            path, run["algorithm"], run["scenario"], budget,
             round_mean=statistics.mean(m.t for m in lasts),
             loss_mean=statistics.mean(m.loss for m in lasts),
             acc_mean=math.nan if any(math.isnan(a) for a in accs) else statistics.mean(accs),

@@ -52,7 +52,7 @@ def test_init_state_validation():
     with pytest.raises(ConfigError):
         init_state("fedavg", np.zeros(2), 0)
     st = init_state("scaffold", np.zeros(2), 3)
-    np.testing.assert_array_equal(st.server_variate, np.zeros(2))
+    np.testing.assert_array_equal(st.server_variate, np.zeros((1, 2)))
     np.testing.assert_array_equal(st.rows, np.zeros((3, 2)))
     np.testing.assert_array_equal(st.written, [-1, -1, -1])
     assert init_state("fedavg", np.zeros(2), 3).server_variate is None
@@ -88,7 +88,7 @@ def test_full_participation_single_step_gives_population_gradient():
     for algo in ALGORITHMS:
         st = init_state(algo, w0, 3)
         res = play_round(st, objs, [0, 1, 2], FULL_CFG, 0.1, None)
-        np.testing.assert_allclose(res.v, want, atol=1e-15)
+        np.testing.assert_allclose(res.v, [want], atol=1e-15)
 
 
 def test_empty_round_is_a_no_op_on_the_model():
@@ -96,8 +96,8 @@ def test_empty_round_is_a_no_op_on_the_model():
     for algo in ALGORITHMS:
         st = init_state(algo, np.array([0.7]), 2)
         res = play_round(st, objs, [], FULL_CFG, 0.5, rng_factory(3))
-        np.testing.assert_array_equal(res.v, [0.0])
-        assert res.state.round_index == 1 and res.replays.shape == (0, 1)
+        np.testing.assert_array_equal(res.v, [[0.0]])
+        assert res.state.round_index == 1 and res.replays.shape == (0, 1, 1)
         # Nothing changes, so nothing is copied: no state is ever mutated.
         for name in ("w", "rows", "written", "server_variate"):
             assert getattr(res.state, name) is getattr(st, name), name
@@ -134,11 +134,11 @@ def test_mimic_hand_simulation():
     objs = [point_client(1.0, 0), point_client(-1.0, 1)]
     st = init_state("mimic", np.array([0.0]), 2)
     r0 = play_round(st, objs, [0, 1], FULL_CFG, 0.5, None)
-    np.testing.assert_array_equal(r0.v, [0.0])
+    np.testing.assert_array_equal(r0.v, [[0.0]])
     np.testing.assert_array_equal(r0.state.rows, [[1.0], [-1.0]])
     np.testing.assert_array_equal(r0.state.written, [0, 0])
     r1 = play_round(r0.state, objs, [0], FULL_CFG, 0.5, None)
-    np.testing.assert_array_equal(r1.v, [0.0])
+    np.testing.assert_array_equal(r1.v, [[0.0]])
     # Absent client keeps its old correction and stamp.
     np.testing.assert_array_equal(r1.state.rows[1], [-1.0])
     np.testing.assert_array_equal(r1.state.written, [1, 0])
@@ -183,8 +183,8 @@ def test_mimic_exact_on_quadratics_any_schedule():
     for t in range(1, 15):
         active = sorted(rng.choice(5, size=rng.integers(1, 6), replace=False).tolist())
         res = play_round(res.state, objs, active, FULL_CFG, 0.3, None)
-        want = np.mean([o.grad(res.state.w + 0.3 * res.v) for o in objs], axis=0)
-        np.testing.assert_allclose(res.v, want, atol=1e-12)
+        want = np.mean([o.grad(res.state.w[0] + 0.3 * res.v[0]) for o in objs], axis=0)
+        np.testing.assert_allclose(res.v, [want], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +199,17 @@ def test_mifa_hand_simulation():
     objs = [point_client(1.0, 0), point_client(3.0, 1)]
     st = init_state("mifa", np.array([0.0]), 2)
     r0 = play_round(st, objs, [0, 1], FULL_CFG, 0.5, None)
-    np.testing.assert_allclose(r0.v, [-2.0])
-    np.testing.assert_allclose(r0.state.w, [1.0])
+    np.testing.assert_allclose(r0.v, [[-2.0]])
+    np.testing.assert_allclose(r0.state.w, [[1.0]])
     np.testing.assert_array_equal(r0.state.written, [0, 0])
     r1 = play_round(r0.state, objs, [0], FULL_CFG, 0.5, None)
-    np.testing.assert_allclose(r1.v, [-1.5])
-    np.testing.assert_allclose(r1.state.w, [1.75])
+    np.testing.assert_allclose(r1.v, [[-1.5]])
+    np.testing.assert_allclose(r1.state.w, [[1.75]])
     np.testing.assert_array_equal(r1.state.written, [1, 0])
     np.testing.assert_allclose(r1.state.rows[1], [-3.0])  # untouched stale entry
     r2 = play_round(r1.state, objs, [1], FULL_CFG, 0.5, None)
-    np.testing.assert_allclose(r2.v, [-0.625])
-    np.testing.assert_allclose(r2.state.w, [2.0625])
+    np.testing.assert_allclose(r2.v, [[-0.625]])
+    np.testing.assert_allclose(r2.state.w, [[2.0625]])
     np.testing.assert_array_equal(r2.state.written, [1, 2])
 
 
@@ -224,10 +224,10 @@ def test_mifa_round_averages_all_buffers():
     st = init_state("mifa", np.zeros(2), 3)
     first = {i: np.full(2, float(i)) for i in range(3)}  # 0, 1, 2 -> mean 1
     res = aggregate(st, *as_rows(first), 1.0)
-    np.testing.assert_array_equal(res.v, [1.0, 1.0])
+    np.testing.assert_array_equal(res.v, [[1.0, 1.0]])
     update = {1: np.full(2, 7.0)}  # buffers now 0, 7, 2 -> mean 3
     res = aggregate(res.state, *as_rows(update), 1.0)
-    np.testing.assert_array_equal(res.v, [3.0, 3.0])
+    np.testing.assert_array_equal(res.v, [[3.0, 3.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +257,16 @@ def test_scaffold_variate_bookkeeping():
     # K = 1 full batch: each client's variate is its full gradient at w0,
     # and the server variate is their mean over N.
     np.testing.assert_allclose(res.state.rows, [[-1.0], [-3.0]])
-    np.testing.assert_allclose(res.state.server_variate, [-2.0])
+    np.testing.assert_allclose(res.state.server_variate, [[-2.0]])
     np.testing.assert_array_equal(res.state.written, [0, 0])
     # Partial round: only the participant's variate moves; the server
     # variate absorbs 1/N of the change.
     r1 = play_round(res.state, objs, [0], FULL_CFG, 0.5, None)
     np.testing.assert_allclose(r1.state.rows[1], [-3.0])
-    g0_new = objs[0].grad(res.state.w)  # raw gradient, variate shift removed
+    g0_new = objs[0].grad(res.state.w[0])  # raw gradient, variate shift removed
     np.testing.assert_allclose(r1.state.rows[0], g0_new)
     np.testing.assert_allclose(
-        r1.state.server_variate, np.array([-2.0]) + (g0_new - np.array([-1.0])) / 2
+        r1.state.server_variate, [np.array([-2.0]) + (g0_new - np.array([-1.0])) / 2]
     )
 
 
@@ -291,8 +291,8 @@ def test_scaffold_drift_correction_pulls_toward_population_descent():
     fa = init_state("fedavg", st.w.copy(), 2)
     fa_only0 = play_round(fa, objs, [0], cfg, 0.4, None)
     # Population gradient at st.w is just st.w (means cancel).
-    pop = float(st.w[0])
-    assert abs(float(only0.v[0]) - pop) < abs(float(fa_only0.v[0]) - pop)
+    pop = float(st.w[0, 0])
+    assert abs(float(only0.v[0, 0]) - pop) < abs(float(fa_only0.v[0, 0]) - pop)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def test_replicas_match_separate_rounds():
             np.testing.assert_array_equal(got.v, alone.v)
             np.testing.assert_array_equal(got.state.w, alone.state.w)
             np.testing.assert_array_equal(got.state.rows, alone.state.rows)
-            assert got.replays.shape == (3, 2)
+            assert got.replays.shape == (3, 1, 2)
             for r in range(3):
                 want = play_round(st, objs, [1, 3], cfg, 0.2,
                                   lambda i: replay_for(i, r).generator()).v
@@ -374,7 +374,7 @@ def reference_aggregate(state, ids, uploads, eta, variates):
 
     Returns v (copies, S, dim), the new w, rows, written and server variate.
     """
-    n, (seeds, dim) = state.num_clients, state.models.shape
+    n, (seeds, dim) = state.num_clients, state.w.shape
     algo = state.algorithm
     persistent = algo == "scaffold" and not state.scaffold_literal
     copies = len(uploads) // len(ids)
@@ -423,7 +423,7 @@ def reference_aggregate(state, ids, uploads, eta, variates):
                 change = sequential_sum([variates[j] - state.rows[i]
                                          for j, i in enumerate(ids.tolist()) if i // n == s])
                 server[s] = server[s] + change / n
-    w = np.array([state.models[s] - eta[s] * v[0, s] for s in range(seeds)])
+    w = np.array([state.w[s] - eta[s] * v[0, s] for s in range(seeds)])
     return v, w, rows, written, server
 
 
@@ -487,3 +487,35 @@ def test_aggregate_equals_per_client_reference(
     assert bits(got.state.server_variate) == bits(server)
     assert got.state.round_index == 5
     assert [bits(state.w), bits(state.rows), state.written.tobytes()] == before
+
+
+# ---------------------------------------------------------------------------
+# one layout
+
+
+def test_one_seed_is_one_row_of_the_seed_layout():
+    # A 1-D w0 is one seed: through a full, a partial and an empty round the
+    # state and everything a round gives keep the leading seed axis, with the
+    # bits of a state built from w0[None].
+    rng = np.random.default_rng(36)
+    objs = [
+        QuadraticObjective(ClientDataset(rng.normal(size=(6, 2)) + i, np.zeros(6, dtype=int)))
+        for i in range(3)
+    ]
+    cfg = LocalConfig(steps=2, lr=0.1, batch_size=2)
+    train_key, replay_for = (lambda i: batch_key(37, i, 0)), (lambda i, r: replay_key(37, i, 0, r))
+    w0 = rng.normal(size=2)
+    for algo, literal in VARIANTS:
+        states = [init_state(algo, w0, 3, literal), init_state(algo, w0[None], 3, literal)]
+        assert states[0].w.shape == (1, 2)
+        for active in ([0, 1, 2], [2], []):
+            batches = round_batches(6, active, cfg, literal, train_key, 2, replay_for)
+            flat, stacked = [play_round(s, objs, active, cfg, 0.2, None, batches=batches)
+                             for s in states]
+            for got, want in [(flat.v, stacked.v), (flat.replays, stacked.replays),
+                              (flat.state.w, stacked.state.w),
+                              (flat.state.server_variate, stacked.state.server_variate)]:
+                assert np.shape(got) == np.shape(want) and bits(got) == bits(want)
+            assert flat.v.shape == (1, 2)
+            assert flat.replays.shape == ((2 if active else 0), 1, 2)
+            states = [flat.state, stacked.state]

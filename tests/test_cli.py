@@ -4,6 +4,8 @@ import configparser
 import dataclasses
 import io
 import os
+import re
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -515,3 +517,110 @@ def test_every_key_takes_any_value_or_is_a_config_error(tmp_path_factory, sectio
                 assert sorted(work.rglob("*")) == before
     finally:
         os.chdir(cwd)
+
+
+def files_under(path):
+    return sorted(path.rglob("*"))
+
+
+@pytest.mark.parametrize("command", ["run", "check-schedule"])
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes("[task]\n; réglé\nkind = quadratic\n".encode("latin-1")),
+], ids=["directory", "not-utf-8"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, monkeypatch, command, make):
+    # Neither may run the default experiment into ./runs/out, nor end in a traceback.
+    config = tmp_path / "exp.ini"
+    make(config)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DROPFED_OUT", raising=False)
+    before = files_under(tmp_path)
+    assert main([command, str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config}: ") and err.count("\n") == 1
+    assert files_under(tmp_path) == before
+
+
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    """The output directories of two finished runs of one task: fedavg, then mimic."""
+    home = tmp_path_factory.mktemp("runs")
+    outs = []
+    for algorithm in ("fedavg", "mimic"):
+        cfg_path, out = write_config(home, name=f"{algorithm}.ini", algorithm=algorithm)
+        assert main(["run", str(cfg_path)]) == 0
+        outs.append(out)
+    return outs
+
+
+def rewrite(path, edit):
+    path.write_text(edit(path.read_text()))
+
+
+def first_row(edit):
+    """A metrics CSV's text with edit applied to its first row of numbers."""
+    def apply(text):
+        header, row, rest = text.split("\n", 2)
+        return "\n".join([header, edit(row), rest])
+    return apply
+
+
+BROKEN_RUNS = {
+    "deleted-csv": lambda out: (out / "mimic_static_seed2.csv").unlink(),
+    "bad-cell": lambda out: rewrite(out / "mimic_static_seed1.csv",
+                                    first_row(lambda row: "abc" + row[row.index(","):])),
+    "short-row": lambda out: rewrite(out / "mimic_static_seed1.csv",
+                                     first_row(lambda row: row.rsplit(",", 1)[0])),
+    "bad-budget": lambda out: rewrite(out / "summary.txt", lambda text: re.sub(
+        r"uploads_budget = \d+", "uploads_budget = x", text)),
+    "no-fingerprint": lambda out: rewrite(out / "summary.txt", lambda text: re.sub(
+        r"fingerprint = \w+\n", "", text)),
+    "no-section-header": lambda out: rewrite(out / "summary.txt",
+                                             lambda text: text.replace("[run]\n", "", 1)),
+    "no-trial": lambda out: rewrite(out / "summary.txt",
+                                    lambda text: text[:text.index("\n[trial.")] + "\n"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_RUNS)
+def test_compare_on_a_broken_run_is_a_config_error(tmp_path, capsys, two_runs, case):
+    a, b = (Path(shutil.copytree(out, tmp_path / out.name)) for out in two_runs)
+    BROKEN_RUNS[case](b)
+    before = files_under(tmp_path)
+    assert main(["compare", str(a / "summary.txt"), str(b / "summary.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["run", "dump-availability"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_through_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, command, below):
+    # An --out that is a file, or lies under one, is refused before any data
+    # is built, not with a FileExistsError after every round has trained.
+    refuse_data(monkeypatch)
+    cfg_path, _ = write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    before = files_under(tmp_path)
+    assert main([command, str(cfg_path), "--out", str(taken / below)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: output path {taken} exists and is not a directory\n")
+    assert files_under(tmp_path) == before and taken.read_text() == "kept\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_default_batch_size_trains_full_batch_without_warning(tmp_path):
+    # The default batch_size covers every client's data, as the example documents.
+    cfg_path, out = write_config(tmp_path)
+    rewrite(cfg_path, lambda text: text.replace("batch_size = 5\n", ""))
+    assert main(["run", str(cfg_path)]) == 0
+    assert (out / "summary.txt").exists()
+
+
+def test_percent_in_a_value_is_taken_literally(tmp_path, capsys):
+    # Values are not interpolated, so a `%` is no InterpolationSyntaxError.
+    cfg_path, _ = write_config(tmp_path, out=tmp_path / "runs" / "50%")
+    assert main(["run", str(cfg_path)]) == 0
+    assert (tmp_path / "runs" / "50%" / "summary.txt").exists()
+    assert "Traceback" not in capsys.readouterr().err

@@ -24,9 +24,9 @@ def one_point_objective(value=1.0):
 
 
 def train_one(obj, w0, cfg, rng):
-    """(upload, final model) of a single row training client 0 on batches from rng."""
+    """(upload, final model) of a single row training client 0 from w0 on batches from rng."""
     batches = draw_batches(obj.n, [0], cfg.batch_size, [rng], cfg.steps)
-    upload, _, w_final = local_train(obj, w0, batches, cfg)
+    upload, _, w_final = local_train(obj, w0[None], batches, cfg)
     return upload[0], w_final[0]
 
 
@@ -120,9 +120,10 @@ def test_full_batch_draws_nothing_from_rng():
     assert rng.integers(0, 1 << 30) == np.random.default_rng(11).integers(0, 1 << 30)
 
 
-def test_oversized_batch_warns_and_clamps():
+def test_oversized_batch_is_the_full_range_without_warning():
     rng = np.random.default_rng(12)
-    with pytest.warns(UserWarning, match="clamping"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         idx = sample_batch(rng, 5, 9)
     np.testing.assert_array_equal(idx, np.arange(5))
 
@@ -192,7 +193,7 @@ def test_lockstep_rows_match_single_row_training():
     rows = [2, 0, 2, 1]
     rngs = [np.random.default_rng(s) for s in range(4)]
     batches = draw_batches(population.n, rows, cfg.batch_size, rngs, cfg.steps)
-    uploads, grads, w_final = local_train(population, w0, batches, cfg)
+    uploads, grads, w_final = local_train(population, np.tile(w0, (len(rows), 1)), batches, cfg)
     for s, i in enumerate(rows):
         upload, w_alone = train_one(QuadraticObjective(clients[i]), w0, cfg, np.random.default_rng(s))
         np.testing.assert_array_equal(uploads[s], upload)
@@ -206,7 +207,7 @@ def test_shift_corrects_every_step_and_keeps_raw_mean():
     obj = one_point_objective(1.0)
     cfg = LocalConfig(steps=2, lr=0.1, batch_size=1)
     batches = draw_batches(obj.n, [0], cfg.batch_size, None, cfg.steps)
-    upload, raw, w_final = local_train(obj, np.zeros(1), batches, cfg, shift=np.array([[0.5]]))
+    upload, raw, w_final = local_train(obj, np.zeros((1, 1)), batches, cfg, shift=np.array([[0.5]]))
     np.testing.assert_allclose(upload, [[-0.475]])
     np.testing.assert_allclose(raw, [[-0.975]])
     np.testing.assert_allclose(w_final, [[0.095]])
@@ -216,7 +217,7 @@ def test_local_train_takes_one_batch_per_step():
     obj = one_point_objective()
     cfg = LocalConfig(steps=3, lr=0.1, batch_size=1)
     with pytest.raises(ValueError, match="2 batches for 3 local steps"):
-        local_train(obj, np.zeros(1), draw_batches(obj.n, [0], 1, None, 2), cfg)
+        local_train(obj, np.zeros((1, 1)), draw_batches(obj.n, [0], 1, None, 2), cfg)
 
 
 def test_draw_batches_offsets_and_full_batch():

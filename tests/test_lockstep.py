@@ -20,7 +20,6 @@ from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from keyed_streams import batch_key, replay_key, round_batches
@@ -168,11 +167,11 @@ def test_lockstep_training_matches_per_client_loop(
             rng_for = lambda i, t=t: np.random.default_rng((seed, t, i))
             res = play_round(state, population, active, cfg, 0.3, None if full_batch else rng_for)
             v = reference_round(algo, mem, objs, active, cfg, 0.3, rng_for, literal, full_batch)
-            np.testing.assert_allclose(res.v, v, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(res.state.w, mem["w"], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(res.v, [v], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(res.state.w, [mem["w"]], rtol=1e-12, atol=1e-12)
             state = res.state
         if algo == "scaffold" and not literal:
-            np.testing.assert_allclose(state.server_variate, mem["c"], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(state.server_variate, [mem["c"]], rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -248,7 +247,6 @@ def seed_rounds(rng, seeds, clients, empty):
     return rounds
 
 
-@pytest.mark.filterwarnings("ignore:batch_size")
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
