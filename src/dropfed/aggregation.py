@@ -31,9 +31,10 @@ full-batch expectation) train in lockstep, each row on its own batches:
 drawn ahead by the caller from a stream per client, round and replica (see
 local_trainer), or the whole client dataset every step.  Rows never
 interact, so blocks of ROW_BLOCK_BYTES give the bits of one call.  One
-aggregate call then gives every copy's v; only the round's own copy builds
-a state and writes the rule's memory.  Averages add rows in id order, one
-at a time, so every path that averages the same rows agrees bit for bit.
+aggregate call then gives every copy's v (the replicas' seed-major); only the
+round's own copy builds a state and writes the rule's memory.  Averages add
+rows in id order, one at a time, so every path that averages the same rows
+agrees bit for bit.
 
 aggregate and play_round never mutate their input state, nor does anything
 else: a round with no participant returns a state that shares its arrays.
@@ -77,7 +78,7 @@ class ServerState:
 
 @dataclass(frozen=True)
 class RoundResult:
-    """Applied update v_t (S, dim), the new state, and each replica's v (replicas, S, dim)."""
+    """Applied update v_t (S, dim), new state, and replicas' v: C-order (S, replicas, dim)."""
 
     v: np.ndarray
     state: ServerState
@@ -191,7 +192,7 @@ def aggregate(
                    **_write(state, ids, variates)}
     w = state.w - np.asarray(eta)[..., None] * v[0]
     new = replace(state, w=w, round_index=state.round_index + 1, **changes)
-    return RoundResult(v[0], new, v[1:])
+    return RoundResult(v[0], new, np.ascontiguousarray(v[1:].transpose(1, 0, 2)))
 
 
 # Bytes of one (rows, dim) float64 array of a training block; local_train
@@ -228,10 +229,12 @@ def play_round(
     if population.num_clients != len(state.rows):
         raise ConfigError(f"{population.num_clients} objectives for {len(state.rows)} clients")
     ids = np.sort(np.asarray(active, dtype=np.int64))
+    if ids.size and (ids[0] < 0 or ids[-1] >= len(state.rows) or (ids[1:] == ids[:-1]).any()):
+        raise ConfigError(f"active ids must be distinct rows of 0..{len(state.rows) - 1}")
+    seeds, dim = state.w.shape
     if not ids.size:  # w - eta * 0 is w, bit for bit: every step size is finite
         new = replace(state, round_index=state.round_index + 1)
-        return RoundResult(np.zeros_like(state.w), new, np.zeros((0, *state.w.shape)))
-    seeds, dim = state.w.shape
+        return RoundResult(np.zeros_like(state.w), new, np.zeros((seeds, 0, dim)))
     anchored = state.scaffold_literal
     if batches is None:
         sources = None if rng_for is None else [rng_for(i) for i in ids.tolist()]

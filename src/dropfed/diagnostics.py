@@ -3,14 +3,16 @@
 Three quantities track how far a round's applied update sits from the ideal
 central step at the broadcast model w_t:
 
-* expected_update_error: squared distance between the update the round would
-  apply with all batch noise removed and the true global gradient.
-* participation_bias: squared distance between the participants' mean
-  gradient and the global gradient; pure who-showed-up error.
-* update_variance: spread of the applied update across independent replays
-  of the same round, batch noise only.
+* E_t: squared distance between the update the round would apply with all
+  batch noise removed and the true global gradient.
+* gamma_t: squared distance between the participants' mean gradient and the
+  global gradient; pure who-showed-up error.
+* phi_hat, update_variance: spread of the applied update across independent
+  replays of the same round, batch noise only.
 
-The first two read the per-client gradients of one fused population pass
+The first two are expected_update_error of the round's expectation and of
+the participants' mean, against the global gradient; both read the
+per-client gradients of one fused population pass
 (Objective.losses_and_grads), which also gives the round's loss.
 """
 
@@ -31,18 +33,6 @@ def expected_update_error(v_expected: np.ndarray, grad: np.ndarray) -> float:
     """Squared distance between an expected update and the global gradient."""
     diff = v_expected - grad
     return float(np.dot(diff, diff))
-
-
-def participation_bias(client_grads: np.ndarray, active: list[int]) -> float:
-    """Squared distance between the participants' mean gradient and the global one.
-
-    client_grads holds every client's full gradient, (N, dim), from one
-    population pass.
-    """
-    if not len(active):
-        raise ConfigError("participation bias is undefined for an empty round")
-    part = np.mean(client_grads[sorted(active)], axis=0)
-    return expected_update_error(part, np.mean(client_grads, axis=0))
 
 
 def update_variance(samples: np.ndarray) -> float:
@@ -70,15 +60,9 @@ def update_variance_stderr(samples: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.clip(per_coord, 0.0, None))))
 
 
-def evaluate(test_sets: Objective, W: np.ndarray) -> np.ndarray | None:
-    """Fraction of correct hard predictions of model W[i] on test set i, client i of test_sets.
-
-    None for regression objectives.
-    """
-    pred = test_sets.predict(W)
-    if pred is None:
-        return None
-    return np.mean(pred == test_sets.labels, axis=1)
+def evaluate(test_sets: Objective, W: np.ndarray) -> np.ndarray:
+    """Fraction of correct hard predictions of model W[i] on test set i, client i of test_sets."""
+    return np.mean(test_sets.predict(W) == test_sets.labels, axis=1)
 
 
 @dataclass
@@ -124,9 +108,12 @@ def read_metrics_csv(path: str | Path) -> list[RoundMetrics]:
             if header is None or tuple(header) != METRIC_COLUMNS:
                 raise ValueError(f"expected columns {METRIC_COLUMNS}, got {header}")
             for parts in reader:
+                if len(parts) != len(METRIC_COLUMNS):
+                    raise ValueError(f"line {reader.line_num} has {len(parts)} cells, not "
+                                     f"{len(METRIC_COLUMNS)}")
                 rows.append(RoundMetrics(*(int(p) if c in _INT_COLUMNS else float(p)
                                            for c, p in zip(METRIC_COLUMNS, parts))))
-    except (OSError, ValueError, TypeError) as exc:  # unreadable, bad header or cell, short row
+    except (OSError, ValueError, csv.Error) as exc:  # unreadable, bad header, cell or row
         raise ConfigError(f"{path}: {exc}") from exc
     return rows
 

@@ -31,7 +31,6 @@ from .diagnostics import (
     RoundMetrics,
     evaluate,
     expected_update_error,
-    participation_bias,
     update_variance,
     weighted_participation_bias,
     write_metrics_csv,
@@ -143,6 +142,8 @@ def run_trials(
                               "iterations")
     if len({task.test_data is None for task in tasks}) > 1:
         raise ConfigError("either every seed has a test set or none has")
+    if tasks[0].test_data is not None and tasks[0].population.kind == "quadratic":
+        raise ConfigError("a quadratic task predicts no labels, so it takes no test set")
     seeds = [task.seed for task in tasks]
     n = tasks[0].population.num_clients
     masks = np.stack([task.schedule.mask for task in tasks])  # (S, T, N)
@@ -179,8 +180,9 @@ def run_trials(
     state = init_state(algorithm, np.stack([task.w0 for task in tasks]), n, scaffold_literal)
     T = masks.shape[1]
     phi_rounds = (phi_replays >= 2 and phi_every > 0) & (np.arange(T) % max(phi_every, 1) == 0)
-    # The Monte Carlo expectation and the phi samples read the first so many replicas.
+    # The phi samples and a Monte Carlo expectation read the first replicas; fullbatch, the last.
     copies = 1 + np.maximum(expected_replays * (expected_mode == "mc"), phi_replays * phi_rounds)
+    expected = slice(-1, None) if expected_mode == "fullbatch" else slice(expected_replays)
     steps = local_cfg.steps + state.scaffold_literal  # scaffold's anchor batch comes first
     row_bytes = 8 * steps * (2 * min(local_cfg.batch_size, population.n) - 1)
     budget = max(1, DRAW_CHUNK_BYTES // row_bytes)  # rows of one draw
@@ -218,21 +220,14 @@ def run_trials(
         if expected_mode == "fullbatch":  # the noise-free update trains as the last copy
             batches.append(draw_batches(population.n, rows, population.n, None, steps))
         result = play_round(state, population, rows, local_cfg, eta, None, batches=batches)
-        expected = result.replays[:expected_replays]  # (replicas, S, dim)
-        if expected_mode == "fullbatch":
-            expected = result.replays[-1:]
-        samples = result.replays[:phi_replays] if phi_rounds[t] else None
         for k, loss, grad, client_grads, acc in measure(state.w):
-            active = np.flatnonzero(playing[k]).tolist()
+            active = np.flatnonzero(playing[k])
             gamma = e_t = phi = math.nan
-            if active:
-                gamma = participation_bias(client_grads, active)
-                # Each seed's replays as one contiguous (replicas, dim) block,
-                # so that their mean and variance add in the one-seed order.
-                v_exp = np.ascontiguousarray(expected[:, k]).mean(axis=0)
-                e_t = expected_update_error(v_exp, grad)
-                if samples is not None:
-                    phi = update_variance(np.ascontiguousarray(samples[:, k]))
+            if active.size:
+                gamma = expected_update_error(np.mean(client_grads[active], axis=0), grad)
+                e_t = expected_update_error(result.replays[k, expected].mean(axis=0), grad)
+                if phi_rounds[t]:
+                    phi = update_variance(result.replays[k, :phi_replays])
             outs[k].rows.append(RoundMetrics(
                 t=t, loss=loss, grad_norm2=float(grad @ grad), E_t=e_t, gamma_t=gamma, phi_hat=phi,
                 n_active=len(active), uploads=int(uploads[k, t]), acc=acc, eta_t=float(eta[k])))

@@ -197,12 +197,9 @@ class Objective:
         """Analytic E||batch grad - full grad||^2 where known, else None."""
         return None
 
-    def predict(self, W: np.ndarray) -> np.ndarray | None:
-        """Hard labels (N, n) of models W (N, dim), model i on client i's samples.
-
-        None for regression objectives.
-        """
-        return None
+    def predict(self, W: np.ndarray) -> np.ndarray:
+        """Hard labels (N, n) of models W (N, dim), model i on client i's samples."""
+        raise NotImplementedError
 
 
 class QuadraticObjective(Objective):

@@ -66,6 +66,17 @@ def test_play_round_checks_objective_count():
         play_round(st, objs, [0], FULL_CFG, 0.1, rng_factory(0))
 
 
+def test_play_round_checks_active_ids():
+    # Each active id is one client, counted once: a repeated or unknown id
+    # is refused rather than weighted twice or read out of range.
+    objs = [point_client(0.0, 0), point_client(1.0, 1), point_client(2.0, 2)]
+    st = init_state("fedavg", np.array([0.0]), 3)
+    np.testing.assert_array_equal(play_round(st, objs, [0, 2], FULL_CFG, 0.1, None).v, [[-1.0]])
+    for active in ([0, 2, 2], [0, 3], [5], [-1, 0]):
+        with pytest.raises(ConfigError, match=r"distinct rows of 0\.\.2"):
+            play_round(st, objs, active, FULL_CFG, 0.1, None)
+
+
 # ---------------------------------------------------------------------------
 # shared update law
 
@@ -97,7 +108,7 @@ def test_empty_round_is_a_no_op_on_the_model():
         st = init_state(algo, np.array([0.7]), 2)
         res = play_round(st, objs, [], FULL_CFG, 0.5, rng_factory(3))
         np.testing.assert_array_equal(res.v, [[0.0]])
-        assert res.state.round_index == 1 and res.replays.shape == (0, 1, 1)
+        assert res.state.round_index == 1 and res.replays.shape == (1, 0, 1)
         # Nothing changes, so nothing is copied: no state is ever mutated.
         for name in ("w", "rows", "written", "server_variate"):
             assert getattr(res.state, name) is getattr(st, name), name
@@ -349,11 +360,11 @@ def test_replicas_match_separate_rounds():
             np.testing.assert_array_equal(got.v, alone.v)
             np.testing.assert_array_equal(got.state.w, alone.state.w)
             np.testing.assert_array_equal(got.state.rows, alone.state.rows)
-            assert got.replays.shape == (3, 1, 2)
+            assert got.replays.shape == (1, 3, 2)
             for r in range(3):
                 want = play_round(st, objs, [1, 3], cfg, 0.2,
                                   lambda i: replay_for(i, r).generator()).v
-                np.testing.assert_array_equal(got.replays[r], want)
+                np.testing.assert_array_equal(got.replays[:, r], want)
             assert st.round_index == 1
 
 
@@ -480,7 +491,9 @@ def test_aggregate_equals_per_client_reference(
         return
     got = aggregate(state, ids, uploads, eta, variates)
     assert bits(got.v) == bits(v[0])
-    assert bits(got.replays) == bits(v[1:]) and got.replays.shape == (copies - 1, seeds, dim)
+    # Replicas come back seed-major, one contiguous (copies - 1, dim) block per seed.
+    assert bits(got.replays) == bits(v[1:].transpose(1, 0, 2))
+    assert got.replays.shape == (seeds, copies - 1, dim) and got.replays.flags.c_contiguous
     assert bits(got.state.w) == bits(w)
     assert bits(got.state.rows) == bits(rows)
     assert got.state.written.tobytes() == written.tobytes()
@@ -517,5 +530,5 @@ def test_one_seed_is_one_row_of_the_seed_layout():
                               (flat.state.server_variate, stacked.state.server_variate)]:
                 assert np.shape(got) == np.shape(want) and bits(got) == bits(want)
             assert flat.v.shape == (1, 2)
-            assert flat.replays.shape == ((2 if active else 0), 1, 2)
+            assert flat.replays.shape == (1, (2 if active else 0), 2)
             states = [flat.state, stacked.state]

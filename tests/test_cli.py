@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides, and exit codes."""
 
 import configparser
+import csv
 import dataclasses
 import io
 import os
@@ -571,6 +572,10 @@ BROKEN_RUNS = {
                                     first_row(lambda row: "abc" + row[row.index(","):])),
     "short-row": lambda out: rewrite(out / "mimic_static_seed1.csv",
                                      first_row(lambda row: row.rsplit(",", 1)[0])),
+    "long-row": lambda out: rewrite(out / "mimic_static_seed1.csv",
+                                    first_row(lambda row: row + ",999")),
+    "huge-cell": lambda out: rewrite(out / "mimic_static_seed1.csv", first_row(
+        lambda row: "1" * (csv.field_size_limit() + 1) + row)),
     "bad-budget": lambda out: rewrite(out / "summary.txt", lambda text: re.sub(
         r"uploads_budget = \d+", "uploads_budget = x", text)),
     "no-fingerprint": lambda out: rewrite(out / "summary.txt", lambda text: re.sub(

@@ -10,7 +10,6 @@ from dropfed.diagnostics import (
     RoundMetrics,
     evaluate,
     expected_update_error,
-    participation_bias,
     read_metrics_csv,
     update_variance,
     update_variance_stderr,
@@ -26,10 +25,6 @@ def point_client(m):
     return QuadraticObjective(ClientDataset(m[None, :], np.array([0])))
 
 
-def client_grads(objs, w):
-    return stack(objs).losses_and_grads(w)[1]
-
-
 def test_global_loss_and_grad():
     population = stack([point_client(0.0), point_client(2.0)])
     w = np.array([0.0])
@@ -41,37 +36,11 @@ def test_global_loss_and_grad():
     np.testing.assert_allclose(population.grad(w), [-1.0])
 
 
-def test_participation_bias_hand_value():
-    # Means 0 and 2 probed at w = 0: client-0 gradient 0, global gradient -1,
-    # so activating only client 0 gives gamma = |0 - (-1)|^2 = 1.
-    grads = client_grads([point_client(0.0), point_client(2.0)], np.array([0.0]))
-    assert participation_bias(grads, [0]) == pytest.approx(1.0)
-    assert participation_bias(grads, [1]) == pytest.approx(1.0)
-    assert participation_bias(grads, [0, 1]) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ConfigError):
-        participation_bias(grads, [])
-
-
-def test_participation_bias_independent_of_w_for_quadratics():
-    # Quadratic gradients are w - m, so the participant/global gap is a
-    # constant in w.
-    objs = [point_client(0.0), point_client(2.0), point_client(5.0)]
-    vals = [participation_bias(client_grads(objs, np.array([x])), [0, 2]) for x in (-3.0, 0.0, 11.0)]
-    np.testing.assert_allclose(vals, vals[0])
-
-
-def test_expected_update_error_decomposition_case():
-    # If the expected update equals the participants' mean gradient (K = 1,
-    # full batch), E_t and gamma_t agree exactly.
-    objs = [point_client(0.0), point_client(2.0)]
-    w = np.array([0.7])
-    active = [0]
-    v_exp = np.mean([objs[i].grad(w) for i in active], axis=0)
-    grad = stack(objs).grad(w)
-    assert expected_update_error(v_exp, grad) == pytest.approx(
-        participation_bias(client_grads(objs, w), active), abs=1e-15
-    )
-    # A perfect update has zero error.
+def test_expected_update_error_hand_value():
+    # |1 - (-1)|^2 + |0 - 0|^2 = 4; a perfect update has zero error.  The
+    # run-level gamma_t checks are in test_harness and test_lockstep.
+    assert expected_update_error(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == 4.0
+    grad = np.array([0.3, -2.0])
     assert expected_update_error(grad, grad) == 0.0
 
 
@@ -116,8 +85,9 @@ def test_evaluate_classification_and_regression():
     both = LogisticObjective([ClientDataset(features, labels), flipped])
     assert evaluate(both, np.array([w, w])).tolist() == [1.0, 0.0]
     assert evaluate(both, np.array([w, -w])).tolist() == [1.0, 1.0]
-    quad = point_client(0.0)
-    assert evaluate(quad, np.zeros((1, 1))) is None
+    # A regression objective has no labels to predict.
+    with pytest.raises(NotImplementedError):
+        evaluate(point_client(0.0), np.zeros((1, 1)))
 
 
 def test_metrics_csv_roundtrip_and_format(tmp_path):

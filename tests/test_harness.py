@@ -10,6 +10,7 @@ import pytest
 
 from dropfed import aggregation, harness
 from dropfed.availability import (
+    AvailabilitySchedule,
     periodic_schedule,
     round_robin_schedule,
     static_prob_schedule,
@@ -127,6 +128,29 @@ def test_e_t_equals_gamma_t_for_plain_averaging():
         assert row.E_t == pytest.approx(row.gamma_t, abs=1e-12)
     # Uneven periods produce genuinely positive selection bias somewhere.
     assert max(r.gamma_t for r in trial.rows) > 0
+
+
+def test_gamma_t_hand_value():
+    # Points 0 and 2: client 0's gradient is w and the population's w - 1,
+    # so with only client 0 active gamma_t = |w - (w - 1)|^2 = 1 at any w:
+    # exactly at w = 0, which client 0 leaves where it is, and within
+    # rounding from w = 3 on.  A round without participants has none.
+    mask = AvailabilitySchedule(np.array([[True, False], [True, False], [False, False]]))
+    objs = point_clients([[0.0], [2.0]])
+    still = run_trial(objs, mask, constant_rates(0.5, 3), "fedavg", K1, np.zeros(1), 1)
+    assert [r.gamma_t for r in still.rows[:2]] == [1.0, 1.0] and math.isnan(still.rows[2].gamma_t)
+    moving = run_trial(objs, mask, constant_rates(0.5, 3), "fedavg", K1, np.array([3.0]), 1)
+    assert moving.rows[0].loss != moving.rows[1].loss
+    assert [r.gamma_t for r in moving.rows[:2]] == pytest.approx([1.0, 1.0], rel=1e-15)
+
+
+def test_a_test_set_on_a_quadratic_task_is_a_config_error(monkeypatch):
+    # A quadratic task predicts no labels: refused before any seed is settled.
+    monkeypatch.setattr(harness, "settle_seeds", None)
+    test_data = ClientDataset(np.zeros((2, 1)), np.array([0, 1]))
+    with pytest.raises(ConfigError, match="quadratic task predicts no labels"):
+        run_trial(point_clients([[0.0], [2.0]]), periodic_schedule([1, 1], 2),
+                  constant_rates(0.1, 2), "fedavg", K1, np.zeros(1), 1, test_data=test_data)
 
 
 def test_expected_modes_agree_when_batches_are_full():

@@ -12,8 +12,9 @@ run alone, bit for bit, and so must its stacked measurements: the
 population pass with one model per seed, the stacked test sets, and every
 kind's smoothness, the MLP probe included.  A run whose batches are drawn
 ahead, whole rounds at a time, must equal one that draws each round's
-batches from its own keys.  The softmax kernel's class-by-class folds must
-equal numpy's axis reductions.
+batches from its own keys.  Every recorded gamma_t must equal the gap of
+the participants' gradients, client by client, to the population's.  The
+softmax kernel's class-by-class folds must equal numpy's axis reductions.
 """
 
 from dataclasses import astuple
@@ -222,11 +223,11 @@ def separate_passes(state, population, active, cfg, eta, key_for, replay_for, re
     """
     real = play_round(state, population, active, cfg, eta, lambda i: key_for(i).generator())
     if not len(active):  # a round without participants has no replica
-        return real, np.zeros((0, *state.w.shape))
+        return real, np.zeros((len(state.w), 0, state.w.shape[1]))
     replays = [play_round(state, population, active, cfg, eta,
                           lambda i, r=r: replay_for(i, r).generator()).v for r in range(replicas)]
     replays.append(play_round(state, population, active, cfg, eta, None).v)
-    return real, np.reshape(replays, (replicas + 1, *state.w.shape))
+    return real, np.stack(replays, axis=1)  # (S, replicas + 1, dim)
 
 
 def assert_same_round(got, want, want_replays):
@@ -290,7 +291,7 @@ def test_one_pass_round_equals_separate_passes(
         want = separate_passes(state, population, active, cfg, eta, key_for, replay_for, replicas)
         assert_same_round(got, *want)
         if t:
-            assert not got.replays[:, empty].any()
+            assert not got.replays[empty].any()
         state = got.state
 
 
@@ -399,6 +400,59 @@ def test_lockstep_seeds_equal_separate_trials(
         assert together[bad].failed
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    algo=st.sampled_from(ALGORITHMS),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True),
+    clients=st.integers(1, 4),
+    n=st.integers(1, 4),
+    iterations=st.integers(2, 5),
+    data=st.data(),
+)
+def test_gamma_t_equals_a_per_client_reference(kind, algo, seeds, clients, n, iterations, data):
+    # Each recorded gamma_t is |mean of the participants' gradients - the
+    # population gradient|^2 at the round's broadcast model, each gradient
+    # from its client's own Objective.grad; NaN in a round without
+    # participants.  One seed may have none after round 0, and one may
+    # overflow at round 1, which ends its rows there.
+    rng = np.random.default_rng(seeds[0])
+    empty, bad = (data.draw(st.integers(-1, len(seeds) - 1)) for _ in range(2))
+    bad = -1 if bad == empty else bad  # -1: no such seed
+    tasks, objectives = [], []
+    for k, seed in enumerate(seeds):
+        objectives.append(client_objectives(kind, rng, clients, n, 2))
+        population = stack(objectives[-1])
+        mask = rng.random((iterations, clients)) < 0.6
+        mask[0] = True  # mifa needs every client's first upload
+        mask[1:] &= k != empty
+        mask[1] |= k == bad
+        eta = 1e200 if k == bad else rng.uniform(0.05, 0.5)
+        tasks.append(SeedTask(seed, population, AvailabilitySchedule(mask),
+                              constant_rates(eta, iterations), rng.normal(size=population.dim)))
+    models = []  # every round's broadcast models (S, dim)
+
+    def play(state, *args, **kwargs):
+        models.append(state.w)
+        return play_round(state, *args, **kwargs)
+
+    with mock.patch.object(harness, "play_round", play):
+        outs = run_trials(tasks, algo, LocalConfig(steps=2, lr=0.05, batch_size=1))
+    for k, (task, out) in enumerate(zip(tasks, outs)):
+        assert len(out.rows) == (2 if k == bad else iterations)
+        for t, row in enumerate(out.rows):
+            active = np.flatnonzero(task.schedule.mask[t])
+            if not active.size:
+                assert np.isnan(row.gamma_t)
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                grads = [objective.grad(models[t][k]) for objective in objectives[k]]
+                gap = np.mean([grads[i] for i in active], axis=0) - np.mean(grads, axis=0)
+                # The error allowed scales with the gradients; past overflow, none is checked.
+                scale = 1.0 + max(float(g @ g) for g in grads)
+            assert abs(row.gamma_t - float(gap @ gap)) <= 1e-9 * scale or not np.isfinite(scale)
+
+
 def per_round_play(seeds, clients):
     """play_round with the round's drawn rows redrawn from its own keys, one row at a time.
 
@@ -502,14 +556,13 @@ def test_population_pass_with_one_model_per_seed(kind, seed, seeds, clients, n, 
     with np.errstate(over="ignore"):
         losses, grads = stack(populations).losses_and_grads(W)
         own_passes = [one.losses_and_grads(W[s]) for s, one in enumerate(populations)]
-    acc = evaluate(make_objective(population.kind, tests, **population.params), W)
     for s, (one, (own_losses, own_grads)) in enumerate(zip(populations, own_passes)):
         block = slice(s * clients, (s + 1) * clients)
         assert same_bits(losses[block], own_losses)
         assert same_bits(grads[block], own_grads)
-        own = evaluate(make_objective(one.kind, tests[s], **one.params), W[s][None])
-        assert (acc is None) == (own is None) == (kind == "quadratic")
-        if acc is not None:
+        if kind != "quadratic":  # a regression task predicts nothing
+            acc = evaluate(make_objective(population.kind, tests, **population.params), W)
+            own = evaluate(make_objective(one.kind, tests[s], **one.params), W[s][None])
             assert same_bits(acc[s], own[0])
 
 

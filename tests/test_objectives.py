@@ -325,8 +325,9 @@ def test_global_optimum_none_for_non_quadratic():
         global_optimum(mismatched)
 
 
-def test_quadratic_predict_is_none():
+def test_quadratic_predict_is_not_implemented():
     rng = np.random.default_rng(89)
     ds = small_dataset(rng, n=4, dim=2)
     obj = QuadraticObjective(ds)
-    assert obj.predict(np.zeros((1, 2))) is None
+    with pytest.raises(NotImplementedError):
+        obj.predict(np.zeros((1, 2)))
