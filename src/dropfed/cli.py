@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure, 141 (128 +
-SIGPIPE) when standard output is closed before everything was written.
+Exit codes: 0 success, 1 configuration error (a run that does not fit in
+memory too), 2 numerical failure, 141 (128 + SIGPIPE) when standard output is
+closed before everything was written.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ def _cmd_dump_availability(args: argparse.Namespace) -> int:
     cfg = _load_with_overrides(args)
     if args.out:
         outdir = resolve_outdir(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         for seed in cfg.seeds:
             schedule = build_schedule(cfg, seed)
+            outdir.mkdir(parents=True, exist_ok=True)  # once a schedule is built
             path = outdir / f"availability_{cfg.scenario}_seed{seed}.txt"
             schedule.save(path)
             print(path)
@@ -120,6 +121,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size under the cap that this machine still cannot hold
+        detail = " ".join(str(exc).split())
+        print("config error: out of memory" + (f": {detail}" if detail else ""), file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

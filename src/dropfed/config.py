@@ -31,6 +31,10 @@ CHOICES = {
     "expected_mode": ("fullbatch", "mc"),
 }
 
+# The most availability-mask cells, seeds * iterations * clients, that one
+# config may ask for: a fixed cap, so a config fails the same way on any machine.
+MAX_MASK_CELLS = 2**30
+
 
 @dataclass
 class ExperimentConfig:
@@ -92,6 +96,11 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate seeds in {self.seeds}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
+        cells = len(self.seeds) * self.iterations * self.clients
+        if cells > MAX_MASK_CELLS:
+            raise ConfigError(f"{len(self.seeds)} seeds x {self.iterations} iterations x "
+                              f"{self.clients} clients is {cells} mask cells, over the cap "
+                              f"of {MAX_MASK_CELLS}")
         if self.phi_replays == 1 or self.phi_replays < 0:
             raise ConfigError(f"phi_replays must be 0 (off) or >= 2, got {self.phi_replays}")
         if self.phi_every < 0:

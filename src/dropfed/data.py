@@ -1,4 +1,4 @@
-"""Synthetic datasets and label-shard partitioning."""
+"""Synthetic datasets, drawn as one pool, and label-shard partitioning."""
 
 from __future__ import annotations
 
@@ -53,18 +53,15 @@ def make_synthetic_classification(
     """Gaussian blobs with unit covariance, one blob per class.
 
     Class means sit on a line (dim 1) or a circle (dim >= 2) so only the seed
-    feeds the noise draws; samples are emitted class by class.
+    feeds the noise draws.  The pool's noise is one draw, row by row, and
+    samples are emitted class by class.
     """
     check_blobs(num_classes, per_class, dim, separation)
     rng = generator(seed)
     means = _class_means(num_classes, dim, separation)
-    features = np.empty((num_classes * per_class, dim))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
-    for c in range(num_classes):
-        block = slice(c * per_class, (c + 1) * per_class)
-        features[block] = means[c] + rng.standard_normal((per_class, dim))
-        labels[block] = c
-    return ClientDataset(features, labels)
+    features = rng.standard_normal((num_classes, per_class, dim))
+    features += means[:, None]  # in place: the pool is the one array held
+    return ClientDataset(features.reshape(-1, dim), np.repeat(np.arange(num_classes), per_class))
 
 
 def partition_shards(
@@ -91,6 +88,6 @@ def heterogeneity_stats(objectives: Objective | list[Objective], probes: np.ndar
     population = stack(objectives)
     worst = np.zeros(population.num_clients)
     for w in np.atleast_2d(np.asarray(probes, dtype=np.float64)):
-        grads = population.client_grads(w)
+        grads = population.losses_and_grads(w)[1]
         worst = np.maximum(worst, np.linalg.norm(grads - np.mean(grads, axis=0), axis=1))
     return worst

@@ -10,10 +10,10 @@ a row's gradient is bit-identical whichever rows share the call, in any
 order.  losses_and_grads(w) is the fused population pass: every client's
 full loss and gradient at one w, or with one w per equal run of clients
 (each seed's clients in a stack), and smoothness(runs) gives the L of each
-such run.  loss(w) and grad(w) average the pass over the clients, so for one
-client they are its own.  All randomness stays with the caller, which passes
-explicit sample indices; the full gradient is the batch gradient over all of
-a client's indices, bit for bit.
+such run.  loss(w) and grad(w) both read that one pass and average it over
+the clients, so for one client they are its own.  All randomness stays with
+the caller, which passes explicit sample indices; the full gradient is the
+batch gradient over all of a client's indices, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ class ClientDataset:
     @property
     def n(self) -> int:
         return self.features.shape[-2]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[-1]
 
 
 def _stacked(parts: Sequence) -> ClientDataset:
@@ -178,20 +174,16 @@ class Objective:
             losses += np.repeat(penalties, block)
         return losses, grads
 
-    def client_grads(self, w: ParamVector) -> np.ndarray:
-        """Every client's full gradient (N, dim) at w."""
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.dim,):
-            raise ConfigError(f"parameter vector has shape {w.shape}, expected ({self.dim},)")
-        return self._evaluate(w[None], self._x, self.labels, False)[1]
-
     def loss(self, w: ParamVector) -> float:
         """Uniform average of the client losses."""
         return float(np.mean(self.losses_and_grads(w)[0]))
 
     def grad(self, w: ParamVector) -> ParamVector:
         """Uniform average of the client full gradients."""
-        return np.mean(self.client_grads(w), axis=0)
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != (self.dim,):
+            raise ConfigError(f"parameter vector has shape {w.shape}, expected ({self.dim},)")
+        return np.mean(self.losses_and_grads(w)[1], axis=0)
 
     def grad_variance(self, batch_size: int) -> float | None:
         """Analytic E||batch grad - full grad||^2 where known, else None."""
@@ -386,7 +378,8 @@ class MlpObjective(_Classifier):
         for _ in range(64):
             w1 = rng.normal(scale=1.0, size=self.dim)
             w2 = w1 + rng.normal(scale=0.1, size=self.dim)
-            diff = self.client_grads(w1) - self.client_grads(w2)
+            g1, g2 = (self._evaluate(v[None], self._x, self.labels, False)[1] for v in (w1, w2))
+            diff = g1 - g2
             den = np.linalg.norm(w1 - w2)
             if den > 0:
                 num = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])

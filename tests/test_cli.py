@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropfed.cli import build_parser, main
-from dropfed.config import _SECTIONS, ExperimentConfig
+from dropfed.config import _SECTIONS, MAX_MASK_CELLS, ExperimentConfig
 
 BASE_CONFIG = """\
 [task]
@@ -476,6 +476,61 @@ def test_closed_stdout_exits_quietly(tmp_path):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141
     assert b"Traceback" not in err and err == b""
+
+
+# Each command, and dump-availability writing files into --out.
+COMMANDS = [["run"], ["check-schedule"], ["dump-availability"],
+            ["dump-availability", "--out", "dumps"]]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_a_run_over_the_mask_cell_cap_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           command):
+    # 2 seeds x 10^12 rounds x 4 clients: the config is refused as it loads.
+    refuse_data(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DROPFED_OUT", raising=False)
+    cfg_path, out = write_config(tmp_path, iterations=10**12)
+    before = files_under(tmp_path)
+    assert main([command[0], str(cfg_path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: 2 seeds x 1000000000000 iterations x 4 clients is "
+                            f"8000000000000 mask cells, over the cap of {MAX_MASK_CELLS}\n")
+    assert files_under(tmp_path) == before and not out.exists()
+
+
+# Run by a child process: it lowers its own address-space limit to 64 MB
+# above what it has mapped once dropfed is loaded, then runs the command line.
+LOW_MEMORY_MAIN = """\
+import resource, sys
+from dropfed.cli import main
+with open("/proc/self/status") as status:
+    mapped = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (64 << 20), resource.RLIM_INFINITY))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_a_run_too_large_for_memory_is_one_config_error(tmp_path, command):
+    # 2 seeds x 10^8 rounds x 4 clients is under the cap, but the schedule's
+    # 400 MB mask is over the child's limit, so its first large allocation
+    # fails at once and nothing much is ever allocated.
+    cfg_path, out = write_config(tmp_path, iterations=10**8)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env.pop("DROPFED_OUT", None)
+    before = files_under(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", LOW_MEMORY_MAIN, command[0], str(cfg_path),
+                           *command[1:]], capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: out of memory") and proc.stderr.count("\n") == 1
+    assert files_under(tmp_path) == before and not out.exists()
 
 
 def example_config() -> configparser.ConfigParser:

@@ -1,10 +1,13 @@
 """Config files map onto ExperimentConfig field for field."""
 
 import configparser
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
-from dropfed.config import ExperimentConfig, load_config
+import pytest
+
+from dropfed.config import MAX_MASK_CELLS, ExperimentConfig, load_config
+from dropfed.errors import ConfigError
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
 # The two keys that are not their field's name.
@@ -55,3 +58,14 @@ def test_every_field_round_trips_through_a_file(tmp_path):
     with open(path, "w") as fh:
         ini.write(fh)
     assert load_config(path) == ExperimentConfig(**NON_DEFAULT)
+
+
+def test_mask_cells_are_capped_exactly():
+    # seeds x iterations x clients may reach the cap but not pass it; a
+    # config holds no arrays, so neither side allocates anything.
+    at_cap = dict(seeds=(1, 2), clients=4, iterations=MAX_MASK_CELLS // 8)
+    assert ExperimentConfig(**at_cap).iterations * 8 == MAX_MASK_CELLS
+    with pytest.raises(ConfigError, match="mask cells, over the cap"):
+        ExperimentConfig(**dict(at_cap, iterations=MAX_MASK_CELLS // 8 + 1))
+    with pytest.raises(ConfigError, match="mask cells, over the cap"):
+        replace(ExperimentConfig(**at_cap), seeds=(1, 2, 3))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropfed.data import (
+    _class_means,
     heterogeneity_stats,
     make_synthetic_classification,
     partition_shards,
@@ -18,9 +19,40 @@ from dropfed.rng import DATA, PARTITION, generator, seed_for
 def test_blob_counts_and_labels():
     ds = make_synthetic_classification(3, 40, 2, 4.0, seed_for(1, DATA, 0))
     assert ds.n == 120
-    assert ds.dim == 2
+    assert ds.features.shape == (120, 2)
     # Emitted class by class.
     np.testing.assert_array_equal(ds.labels, np.repeat([0, 1, 2], 40))
+
+
+def pool_class_by_class(num_classes, per_class, dim, separation, seed):
+    """The pool drawn one class at a time, as a loop: the reference of the one draw."""
+    rng = generator(seed)
+    means = _class_means(num_classes, dim, separation)
+    features = np.empty((num_classes * per_class, dim))
+    labels = np.empty(num_classes * per_class, dtype=np.int64)
+    for c in range(num_classes):
+        block = slice(c * per_class, (c + 1) * per_class)
+        features[block] = means[c] + rng.standard_normal((per_class, dim))
+        labels[block] = c
+    return features, labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    classes=st.integers(2, 6),
+    per_class=st.integers(1, 40),
+    dim=st.integers(1, 5),
+    separation=st.sampled_from((0.0, 1.0, 4.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_draw_pool_equals_the_class_by_class_loop(classes, per_class, dim, separation, seed):
+    # One standard_normal call reads the stream in the loop's order, and each
+    # row adds its class mean once, so every bit matches.
+    key = seed_for(seed, DATA, 0)
+    ds = make_synthetic_classification(classes, per_class, dim, separation, key)
+    features, labels = pool_class_by_class(classes, per_class, dim, separation, key)
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
 
 
 def test_blob_means_near_design_centers():

@@ -573,7 +573,7 @@ def probe_one(objective):
     for _ in range(64):
         w1 = rng.normal(scale=1.0, size=objective.dim)
         w2 = w1 + rng.normal(scale=0.1, size=objective.dim)
-        diff = objective.client_grads(w1) - objective.client_grads(w2)
+        diff = objective.losses_and_grads(w1)[1] - objective.losses_and_grads(w2)[1]
         den = np.linalg.norm(w1 - w2)
         if den > 0:
             num = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])

@@ -59,7 +59,7 @@ def test_dataset_rejects_bad_shapes():
 def test_dataset_properties():
     ds = ClientDataset(np.ones((4, 2)), np.zeros(4, dtype=int), client_id=7)
     assert ds.n == 4
-    assert ds.dim == 2
+    assert ds.features.shape == (4, 2)
     assert ds.client_id == 7
     assert ds.features.dtype == np.float64
     assert ds.labels.dtype == np.int64
