@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 configuration error (a run that does not fit in
-memory too), 2 numerical failure, 141 (128 + SIGPIPE) when standard output is
-closed before everything was written.
+Exit codes: 0 success, 1 configuration error (an allocation that fails too),
+2 numerical failure, 141 (128 + SIGPIPE) when standard output is closed before
+everything was written.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # a size under the cap that this machine still cannot hold
+    except MemoryError as exc:  # under the budget, but more than this machine gives
         detail = " ".join(str(exc).split())
         print("config error: out of memory" + (f": {detail}" if detail else ""), file=sys.stderr)
         return 1

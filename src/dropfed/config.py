@@ -31,9 +31,12 @@ CHOICES = {
     "expected_mode": ("fullbatch", "mc"),
 }
 
-# The most availability-mask cells, seeds * iterations * clients, that one
-# config may ask for: a fixed cap, so a config fails the same way on any machine.
-MAX_MASK_CELLS = 2**30
+# A config is refused as it loads when its run would hold more than
+# MEMORY_BUDGET bytes, a fixed budget so it fails alike on every machine: 10
+# bytes a mask cell (seeds x iterations x clients) and 256 a seed's round, as
+# measured for `run` (10.1 at 1000 clients x 20,000 rounds; at 1 client, about
+# 100 before training and 140 for the recorded row).
+CELL_BYTES, ROUND_BYTES, MEMORY_BUDGET = 10, 256, 2**30
 
 
 @dataclass
@@ -96,11 +99,11 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate seeds in {self.seeds}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
-        cells = len(self.seeds) * self.iterations * self.clients
-        if cells > MAX_MASK_CELLS:
+        need = len(self.seeds) * self.iterations * (self.clients * CELL_BYTES + ROUND_BYTES)
+        if need > MEMORY_BUDGET:
             raise ConfigError(f"{len(self.seeds)} seeds x {self.iterations} iterations x "
-                              f"{self.clients} clients is {cells} mask cells, over the cap "
-                              f"of {MAX_MASK_CELLS}")
+                              f"{self.clients} clients need about {need / 2**30:.3g} GiB, over "
+                              f"the budget of {MEMORY_BUDGET / 2**30:g} GiB")
         if self.phi_replays == 1 or self.phi_replays < 0:
             raise ConfigError(f"phi_replays must be 0 (off) or >= 2, got {self.phi_replays}")
         if self.phi_every < 0:

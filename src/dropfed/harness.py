@@ -126,16 +126,15 @@ def run_trials(
     fullbatch mode the expectation is the last copy.  The other batches are
     drawn ahead, keyed as arrays from the masks, in one draw per chunk of
     whole rounds (DRAW_CHUNK_BYTES).  The test sets are stacked once, and one
-    helper measures every live seed's model in one population pass and one
-    pass over the stacked test sets, each round and once more for the final
-    models.
+    helper measures every seed's model in one population pass and one pass
+    over the stacked test sets, each round and once more for the final models.
 
     Per-round columns describe the broadcast model w_t before the update;
     the *final* fields describe the model after the last round.  A seed
     whose model turns non-finite stops at that round and is marked failed:
-    its clients train no more, its rows drawn ahead go unread, and the
-    stacks measured from then on hold only the live seeds.  The other seeds
-    go on; with none live, nothing more is measured.
+    its clients train no more, its rows drawn ahead go unread, and its
+    model, still measured because rows never interact, is no longer
+    recorded.  The other seeds go on; with none live, nothing more is measured.
     """
     for task in tasks:
         if len(task.rates.values) != task.schedule.iterations:
@@ -159,29 +158,23 @@ def run_trials(
         log.warning("local lr %r exceeds 1/(10 L), so small-step analysis does not apply, for %s",
                     local_cfg.lr, steep)
     live = np.ones(len(tasks), dtype=bool)
-
-    def stacks() -> tuple[Objective, Objective | None]:
-        """The live seeds' clients, and their test sets as one objective of a client each."""
-        alive = [task for task, on in zip(tasks, live) if on]
-        tests = None if tasks[0].test_data is None else make_objective(
-            population.kind, [task.test_data for task in alive], **population.params)
-        return population if live.all() else stack([task.population for task in alive]), tests
-
-    measured, test_sets = stacks()
+    # Seed s's test set is client s of one more stacked objective.
+    test_sets = None
+    if tasks[0].test_data is not None:
+        test_sets = make_objective(population.kind, [task.test_data for task in tasks],
+                                   **population.params)
 
     def measure(models: np.ndarray) -> list[tuple[int, float, np.ndarray, np.ndarray, float]]:
         """Each live seed's index, loss, mean and client (N, dim) gradients, and accuracy.
 
-        Only the live seeds' models go through the one population pass and
-        the one test-set pass; rows never interact, so their bits do not
-        depend on which seeds have failed.
+        Every seed's model goes through the one pass; rows never interact,
+        so a failed seed's non-finite model leaves the others' bits alone.
         """
-        ids = np.flatnonzero(live)
-        losses, grads = measured.losses_and_grads(models[ids])
-        losses, grads = losses.reshape(len(ids), n), grads.reshape(len(ids), n, -1)
-        acc = np.full(len(ids), math.nan) if test_sets is None else evaluate(test_sets, models[ids])
-        return [(k, float(np.mean(losses[j])), np.mean(grads[j], axis=0), grads[j], float(acc[j]))
-                for j, k in enumerate(ids)]
+        losses, grads = population.losses_and_grads(models)
+        losses, grads = losses.reshape(len(models), n), grads.reshape(len(models), n, -1)
+        acc = np.full(len(models), math.nan) if test_sets is None else evaluate(test_sets, models)
+        return [(k, float(np.mean(losses[k])), np.mean(grads[k], axis=0), grads[k], float(acc[k]))
+                for k in np.flatnonzero(live)]
 
     rates = np.stack([task.rates.values for task in tasks])  # (S, T)
     state = init_state(algorithm, np.stack([task.w0 for task in tasks]), n, scaffold_literal)
@@ -244,8 +237,6 @@ def run_trials(
             outs[k].failed, outs[k].failure_round, live[k] = True, t, False
             outs[k].final_w = state.w[k]
             drawn = []  # its rows drawn ahead go unread, and the next chunk holds none
-        if failed.size and live.any():
-            measured, test_sets = stacks()
 
     for k, loss, grad, _, acc in measure(state.w) if live.any() else []:
         out = outs[k]

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropfed.cli import build_parser, main
-from dropfed.config import _SECTIONS, MAX_MASK_CELLS, ExperimentConfig
+from dropfed.config import _SECTIONS, ExperimentConfig
 
 BASE_CONFIG = """\
 [task]
@@ -484,8 +484,8 @@ COMMANDS = [["run"], ["check-schedule"], ["dump-availability"],
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
-def test_a_run_over_the_mask_cell_cap_fails_before_any_work(tmp_path, capsys, monkeypatch,
-                                                           command):
+def test_a_run_over_the_memory_budget_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            command):
     # 2 seeds x 10^12 rounds x 4 clients: the config is refused as it loads.
     refuse_data(monkeypatch)
     monkeypatch.chdir(tmp_path)
@@ -495,8 +495,8 @@ def test_a_run_over_the_mask_cell_cap_fails_before_any_work(tmp_path, capsys, mo
     assert main([command[0], str(cfg_path), *command[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("config error: 2 seeds x 1000000000000 iterations x 4 clients is "
-                            f"8000000000000 mask cells, over the cap of {MAX_MASK_CELLS}\n")
+    assert captured.err == ("config error: 2 seeds x 1000000000000 iterations x 4 clients "
+                            "need about 5.51e+05 GiB, over the budget of 1 GiB\n")
     assert files_under(tmp_path) == before and not out.exists()
 
 
@@ -515,10 +515,12 @@ sys.exit(main(sys.argv[1:]))
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
 def test_a_run_too_large_for_memory_is_one_config_error(tmp_path, command):
-    # 2 seeds x 10^8 rounds x 4 clients is under the cap, but the schedule's
-    # 400 MB mask is over the child's limit, so its first large allocation
-    # fails at once and nothing much is ever allocated.
-    cfg_path, out = write_config(tmp_path, iterations=10**8)
+    # 2 seeds x 500,000 rounds x 40 clients is under the budget, but one
+    # seed's 160 MB static draw is over the child's limit, so its first large
+    # allocation fails at once and nothing much is ever allocated.
+    cfg_path, out = write_config(tmp_path, iterations=500_000)
+    text = cfg_path.read_text().replace("clients = 4\n", "clients = 40\n")
+    cfg_path.write_text(text.replace("per_class = 10\n", "per_class = 20\n"))  # a shard each
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dropfed.config import MAX_MASK_CELLS, ExperimentConfig, load_config
+from dropfed.config import CELL_BYTES, MEMORY_BUDGET, ROUND_BYTES, ExperimentConfig, load_config
 from dropfed.errors import ConfigError
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
@@ -60,12 +60,13 @@ def test_every_field_round_trips_through_a_file(tmp_path):
     assert load_config(path) == ExperimentConfig(**NON_DEFAULT)
 
 
-def test_mask_cells_are_capped_exactly():
-    # seeds x iterations x clients may reach the cap but not pass it; a
-    # config holds no arrays, so neither side allocates anything.
-    at_cap = dict(seeds=(1, 2), clients=4, iterations=MAX_MASK_CELLS // 8)
-    assert ExperimentConfig(**at_cap).iterations * 8 == MAX_MASK_CELLS
-    with pytest.raises(ConfigError, match="mask cells, over the cap"):
-        ExperimentConfig(**dict(at_cap, iterations=MAX_MASK_CELLS // 8 + 1))
-    with pytest.raises(ConfigError, match="mask cells, over the cap"):
+def test_run_memory_is_capped_exactly():
+    # A config whose estimated bytes reach the budget loads, one round more
+    # does not; a config holds no arrays, so neither side allocates anything.
+    at_cap = dict(seeds=(1, 2), clients=4,
+                  iterations=MEMORY_BUDGET // (2 * (4 * CELL_BYTES + ROUND_BYTES)))
+    ExperimentConfig(**at_cap)
+    with pytest.raises(ConfigError, match="GiB, over the budget of 1 GiB"):
+        ExperimentConfig(**dict(at_cap, iterations=at_cap["iterations"] + 1))
+    with pytest.raises(ConfigError, match="over the budget"):
         replace(ExperimentConfig(**at_cap), seeds=(1, 2, 3))

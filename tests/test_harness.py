@@ -438,11 +438,10 @@ def test_every_reported_number_comes_from_one_population_pass(task, monkeypatch)
 
 def test_a_run_without_live_seeds_measures_nothing_more(tmp_path, monkeypatch):
     # Every seed of the golden case diverges (seed 1 at round 6, seed 2 at
-    # round 7 of 10): each executed round takes one population pass over
-    # the live seeds' models alone, so round 7's holds seed 2's only, and no
+    # round 7 of 10): each executed round takes one population pass, and no
     # final pass follows, since no seed is left to record it.  Its stored
     # files, which test_golden compares, were written by the code that
-    # still measured every seed in every pass and made the final one.
+    # still made that pass.
     from test_golden import CASES
 
     name = "logistic_mimic_every_seed_failed"
@@ -456,7 +455,7 @@ def test_a_run_without_live_seeds_measures_nothing_more(tmp_path, monkeypatch):
     monkeypatch.setattr(Objective, "losses_and_grads", counted)
     result = run_experiment(ExperimentConfig(**CASES[name], out=str(tmp_path)))
     assert [(t.failed, t.failure_round) for t in result.trials] == [(True, 6), (True, 7)]
-    assert calls == [2] * 7 + [1]
+    assert calls == [2] * 8
 
 
 def test_a_measured_round_trains_in_one_pass(monkeypatch):

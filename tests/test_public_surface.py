@@ -7,6 +7,13 @@ attribute, an import, or a string that is the bare name (the benchmark's
 tracer finds its targets so).  Comments and docstrings do not count.  Tests,
 bench/tests/ among them, do not count either, so an API that only its own
 unit test calls fails here.
+
+Names are matched bare, with no types: `x.dim` counts as a use of every
+member named `dim`.  So a public method or property whose name another class
+family of the package also defines (as a method, a field or an attribute)
+cannot be told used by the match.  Such a member must be listed in SHARED
+with the use that was checked by hand; a new one fails until it is.  A
+top-level function still counts any variable of its name as a use.
 """
 
 import ast
@@ -25,6 +32,17 @@ PINNED = {
     "update_variance_stderr": "the error bar of the acceptance tests' phi check",
 }
 
+# Members whose name another class family also defines, by family root, and
+# where the program uses them.
+SHARED = {
+    "AvailabilitySchedule.iterations": "harness.run_trials and settle_seeds read task.schedule's",
+    "AvailabilitySchedule.max_staleness": "harness.settle_seeds",
+    "AvailabilitySchedule.num_clients": "its own check and max_staleness",
+    "ClientDataset.n": "data.make_client_split checks its pool's shards",
+    "Objective.dim": "objectives, local_trainer and harness shape models by it",
+    "Objective.loss": "harness.run_trials takes the loss at the optimum",
+}
+
 
 def public_definitions(tree: ast.Module):
     """Each public top-level function and class, and each public method of those classes."""
@@ -35,6 +53,42 @@ def public_definitions(tree: ast.Module):
         if isinstance(node, ast.ClassDef):
             yield from (item for item in node.body
                         if isinstance(item, kinds) and not item.name.startswith("_"))
+
+
+def families(trees) -> dict[str, str]:
+    """Each class of the package, by name, and the root of its inheritance within the package."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def root(name: str) -> str:
+        parents = [b for b in bases[name] if b in bases]
+        return root(parents[0]) if parents else name
+
+    return {name: root(name) for name in bases}
+
+
+def members(cls: ast.ClassDef):
+    """(name, is a public method) of each method, field and attribute that a class defines."""
+    for node in ast.walk(cls):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node in cls.body:
+            yield node.name, not node.name.startswith("_")
+        elif isinstance(node, ast.AnnAssign) and node in cls.body:
+            yield node.target.id, False
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr, False
+
+
+def shared_members(trees) -> set[str]:
+    """"Root.name" of each public method whose name more than one class family defines."""
+    family = families(trees)
+    owners: dict[str, set[str]] = {}
+    public = set()
+    for cls in (node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)):
+        for name, method in members(cls):
+            owners.setdefault(name, set()).add(family[cls.name])
+            if method:
+                public.add((family[cls.name], name))
+    return {f"{root}.{name}" for root, name in public if len(owners[name]) > 1}
 
 
 def named(tree: ast.Module):
@@ -69,6 +123,12 @@ def test_every_public_name_has_a_caller_in_the_program():
                 continue
             unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unused, "public but named nowhere else in src/ or bench/:\n" + "\n".join(unused)
+
+
+def test_every_member_whose_name_is_shared_is_listed_with_its_use():
+    shared = shared_members([ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")])
+    assert shared == set(SHARED), ("a bare-name match cannot tell these used; list each with "
+                                   f"its use, or drop it: {sorted(shared ^ set(SHARED))}")
 
 
 def test_every_pinned_name_is_defined_and_named_by_the_acceptance_tests():
