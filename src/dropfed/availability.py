@@ -36,6 +36,8 @@ class AvailabilitySchedule:
             raise ConfigError(f"need a 2-D boolean mask, got {self.mask.dtype} {self.mask.shape}")
         if self.num_clients < 1:
             raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}")
+        if self.iterations < 1:
+            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
 
     @property
     def iterations(self) -> int:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .aggregation import ALGORITHMS
 from .availability import check_prob, check_tau_max, weighted_count
-from .data import check_blobs, check_shards
+from .data import check_blobs, check_counts, check_shards
 from .errors import ConfigError
 from .local_trainer import LocalConfig
 from .objectives import MlpObjective, check_classifier
@@ -99,6 +99,7 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate seeds in {self.seeds}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
+        check_counts(self.clients, self.shards_per_client)  # a negative count passes the budget
         need = len(self.seeds) * self.iterations * (self.clients * CELL_BYTES + ROUND_BYTES)
         if need > MEMORY_BUDGET:
             raise ConfigError(f"{len(self.seeds)} seeds x {self.iterations} iterations x "

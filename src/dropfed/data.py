@@ -36,10 +36,15 @@ def check_blobs(num_classes: int, per_class: int, dim: int, separation: float) -
         raise ConfigError(f"separation must be >= 0, got {separation}")
 
 
-def check_shards(samples: int, clients: int, shards_per_client: int) -> None:
-    """Reject a deal of `samples` that does not give every client equal shards."""
+def check_counts(clients: int, shards_per_client: int) -> None:
+    """Reject a deal to no client, or of no shard to each."""
     if clients < 1 or shards_per_client < 1:
         raise ConfigError("clients and shards_per_client must be >= 1")
+
+
+def check_shards(samples: int, clients: int, shards_per_client: int) -> None:
+    """Reject a deal of `samples` that does not give every client equal shards."""
+    check_counts(clients, shards_per_client)
     shards = clients * shards_per_client
     if samples % shards:
         raise ConfigError(

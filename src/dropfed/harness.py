@@ -57,9 +57,10 @@ from .summary import render_summary
 OUTPUT_ROOT_ENV = "DROPFED_OUT"
 log = logging.getLogger(__name__)
 
-# Bytes of one draw's (rows, steps * (2 b - 1)) array of bounded draws, of
-# which the drawer holds a few: this bounds its memory at any size.
-DRAW_CHUNK_BYTES = 1 << 20
+# Bytes one draw of batches holds at its peak.  A row holds about 576 bytes
+# of keys and owners, and 18 for each of its steps * (2 b - 1) bounded draws
+# (tracemalloc: 421-554 bytes at b = 1 and 1 step, 979 at b = 4 and 5 steps).
+DRAW_CHUNK_BYTES = 1 << 22
 
 
 @dataclass
@@ -184,7 +185,7 @@ def run_trials(
     copies = 1 + np.maximum(expected_replays * (expected_mode == "mc"), phi_replays * phi_rounds)
     expected = slice(-1, None) if expected_mode == "fullbatch" else slice(expected_replays)
     steps = local_cfg.steps + state.scaffold_literal  # scaffold's anchor batch comes first
-    row_bytes = 8 * steps * (2 * min(local_cfg.batch_size, population.n) - 1)
+    row_bytes = 576 + 18 * steps * (2 * min(local_cfg.batch_size, population.n) - 1)
     budget = max(1, DRAW_CHUNK_BYTES // row_bytes)  # rows of one draw
 
     def draw(t0: int) -> list[np.ndarray]:

@@ -5,12 +5,12 @@ the same clients once per replica of the round.  Each step computes every
 row's batch gradient in one batched call on the stacked objective.
 
 RNG rule: every row has its own stream, one per (client, round) or per
-(client, round, replica), and takes its batches from it in step order, so a
-row's batches never depend on which other rows share the call.  The caller
-draws the batches up front with draw_batches, a run's for several rounds
-at once: rows named by StreamKeys in one vectorised pass that equals
-per-row sample_batch calls, rows given a Generator with sample_batch
-itself.  Full-batch rows draw nothing and need no stream.
+(client, round, replica), and takes its batches from it in step order, each
+one choice(n, b, replace=False), so a row's batches never depend on which
+other rows share the call.  The caller draws the batches up front with
+draw_batches, a run's for several rounds at once: rows named by StreamKeys
+in one call of rng.draw_keyed, rows given a Generator from it directly.
+Full-batch rows draw nothing and need no stream.
 """
 
 from __future__ import annotations
@@ -47,40 +47,26 @@ class LocalConfig:
             raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
 
 
-def sample_batch(rng: np.random.Generator | None, n: int, batch_size: int) -> np.ndarray:
-    """Uniform batch without replacement; the full index range when it covers n.
-
-    The full-range case draws nothing from rng, so it takes rng None, and
-    deterministic replays do not need a matching generator state.
-    """
-    if batch_size >= n:
-        return np.arange(n)
-    return rng.choice(n, size=batch_size, replace=False)
-
-
 def draw_batches(
     n: int, clients: np.ndarray, batch_size: int,
     sources: StreamKeys | Sequence[np.random.Generator] | None, count: int,
 ) -> np.ndarray:
     """Flat sample indices (count, rows, b) for rows of clients holding n samples.
 
-    Row s takes its `count` batches in order from sources[s].  Keys are
-    drawn for all rows in one pass (rng.draw_keyed); a row that pass cannot
-    reproduce, or a Generator, draws with sample_batch.  sources None, or a
-    batch that covers n, gives every row the full range: a read-only view
-    in which every step shares one (rows, n) array.
+    Row s takes its `count` batches in order from sources[s], each a
+    uniform draw without replacement: keys all in one rng.draw_keyed call,
+    Generators one choice at a time.  sources None, or a batch that covers
+    n, gives every row the full range and draws nothing: a read-only view in
+    which every step shares one (rows, n) array.
     """
     clients = np.asarray(clients)
     if sources is None or batch_size >= n or not len(clients):
         return np.broadcast_to(clients[:, None] * n + np.arange(n), (count, len(clients), n))
     if isinstance(sources, StreamKeys):
-        local, exact = draw_keyed(sources, n, batch_size, count)
-        for s in np.flatnonzero(~exact):
-            rng = sources[s].generator()
-            local[s] = [sample_batch(rng, n, batch_size) for _ in range(count)]
-        local = local.transpose(1, 0, 2)
+        local = draw_keyed(sources, n, batch_size, count).transpose(1, 0, 2)
     else:
-        local = np.array([[sample_batch(rng, n, batch_size) for rng in sources] for _ in range(count)])
+        local = np.array([[rng.choice(n, batch_size, replace=False) for rng in sources]
+                          for _ in range(count)])
     return clients[:, None] * n + local
 
 

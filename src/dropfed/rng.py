@@ -5,13 +5,13 @@ Every consumer of randomness gets its own counter-based generator keyed by
 that replays a round) never shifts the draws seen by any other consumer.
 
 Mini-batches are drawn in bulk.  StreamKeys names many batch streams as
-arrays without building them, each row a StreamKey, and draw_keyed serves
-them in one vectorised pass: per row it gives exactly what `count` calls of
-key.generator().choice(n, size, replace=False) would give.  It does so by
-redoing numpy's own steps (SeedSequence's hash, Philox words, Lemire's
-bounded draw, Floyd's selection and the shuffle) on whole arrays; rows that
-need a branch it does not redo are flagged for the caller to draw from the
-real stream.  The equality was checked against numpy 2.4.6 and is pinned by
+arrays without building them, and draw_keyed gives every row exactly what
+`count` calls of choice(n, size, replace=False) on that row's own stream
+(keys.generator(r)) would give.  A vectorised kernel does so for nearly
+every row by redoing numpy's own steps (SeedSequence's hash, Philox words,
+Lemire's bounded draw, Floyd's selection and the shuffle) on whole arrays;
+a row that needs a branch it does not redo is drawn from its built stream
+instead.  The equality was checked against numpy 2.4.6 and is pinned by
 tests/test_rng.py.
 """
 
@@ -22,7 +22,6 @@ import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,26 +58,18 @@ def replay_stream(master_seed: int, client: int, iteration: int, replica: int) -
     return stream(master_seed, REPLAY, client, iteration, replica)
 
 
-class StreamKey(NamedTuple):
-    """The slot of one stream, (master seed, (purpose, *indices)), not yet built."""
-
-    master_seed: int
-    spawn_key: tuple[int, ...]
-
-    def generator(self) -> np.random.Generator:
-        return stream(self.master_seed, *self.spawn_key)
-
-
 @dataclass(frozen=True)
 class StreamKeys:
-    """Many slots as arrays: row r is StreamKey(master_seeds[r], spawn[r, :lengths[r]])."""
+    """Many slots as arrays, not yet built: row r is (master_seeds[r], spawn[r, :lengths[r]])."""
 
     master_seeds: Sequence[int]  # (R,), ints of any size
     spawn: np.ndarray  # (R, width) uint64, zero past each row's length
     lengths: np.ndarray  # (R,)
 
-    def __getitem__(self, r: int) -> StreamKey:
-        return StreamKey(self.master_seeds[r], tuple(self.spawn[r, : self.lengths[r]].tolist()))
+    def generator(self, r: int) -> np.random.Generator:
+        """Row r's stream, as stream(master_seeds[r], *spawn_key) builds it."""
+        spawn_key = tuple(self.spawn[r, : self.lengths[r]].tolist())
+        return generator(np.random.SeedSequence(self.master_seeds[r], spawn_key=spawn_key))
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -196,27 +187,30 @@ def _batches_from_words(
     return idx.T.reshape(rows, count, size), exact
 
 
-def draw_keyed(keys: StreamKeys, n: int, size: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (R, count, size): row r as count calls of keys[r].generator().choice.
+def draw_keyed(keys: StreamKeys, n: int, size: int, count: int) -> np.ndarray:
+    """Indices (R, count, size): row r as count calls of keys.generator(r).choice.
 
-    Each call is choice(n, size, replace=False), 1 <= size < n.  Also returns
-    exact (R,): rows marked False hold no valid draws, and the caller must
-    draw them from keys[r].generator().  That happens on a rejected bounded
-    draw (odds about n / 2**32 per draw), on numpy's tail-shuffle branch
-    (n > 10000 and size > n // 50), for a spawn word >= 2**32 or an empty
-    spawn key, for a negative master seed, and for every row if this numpy
-    draws otherwise (see _matches_numpy).  Rows may differ in master seed
-    and in spawn-key length, and never interact: any split of the rows
-    gives the same draws.
+    Each call is choice(n, size, replace=False), 1 <= size < n.  The kernel
+    draws every row it can redo; the rest are drawn from their built streams.
+    That happens on a rejected bounded draw (odds about n / 2**32 per draw),
+    on numpy's tail-shuffle branch (n > 10000 and size > n // 50), for a
+    spawn word >= 2**32 or an empty spawn key, for a negative master seed,
+    and for every row if this numpy draws otherwise (see _matches_numpy).
+    Rows may differ in master seed and in spawn-key length, and never
+    interact: any split of the rows gives the same draws.
     """
     rows, drawn = len(keys.lengths), None
     if rows and n <= _MASK32 and not (n > 10000 and size > n // 50) and _matches_numpy():
         drawn = _draw(keys, n, size, count)
-    return drawn or (np.zeros((rows, count, size), dtype=np.int64), np.zeros(rows, dtype=bool))
+    idx, exact = drawn or (np.empty((rows, count, size), dtype=np.int64), np.zeros(rows, bool))
+    for r in np.flatnonzero(~exact):
+        rng = keys.generator(r)
+        idx[r] = [rng.choice(n, size, replace=False) for _ in range(count)]
+    return idx
 
 
 def _draw(keys: StreamKeys, n, size, count) -> tuple[np.ndarray, np.ndarray] | None:
-    """draw_keyed's kernel; None when the keys do not fit it."""
+    """draw_keyed's kernel: indices and which rows they reproduce; None for keys that do not fit."""
     if not keys.spawn.shape[1] or min(map(operator.index, set(keys.master_seeds))) < 0:
         return None
     wide = (keys.spawn > _MASK32).any(axis=1) | (keys.lengths == 0)
@@ -234,7 +228,7 @@ def _matches_numpy() -> bool:
     """
     keys = StreamKeys((3, 2**40 + 7, 11), np.array([[BATCH, 1, 2], [BATCH, 5, 0], [BATCH, 2, 7]],
                                                    dtype=np.uint64), np.full(3, 3))
-    streams = [keys[r].generator() for r in range(3)]
+    streams = [keys.generator(r) for r in range(3)]
     want = [[g.choice(30, 6, replace=False) for _ in range(2)] for g in streams]
     try:
         got = _draw(keys, 30, 6, 2)

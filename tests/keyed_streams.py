@@ -1,43 +1,53 @@
 """Batch streams named one row at a time, for tests that key rows by hand.
 
 run_trials keys a run's rows as StreamKeys arrays built from its masks.
-These helpers build the same StreamKeys from each row's slot words, so a
-test can name a round's rows and replicas and draw them as a run does.
+These helpers name each row by its slot, build the same StreamKeys from the
+slots' words, and build each slot's stream the way numpy defines it, so a
+test can name a round's rows and replicas, draw them as a run does, and
+check the draws against each row's own stream.
 """
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from dropfed.local_trainer import draw_batches
-from dropfed.rng import BATCH, REPLAY, StreamKey, StreamKeys, draw_keyed
+from dropfed.rng import BATCH, REPLAY, StreamKeys, draw_keyed, generator
 
 
-def batch_key(master_seed: int, client: int, iteration: int) -> StreamKey:
-    """Key of the batch stream of one client at one global iteration."""
-    return StreamKey(master_seed, (BATCH, client, iteration))
+class Slot(NamedTuple):
+    """The slot of one stream, (master seed, (purpose, *indices))."""
+
+    master_seed: int
+    spawn_key: tuple[int, ...]
+
+    def generator(self) -> np.random.Generator:
+        return generator(np.random.SeedSequence(self.master_seed, spawn_key=self.spawn_key))
 
 
-def replay_key(master_seed: int, client: int, iteration: int, replica: int) -> StreamKey:
-    """Key of rng.replay_stream(master_seed, client, iteration, replica)."""
-    return StreamKey(master_seed, (REPLAY, client, iteration, replica))
+def batch_key(master_seed: int, client: int, iteration: int) -> Slot:
+    """Slot of the batch stream of one client at one global iteration."""
+    return Slot(master_seed, (BATCH, client, iteration))
 
 
-def stream_keys(keys: Sequence[StreamKey]) -> StreamKeys:
-    """The keys as arrays, each row's spawn words zero-padded past its own length."""
+def replay_key(master_seed: int, client: int, iteration: int, replica: int) -> Slot:
+    """Slot of rng.replay_stream(master_seed, client, iteration, replica)."""
+    return Slot(master_seed, (REPLAY, client, iteration, replica))
+
+
+def stream_keys(keys: Sequence[Slot]) -> StreamKeys:
+    """The slots as arrays, each row's spawn words zero-padded past its own length."""
     seeds, spawn = zip(*keys) if keys else ((), ())
     lengths = np.fromiter(map(len, spawn), dtype=np.intp, count=len(spawn))
     width = lengths.max(initial=0)
-    try:
-        spawn = np.array([(*words, *[0] * (width - len(words))) for words in spawn],
-                         dtype=np.uint64).reshape(len(keys), width)
-    except OverflowError:  # a negative or huge word: no row fits the kernel
-        spawn = np.zeros((len(keys), 0), dtype=np.uint64)
+    spawn = np.array([(*words, *[0] * (width - len(words))) for words in spawn],
+                     dtype=np.uint64).reshape(len(keys), width)
     return StreamKeys(seeds, spawn, lengths)
 
 
-def draw_without_replacement(keys: Sequence[StreamKey], n: int, size: int, count: int):
-    """rng.draw_keyed on a list of StreamKey."""
+def draw_without_replacement(keys: Sequence[Slot], n: int, size: int, count: int):
+    """rng.draw_keyed on a list of slots."""
     return draw_keyed(stream_keys(keys), n, size, count)
 
 

@@ -62,6 +62,9 @@ def test_schedule_validation():
         periodic_schedule([], 4)
     with pytest.raises(ConfigError):
         periodic_schedule([1, 0], 4)
+    # No rounds: refused as it is made, not at max_staleness, which divides by them.
+    with pytest.raises(ConfigError, match="iterations must be >= 1, got 0"):
+        periodic_schedule([1, 2], 0)
 
 
 def test_schedule_sorts_ids():

@@ -552,8 +552,9 @@ SWEEP_VALUES = ("nan", "inf", "-inf", "0", "-1", "abc", "", "1e400", "2.5")
 @settings(max_examples=len(SWEEP_VALUES), deadline=None)
 @given(value=st.sampled_from(SWEEP_VALUES))
 def test_every_key_takes_any_value_or_is_a_config_error(tmp_path_factory, section, key, value):
-    # One key of the example set to value: each command succeeds, or exits 1
-    # with one stderr line and leaves its working directory as it was.
+    # One key of the example set to value: each command, dump-availability
+    # with and without --out among them, succeeds, or exits 1 with one
+    # stderr line and leaves its working directory as it was.
     parser = example_config()
     parser[section][key] = value
     home = tmp_path_factory.mktemp("sweep")
@@ -564,10 +565,10 @@ def test_every_key_takes_any_value_or_is_a_config_error(tmp_path_factory, sectio
     cwd = os.getcwd()
     os.chdir(work)
     try:
-        for command in ("run", "check-schedule"):
+        for command in COMMANDS:
             before, err = sorted(work.rglob("*")), io.StringIO()
             with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                code = main([command, str(cfg_path)])
+                code = main([command[0], str(cfg_path), *command[1:]])
             if code:
                 assert code == 1, (command, err.getvalue())
                 assert err.getvalue().startswith("config error: ")

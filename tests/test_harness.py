@@ -2,6 +2,7 @@
 
 import configparser
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from dropfed.data import make_synthetic_classification
 from dropfed.diagnostics import evaluate
 from dropfed.errors import ConfigError
 from dropfed.harness import (
+    SeedTask,
     build_rates,
     build_schedule,
     build_task,
@@ -506,9 +508,10 @@ def test_a_measured_round_trains_in_one_pass(monkeypatch):
     assert trained == [(min(5, size - a), b) for r, f in zip(rows, active)
                        for size, b in ((r, 3), (f, n)) for a in range(0, size, 5)]
     # A budget of the largest round's rows: each call draws whole rounds,
-    # as many as fit.  A row takes 3 steps of 2 * 3 - 1 bounded draws.
+    # as many as fit.  A row holds 576 bytes and 18 for each of its 3 steps
+    # of 2 * 3 - 1 bounded draws.
     rows = [a * (1 + (4 if t % 2 == 0 else 2)) for t, a in enumerate(active)]
-    monkeypatch.setattr(harness, "DRAW_CHUNK_BYTES", max(rows) * 8 * 3 * 5)
+    monkeypatch.setattr(harness, "DRAW_CHUNK_BYTES", max(rows) * (576 + 18 * 3 * 5))
     drawn.clear()
     run_trials(tasks, cfg.algorithm, cfg.local_config(), phi_replays=4, phi_every=2,
                expected_mode="mc", expected_replays=2)
@@ -518,6 +521,50 @@ def test_a_measured_round_trains_in_one_pass(monkeypatch):
             chunks.append(0)
         chunks[-1] += r
     assert drawn == chunks and len(chunks) > 1
+
+
+def test_one_draw_holds_at_most_draw_chunk_bytes(monkeypatch):
+    # Batch size 1 and 1 local step, where a row's keys outweigh its batch:
+    # the first draw holds part of the run's 8,000 rows, and its peak above
+    # what the run held before it (tracemalloc) is within DRAW_CHUNK_BYTES.
+    rng = np.random.default_rng(3)
+    clients, rounds = 100, 80
+    population = make_objective("quadratic", [ClientDataset(rng.normal(size=(4, 1)),
+                                                            np.zeros(4, dtype=int))
+                                              for _ in range(clients)])
+    task = SeedTask(7, population, AvailabilitySchedule(np.ones((rounds, clients), dtype=bool)),
+                    constant_rates(0.1, rounds), np.zeros(1), None)
+    marks, drawn = {}, []
+
+    class Drawn(Exception):
+        """Raised as the first round trains, once its draw is done."""
+
+    def settled(*args):
+        state = aggregation.init_state(*args)
+        marks["before"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return state
+
+    def draw(n, rows, b, sources, count):
+        if sources is not None:
+            drawn.append(len(rows))
+        return draw_batches(n, rows, b, sources, count)
+
+    def play(*args, **kwargs):
+        marks["peak"] = tracemalloc.get_traced_memory()[1]
+        raise Drawn
+
+    monkeypatch.setattr(harness, "init_state", settled)
+    monkeypatch.setattr(harness, "draw_batches", draw)
+    monkeypatch.setattr(harness, "play_round", play)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Drawn):
+            run_trials([task], "fedavg", K1)
+    finally:
+        tracemalloc.stop()
+    assert len(drawn) == 1 and drawn[0] < clients * rounds
+    assert marks["peak"] - marks["before"] <= harness.DRAW_CHUNK_BYTES
 
 
 def test_build_schedule_dispatch():

@@ -14,7 +14,7 @@ import pytest
 from dropfed.availability import periodic_schedule
 from dropfed.errors import ConfigError
 from dropfed.harness import SeedTask, run_trials
-from dropfed.local_trainer import LocalConfig, draw_batches, local_train, sample_batch
+from dropfed.local_trainer import LocalConfig, draw_batches, local_train
 from dropfed.objectives import ClientDataset, QuadraticObjective
 from dropfed.schedules import constant_rates
 
@@ -114,8 +114,8 @@ def test_determinism_and_stream_separation():
 
 def test_full_batch_draws_nothing_from_rng():
     rng = np.random.default_rng(11)
-    idx = sample_batch(rng, 8, 8)
-    np.testing.assert_array_equal(idx, np.arange(8))
+    idx = draw_batches(8, [0], 8, [rng], 2)
+    np.testing.assert_array_equal(idx, np.broadcast_to(np.arange(8), (2, 1, 8)))
     # State untouched: the next draw matches a fresh generator's first draw.
     assert rng.integers(0, 1 << 30) == np.random.default_rng(11).integers(0, 1 << 30)
 
@@ -124,14 +124,13 @@ def test_oversized_batch_is_the_full_range_without_warning():
     rng = np.random.default_rng(12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        idx = sample_batch(rng, 5, 9)
-    np.testing.assert_array_equal(idx, np.arange(5))
+        idx = draw_batches(5, [0], 9, [rng], 2)
+    np.testing.assert_array_equal(idx, np.broadcast_to(np.arange(5), (2, 1, 5)))
 
 
-def test_sample_batch_without_replacement():
+def test_generator_batches_are_drawn_without_replacement():
     rng = np.random.default_rng(13)
-    for _ in range(50):
-        idx = sample_batch(rng, 10, 4)
+    for idx in draw_batches(10, [0], 4, [rng], 50)[:, 0]:
         assert len(idx) == 4
         assert len(set(idx.tolist())) == 4
         assert idx.min() >= 0 and idx.max() < 10
@@ -230,5 +229,5 @@ def test_draw_batches_offsets_and_full_batch():
     np.testing.assert_array_equal(wide[5, 899], 899 * 500 + np.arange(500))
     drawn = draw_batches(4, np.array([1]), 2, [np.random.default_rng(15)], 3)
     ref = np.random.default_rng(15)
-    want = [4 + sample_batch(ref, 4, 2) for _ in range(3)]
+    want = [4 + ref.choice(4, 2, replace=False) for _ in range(3)]
     np.testing.assert_array_equal(drawn[:, 0], want)

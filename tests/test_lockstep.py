@@ -25,12 +25,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from keyed_streams import batch_key, replay_key, round_batches
 
-from dropfed import aggregation, harness, local_trainer
+from dropfed import aggregation, harness
+from dropfed import rng as streams
 from dropfed.aggregation import ALGORITHMS, init_state, play_round
 from dropfed.availability import AvailabilitySchedule
 from dropfed.diagnostics import evaluate
 from dropfed.harness import SeedTask, run_trial, run_trials
-from dropfed.local_trainer import LocalConfig, draw_batches, sample_batch
+from dropfed.local_trainer import LocalConfig, draw_batches
 from dropfed.objectives import (
     ClientDataset,
     LogisticObjective,
@@ -40,7 +41,6 @@ from dropfed.objectives import (
     make_objective,
     stack,
 )
-from dropfed.rng import draw_keyed
 from dropfed.schedules import constant_rates
 
 KINDS = ("quadratic", "binary", "softmax", "mlp")
@@ -97,7 +97,9 @@ def reference_round(algo, mem, objs, active, cfg, eta, rng_for, literal, full_ba
 
     def draw(i):
         n = objs[i].n
-        return np.arange(n) if full_batch else sample_batch(rngs[i], n, cfg.batch_size)
+        if full_batch or cfg.batch_size >= n:
+            return np.arange(n)
+        return rngs[i].choice(n, cfg.batch_size, replace=False)
 
     if algo == "scaffold" and literal:
         anchors = {i: objs[i].batch_grad(w, draw(i)) for i in ids}
@@ -468,9 +470,12 @@ def per_round_play(seeds, clients):
     return play
 
 
-def lossy_draw(keys, n, size, count):
-    """draw_keyed with every third row flagged, so that it draws from its own stream."""
-    idx, exact = draw_keyed(keys, n, size, count)
+kernel_draw = streams._draw
+
+
+def lossy_draw(*args):
+    """rng._draw with every third row flagged, so that it draws from its own stream."""
+    idx, exact = kernel_draw(*args)
     idx[::3], exact[::3] = -1, False
     return idx, exact
 
@@ -518,8 +523,9 @@ def test_batches_drawn_ahead_equal_batches_drawn_each_round(
                               test_data))
     options = dict(phi_replays=3 if phi else 0, phi_every=2 if phi else 0,
                    expected_mode=expected_mode, expected_replays=3, scaffold_literal=literal)
+    assert streams._matches_numpy()  # checked before the kernel is made lossy
     with (mock.patch.object(harness, "DRAW_CHUNK_BYTES", chunk),
-          mock.patch.object(local_trainer, "draw_keyed", lossy_draw)):
+          mock.patch.object(streams, "_draw", lossy_draw)):
         ahead = run_trials(tasks, algo, cfg, **options)
     with mock.patch.object(harness, "play_round", per_round_play(seeds, clients)):
         each = run_trials(tasks, algo, cfg, **options)

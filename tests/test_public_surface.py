@@ -2,18 +2,18 @@
 
 A public name (no leading underscore) defined at the top of a module of
 src/dropfed/, or as a method of such a class, must be named somewhere in the
-Python files of src/ or bench/ outside its own definition: as a variable, an
-attribute, an import, or a string that is the bare name (the benchmark's
-tracer finds its targets so).  Comments and docstrings do not count.  Tests,
-bench/tests/ among them, do not count either, so an API that only its own
-unit test calls fails here.
+Python files of src/ or bench/ outside its own definition.  A method counts
+as named only as an attribute (`x.grad`) or as a string that is the bare
+name (the benchmark's tracer finds its targets so); a top-level function or
+class also as a variable or an import.  Comments and docstrings do not
+count.  Tests, bench/tests/ among them, do not count either, so an API that
+only its own unit test calls fails here.
 
 Names are matched bare, with no types: `x.dim` counts as a use of every
 member named `dim`.  So a public method or property whose name another class
 family of the package also defines (as a method, a field or an attribute)
 cannot be told used by the match.  Such a member must be listed in SHARED
-with the use that was checked by hand; a new one fails until it is.  A
-top-level function still counts any variable of its name as a use.
+with the use that was checked by hand; a new one fails until it is.
 """
 
 import ast
@@ -26,6 +26,7 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 # Names whose only callers are the acceptance tests, which pin them.
 PINNED = {
     "feasible_inverse_time_scale": "criterion 4 audits the inverse-time scales it gives",
+    "grad": "Objective.grad, the full gradient of the acceptance tests' gradient checks",
     "grad_variance": "the analytic batch-noise check of the acceptance tests",
     "heterogeneity_stats": "the heterogeneity bound of the acceptance tests",
     "replay_stream": "the Generator batch source the acceptance tests pass to play_round",
@@ -38,20 +39,20 @@ SHARED = {
     "AvailabilitySchedule.iterations": "harness.run_trials and settle_seeds read task.schedule's",
     "AvailabilitySchedule.max_staleness": "harness.settle_seeds",
     "AvailabilitySchedule.num_clients": "its own check and max_staleness",
-    "ClientDataset.n": "data.make_client_split checks its pool's shards",
+    "ClientDataset.n": "data.partition_shards checks its pool's shards",
     "Objective.dim": "objectives, local_trainer and harness shape models by it",
     "Objective.loss": "harness.run_trials takes the loss at the optimum",
 }
 
 
 def public_definitions(tree: ast.Module):
-    """Each public top-level function and class, and each public method of those classes."""
+    """(node, is a method) of each public top-level function and class, and of their methods."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, kinds) and not node.name.startswith("_"):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
-            yield from (item for item in node.body
+            yield from ((item, True) for item in node.body
                         if isinstance(item, kinds) and not item.name.startswith("_"))
 
 
@@ -92,17 +93,18 @@ def shared_members(trees) -> set[str]:
 
 
 def named(tree: ast.Module):
-    """(name, line) of every variable, attribute, import and identifier string of a module."""
+    """(name, line, whether a method may be so named) of every variable, attribute, import
+    and identifier string of a module; a method is named only as an attribute or a string."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.end_lineno
+            yield node.attr, node.end_lineno, True
         elif isinstance(node, ast.alias):
-            yield (node.asname or node.name).split(".")[-1], node.lineno
+            yield (node.asname or node.name).split(".")[-1], node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                yield node.value, node.lineno
+                yield node.value, node.lineno, True
 
 
 def program_files():
@@ -112,14 +114,15 @@ def program_files():
 
 def test_every_public_name_has_a_caller_in_the_program():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in program_files()}
-    uses = [(path, name, line) for path, tree in trees.items() for name, line in named(tree)]
+    uses = [(path, *use) for path, tree in trees.items() for use in named(tree)]
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in public_definitions(trees[path]):
+        for node, method in public_definitions(trees[path]):
             own = range(node.lineno, node.end_lineno + 1)
             if node.name in PINNED or any(
-                    name == node.name and not (where == path and line in own)
-                    for where, name, line in uses):
+                    name == node.name and (by_attribute or not method)
+                    and not (where == path and line in own)
+                    for where, name, line, by_attribute in uses):
                 continue
             unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unused, "public but named nowhere else in src/ or bench/:\n" + "\n".join(unused)
@@ -133,6 +136,6 @@ def test_every_member_whose_name_is_shared_is_listed_with_its_use():
 
 def test_every_pinned_name_is_defined_and_named_by_the_acceptance_tests():
     defined = {node.name for path in PACKAGE.glob("*.py")
-               for node in public_definitions(ast.parse(path.read_text()))}
-    pinned = {name for name, _ in named(ast.parse(ACCEPTANCE.read_text()))}
+               for node, _ in public_definitions(ast.parse(path.read_text()))}
+    pinned = {name for name, *_ in named(ast.parse(ACCEPTANCE.read_text()))}
     assert set(PINNED) <= defined & pinned

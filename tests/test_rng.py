@@ -1,7 +1,7 @@
 """Stream derivation: determinism, independence, and replay separation.
 
 The keyed batch drawer must give every row exactly what the row's own
-stream gives through sample_batch.
+stream gives through choice(n, b, replace=False).
 """
 
 import sys
@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyed_streams import batch_key, draw_without_replacement, replay_key, stream_keys
+from keyed_streams import Slot, batch_key, draw_without_replacement, replay_key, stream_keys
 
-from dropfed import local_trainer, rng
+from dropfed import rng
 from dropfed.config import ExperimentConfig
 from dropfed.harness import run_experiment
-from dropfed.local_trainer import draw_batches, sample_batch
+from dropfed.local_trainer import draw_batches
 from dropfed.rng import (
     AVAILABILITY,
     BATCH,
@@ -27,9 +27,7 @@ from dropfed.rng import (
     PARTITION,
     PROBE,
     REPLAY,
-    StreamKey,
     StreamKeys,
-    draw_keyed,
     generator,
     replay_stream,
     seed_for,
@@ -105,12 +103,18 @@ def test_module_reexports():
 
 
 def reference(keys, n, b, count):
-    """(R, count, b): each key's own stream, sample_batch count times."""
+    """(R, count, b): count choices on each key's own stream; the full range when b covers n."""
     out = []
     for key in keys:
         g = stream(key.master_seed, *key.spawn_key)
-        out.append([sample_batch(g, n, b) for _ in range(count)])
+        out.append([np.arange(n) if b >= n else g.choice(n, b, replace=False)
+                    for _ in range(count)])
     return np.array(out)
+
+
+def kernel(keys, n, b, count):
+    """The vectorised kernel alone: indices and which rows they reproduce."""
+    return rng._draw(stream_keys(keys), n, b, count)
 
 
 def drawn(keys, n, b, count):
@@ -137,7 +141,7 @@ def test_drawer_equals_per_row_streams(master, replay, rows, count, n, data):
     want = reference(keys, n, b, count)
     np.testing.assert_array_equal(drawn(keys, n, b, count), want)
     if b < n:
-        idx, exact = draw_without_replacement(keys, n, b, count)
+        idx, exact = kernel(keys, n, b, count)
         np.testing.assert_array_equal(idx[exact], want[exact])
 
 
@@ -154,7 +158,7 @@ def test_rows_of_different_master_seeds_are_exact(masters, replay, count, n, dat
     # many seeds draws them: every row comes from the kernel.
     b = data.draw(st.integers(1, n - 1)) if n > 1 else 1
     keys = [replay_key(m, i, 3, 1) if replay else batch_key(m, i, 3) for i, m in enumerate(masters)]
-    idx, exact = draw_without_replacement(keys, n, b, count)
+    idx, exact = kernel(keys, n, b, count)
     assert exact.all()
     np.testing.assert_array_equal(idx, reference(keys, n, b, count))
 
@@ -176,7 +180,7 @@ def test_keys_of_both_lengths_share_one_call(masters, count, n, data):
     replay = [replay_key(*s, r) for s in data.draw(st.lists(slots, min_size=1, max_size=12))
               for r in range(data.draw(st.integers(1, 3)))]
     keys = data.draw(st.permutations(batch + replay))
-    idx, exact = draw_without_replacement(keys, n, b, count)
+    idx, exact = kernel(keys, n, b, count)
     assert exact.all()
     streams = [key.generator() for key in keys]
     np.testing.assert_array_equal(idx, [[g.choice(n, b, replace=False) for _ in range(count)]
@@ -186,13 +190,12 @@ def test_keys_of_both_lengths_share_one_call(masters, count, n, data):
 def test_a_run_builds_no_batch_stream(monkeypatch, tmp_path):
     # Two seeds, a Monte Carlo expectation and phi samples: every round's
     # training and replay keys are drawn by the kernel, and no row falls
-    # back to building its stream.  The keys stay arrays: no row becomes a
-    # StreamKey tuple.
+    # back to building its stream.
     assert rng._matches_numpy()
     built = []
-    original = StreamKey.generator
-    monkeypatch.setattr(StreamKey, "generator", lambda key: built.append(key) or original(key))
-    monkeypatch.setattr(StreamKeys, "__getitem__", lambda keys, r: built.append(r))
+    original = StreamKeys.generator
+    monkeypatch.setattr(StreamKeys, "generator",
+                        lambda keys, r: built.append(r) or original(keys, r))
     cfg = ExperimentConfig(task="logistic", classes=3, per_class=12, clients=4, iterations=6,
                            local_steps=3, batch_size=3, algorithm="mifa", expected_mode="mc",
                            expected_replays=3, phi_replays=4, phi_every=2, seeds=(1, 2),
@@ -201,24 +204,16 @@ def test_a_run_builds_no_batch_stream(monkeypatch, tmp_path):
     assert built == []
 
 
-def test_numpy_drift_sends_every_row_to_its_stream(monkeypatch):
-    # Another numpy that draws otherwise: the check fails, nothing comes
-    # from the kernel, and the draws still equal each row's own stream.
-    monkeypatch.setattr(rng, "_matches_numpy", lambda: False)
-    keys = [batch_key(s, i, 1) for s in (4, 2**70) for i in range(5)]
-    assert not draw_without_replacement(keys, 12, 4, 3)[1].any()
-    np.testing.assert_array_equal(drawn(keys, 12, 4, 3), reference(keys, 12, 4, 3))
-
-
 def test_numpy_drift_check_warns_once(monkeypatch):
     monkeypatch.setattr(rng, "_draw", lambda *args: None)
     rng._matches_numpy.cache_clear()
     try:
+        keys, want = [batch_key(1, 0, 0)], reference([batch_key(1, 0, 0)], 9, 2, 1)
         with pytest.warns(UserWarning, match="its own stream"):
-            assert not draw_without_replacement([batch_key(1, 0, 0)], 9, 2, 1)[1].any()
+            np.testing.assert_array_equal(draw_without_replacement(keys, 9, 2, 1), want)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not draw_without_replacement([batch_key(1, 0, 0)], 9, 2, 1)[1].any()
+            np.testing.assert_array_equal(draw_without_replacement(keys, 9, 2, 1), want)
     finally:
         monkeypatch.undo()
         rng._matches_numpy.cache_clear()
@@ -232,7 +227,7 @@ def test_drawer_reproduces_every_row_on_training_sizes():
         keys = [batch_key(master, i, t) for i in range(30) for t in (0, 7)]
         keys += [replay_key(master, i, 7, r) for i in range(30) for r in range(3)]
         for group in (keys[:60], keys[60:]):
-            idx, exact = draw_without_replacement(group, n, b, count)
+            idx, exact = kernel(group, n, b, count)
             assert exact.all()
             np.testing.assert_array_equal(idx, reference(group, n, b, count))
 
@@ -308,39 +303,61 @@ def test_rejected_draw_flags_only_its_row():
 
 
 def test_flagged_rows_are_drawn_from_their_streams(monkeypatch):
-    def lossy(keys, n, b, count):
-        idx, exact = draw_keyed(keys, n, b, count)
+    kernel_draw = rng._draw
+
+    def lossy(*args):
+        idx, exact = kernel_draw(*args)
         idx[1] = -1
         exact[1] = False
         return idx, exact
 
-    monkeypatch.setattr(local_trainer, "draw_keyed", lossy)
+    assert rng._matches_numpy()  # checked before the kernel is made lossy
+    monkeypatch.setattr(rng, "_draw", lossy)
     keys = [batch_key(5, i, 2) for i in range(4)]
     np.testing.assert_array_equal(drawn(keys, 10, 3, 4), reference(keys, 10, 3, 4))
 
 
-def test_rows_outside_the_kernel_fall_back():
+def test_rows_outside_the_kernel_fall_back(monkeypatch):
+    # Rows the kernel draws, beside each kind of row it refuses, in one call:
+    # every row still equals count choices on keys.generator(r).
+    def check(keys, n, b, count=3):
+        want = [[g.choice(n, b, replace=False) for _ in range(count)]
+                for g in map(stream_keys(keys).generator, range(len(keys)))]
+        np.testing.assert_array_equal(draw_without_replacement(keys, n, b, count), want)
+
+    ok = [batch_key(1, 0, 0), batch_key(2**64 + 3, 4, 1), replay_key(2, 7, 0, 1)]
+    # A spawn word of 2**32 or more, an empty spawn key, and a rejected
+    # draw (forced on the last row): those rows only.
+    refused = [batch_key(1, 2**32, 0), batch_key(1, 3, 2**40), Slot(5, ())]
+    keys = ok + refused + [batch_key(9, 1, 1)]
+    np.testing.assert_array_equal(kernel(keys, 9, 2, 3)[1], [True] * 3 + [False] * 3 + [True])
+    kernel_draw = rng._draw
+
+    def rejecting(*args):
+        idx, exact = kernel_draw(*args)
+        idx[-1], exact[-1] = -1, False
+        return idx, exact
+
+    assert rng._matches_numpy()  # checked before the kernel is made to reject
+    with monkeypatch.context() as patch:
+        patch.setattr(rng, "_draw", rejecting)
+        check(keys, 9, 2)
     # numpy's tail-shuffle branch (n > 10000 and b > n // 50): every row.
-    keys = [batch_key(1, i, 0) for i in range(3)]
-    assert not draw_without_replacement(keys, 20000, 500, 2)[1].any()
-    np.testing.assert_array_equal(drawn(keys, 20000, 500, 2), reference(keys, 20000, 500, 2))
-    # A spawn word of 2**32 or more: that row only.
-    keys = [batch_key(1, 0, 0), batch_key(1, 2**32, 0), batch_key(1, 3, 2**40)]
-    exact = draw_without_replacement(keys, 9, 2, 3)[1]
-    np.testing.assert_array_equal(exact, [True, False, False])
-    np.testing.assert_array_equal(drawn(keys, 9, 2, 3), reference(keys, 9, 2, 3))
-    # Keys that differ only in master seed, of one or more words: exact.
-    seeds = [batch_key(1, 0, 0), batch_key(2, 0, 0), batch_key(2**64 + 3, 0, 0)]
-    assert draw_without_replacement(seeds, 9, 2, 3)[1].all()
-    np.testing.assert_array_equal(drawn(seeds, 9, 2, 3), reference(seeds, 9, 2, 3))
-    # A key without a purpose names no stream; it is not drawn, and the
-    # rows of other lengths beside it still are.
-    bare = [StreamKey(1, ())]
-    assert not draw_without_replacement(bare, 9, 2, 3)[1].any()
-    np.testing.assert_array_equal(
-        draw_without_replacement(bare + seeds, 9, 2, 3)[1], [False, True, True, True])
-    with pytest.raises(TypeError):
-        drawn(bare, 9, 2, 3)
+    check(ok, 20000, 500, 2)
+    # Another numpy that draws otherwise: the check fails, and every row
+    # comes from its stream, none from the kernel.
+    with monkeypatch.context() as patch:
+        patch.setattr(rng, "_matches_numpy", lambda: False)
+        patch.setattr(rng, "_draw", None)  # calling it would fail
+        check(keys, 9, 2)
+    # A negative master seed: no row fits the kernel, and that row's stream
+    # cannot be built, so the call fails as building it does.
+    negative = ok + [batch_key(-1, 0, 0)]
+    assert kernel(negative, 9, 2, 3) is None
+    with pytest.raises(ValueError, match="non-negative"):
+        stream_keys(negative).generator(3)
+    with pytest.raises(ValueError, match="non-negative"):
+        draw_without_replacement(negative, 9, 2, 3)
 
 
 def test_batch_over_n_takes_the_full_range_without_warning():
@@ -351,11 +368,12 @@ def test_batch_over_n_takes_the_full_range_without_warning():
     np.testing.assert_array_equal(got, np.broadcast_to(np.arange(5), (2, 3, 5)))
 
 
-def test_stream_key_builds_its_stream():
-    key = replay_key(7, 2, 4, 1)
-    assert key == StreamKey(7, (REPLAY, 2, 4, 1))
-    np.testing.assert_array_equal(draws(key.generator()), draws(replay_stream(7, 2, 4, 1)))
-    np.testing.assert_array_equal(draws(batch_key(7, 2, 4).generator()), draws(stream(7, BATCH, 2, 4)))
+def test_stream_keys_build_each_rows_stream():
+    keys = stream_keys([replay_key(7, 2, 4, 1), batch_key(7, 2, 4)])
+    np.testing.assert_array_equal(draws(keys.generator(0)), draws(replay_stream(7, 2, 4, 1)))
+    np.testing.assert_array_equal(draws(keys.generator(1)), draws(stream(7, BATCH, 2, 4)))
+    np.testing.assert_array_equal(draws(batch_key(7, 2, 4).generator()),
+                                  draws(stream(7, BATCH, 2, 4)))
 
 
 def test_threads_draw_what_one_thread_draws():
@@ -383,6 +401,5 @@ def test_threads_draw_what_one_thread_draws():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     for got in results:
-        for (idx, exact), (want_idx, want_exact) in zip(got, serial):
-            np.testing.assert_array_equal(idx, want_idx)
-            np.testing.assert_array_equal(exact, want_exact)
+        for idx, want in zip(got, serial):
+            np.testing.assert_array_equal(idx, want)

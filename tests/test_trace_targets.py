@@ -17,9 +17,11 @@ from dropfed.harness import seed_task, settle_seeds
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # Their functions were deleted when the population pass replaced them,
-# and harness.replay's (_replay_updates) when replicas began to train
-# inside the round's one play_round pass.
-DEAD = {"diagnostics.global_loss", "diagnostics.global_grad", "harness.replay"}
+# harness.replay's (_replay_updates) when replicas began to train inside the
+# round's one play_round pass, and local_trainer.sample_batch when every
+# batch came from one draw_batches call (rng.draw_keyed, or choice itself).
+DEAD = {"diagnostics.global_loss", "diagnostics.global_grad", "harness.replay",
+        "local_trainer.sample_batch"}
 
 
 def load_tracer():
