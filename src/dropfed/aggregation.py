@@ -20,10 +20,9 @@ seed, with seed s's client i at row s * N + i of the stacked population and
 of the per-client memory (mimic's corrections, mifa's last uploads,
 scaffold's control variates): one (S * N, dim) array plus the round each
 row was last written, -1 if never.  A round's participants are a sorted id
-array of R rows, and its uploads one (copies * R, dim) array: the round's
-own R rows, then those of each replica copy.  Each seed aggregates over its
-own rows with its own step size; a seed with no participant keeps its
-model.
+array of R rows, and its uploads one (copies, R, dim) array: copy 0 is the
+round, then one copy per replica.  Each seed aggregates over its own rows
+with its own step size; a seed with no participant keeps its model.
 
 A round is one training pass: its participants and replicas (replays from
 the same state for the Monte Carlo expectation, the phi samples and the
@@ -141,10 +140,11 @@ def aggregate(
 ) -> RoundResult:
     """Apply the rule to a round's uploads and to any replica copies of them.
 
-    ids are the round's sorted participants, and uploads holds their
-    len(ids) rows followed by those of each replica copy.  One pass gives
-    every copy's v, each seed averaging its own rows; only copy 0 moves the
-    model (by its seed's step size in eta) and writes the rule's memory:
+    ids are the round's sorted participants, and uploads (copies, len(ids),
+    dim) their rows: copy 0 is the round, then one copy per replica.  One
+    pass gives every copy's v, each seed averaging its own rows; only copy 0
+    moves the model (by its seed's step size in eta) and writes the rule's
+    memory.  Uploads of another shape are a ConfigError.
 
     * fedavg, fedprox, scaffold: v is the mean upload.
     * mifa: the participants' uploads replace their memorized ones, and v is
@@ -162,9 +162,11 @@ def aggregate(
       state.scaffold_literal (variates rebuilt inside the round from
       anchors) every variate stays.
     """
-    n, (seeds, dim) = state.num_clients, state.w.shape
-    copies = len(uploads) // len(ids) if len(ids) else 1
-    owner, real = ids // n, uploads[: len(ids)]
+    n, (seeds, dim), copies = state.num_clients, state.w.shape, len(uploads)
+    if not copies or uploads.shape[1:] != (len(ids), dim):
+        raise ConfigError(f"uploads of shape {uploads.shape} for {len(ids)} participants of "
+                          f"dimension {dim}; expected (copies >= 1, {len(ids)}, {dim})")
+    owner, real = ids // n, uploads[0]
     changes = {}
     if state.algorithm == "mifa":
         changes = _write(state, ids, real)
@@ -172,18 +174,16 @@ def aggregate(
         missing = np.flatnonzero((changes["written"] < 0) & np.repeat(playing, n))
         if missing.size:
             raise IntegrityError(f"memorized updates missing for clients {missing.tolist()}")
-        every, memory, v = np.arange(seeds * n) // n, changes["rows"], []
-        for c, block in enumerate(uploads.reshape(copies, len(ids), dim)):
-            if c:  # replicas put their rows into one scratch copy of the new memory
-                memory = memory.copy() if c == 1 else memory
-                memory[ids] = block
+        every, memory, v = np.arange(seeds * n) // n, state.rows.copy(), []
+        for block in uploads:  # each copy puts its rows into one scratch copy of the memory
+            memory[ids] = block
             v.append(np.where(playing[:, None], _sums(every, memory, seeds)[0] / n, 0.0))
         v = np.array(v)
     else:
         if state.algorithm == "mimic":
-            uploads = (uploads.reshape(copies, len(ids), dim) + state.rows[ids]).reshape(-1, dim)
+            uploads = uploads + state.rows[ids]
         groups = (np.arange(copies)[:, None] * seeds + owner).ravel()
-        v = _means(groups, uploads, copies * seeds).reshape(copies, seeds, dim)
+        v = _means(groups, uploads.reshape(-1, dim), copies * seeds).reshape(copies, seeds, dim)
     if state.algorithm == "mimic":
         changes = _write(state, ids, v[0][owner] - real)
     elif state.algorithm == "scaffold" and not state.scaffold_literal:
@@ -196,7 +196,10 @@ def aggregate(
 
 
 # Bytes of one (rows, dim) float64 array of a training block; local_train
-# holds about ten such arrays, so this bounds a round's memory at any size.
+# holds about ten such arrays, so this bounds its working memory.  A round
+# still holds several (copies * R, dim) arrays whole: the uploads, scaffold's
+# anchors and shifts under within_round, mimic's shifted uploads, and _sums'
+# padded block with its cumulative sum.
 ROW_BLOCK_BYTES = 192 * 1024
 
 
@@ -213,12 +216,13 @@ def play_round(
     its whole dataset every step.  batches replaces rng_for when given: a
     list of groups (steps, rows, b), as draw_batches gives them, holding the
     round's sorted participants and then those of each replica copy in turn.
-    A group may hold several copies, and groups may differ in b (the
-    full-batch expectation is one group with b = n).  Replicas train beside
-    the round from the same state, and result.replays holds their v.  An
-    empty active set leaves every model and memory as it is (v = 0, and the
-    state's arrays are shared) and has no replica; it only advances the
-    round counter, as a round does for each seed without participants.
+    A group may hold several copies, but only whole ones (else a
+    ConfigError), and groups may differ in b (the full-batch expectation is
+    one group with b = n).  Replicas train beside the round from the same
+    state, and result.replays holds their v.  An empty active set leaves
+    every model and memory as it is (v = 0, and the state's arrays are
+    shared) and has no replica; it only advances the round counter, as a
+    round does for each seed without participants.
 
     Scaffold's control variates are persistent ones from the state, or with
     state.scaffold_literal anchors on each row's first batch at w_t, ahead
@@ -239,7 +243,11 @@ def play_round(
     if batches is None:
         sources = None if rng_for is None else [rng_for(i) for i in ids.tolist()]
         batches = [draw_batches(population.n, ids, cfg.batch_size, sources, cfg.steps + anchored)]
-    copies = sum(group.shape[1] for group in batches) // len(ids)
+    sizes = [group.shape[1] for group in batches]
+    copies = sum(sizes) // len(ids)
+    if not copies or any(size % len(ids) for size in sizes):
+        raise ConfigError(f"batch groups of {sizes} rows for {len(ids)} participants; each "
+                          "group must hold whole copies of them, and all at least one")
     rows = np.tile(ids, copies)
     owner = rows // state.num_clients
     size = max(1, ROW_BLOCK_BYTES // (8 * dim))
@@ -254,14 +262,14 @@ def play_round(
         groups = np.repeat(np.arange(copies) * seeds, len(ids)) + owner
         anchor_shift = _means(groups, anchors, copies * seeds)[groups] - anchors
     # Only the round's own rows keep their mean raw gradients: scaffold's new variates.
-    uploads, grad_means = np.empty((len(rows), dim)), np.empty((len(ids), dim))
+    uploads, grad_means = np.empty((copies, len(ids), dim)), np.empty((len(ids), dim))
     for b, batch in blocks:
         shift = None
         if anchored:
             shift = anchor_shift[b]
         elif state.algorithm == "scaffold":
             shift = state.server_variate[owner[b]] - state.rows[rows[b]]
-        uploads[b], grads, _ = local_train(population, state.w[owner[b]], batch[anchored:],
-                                           cfg, shift)
+        uploads.reshape(-1, dim)[b], grads, _ = local_train(population, state.w[owner[b]],
+                                                            batch[anchored:], cfg, shift)
         grad_means[b] = grads[: len(grad_means[b])]
     return aggregate(state, ids, uploads, eta, grad_means)

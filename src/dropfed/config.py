@@ -15,6 +15,7 @@ from pathlib import Path
 from .aggregation import ALGORITHMS
 from .availability import check_prob, check_tau_max, weighted_count
 from .data import check_blobs, check_counts, check_shards
+from .diagnostics import EXPECTED_MODES, check_replicas
 from .errors import ConfigError
 from .local_trainer import LocalConfig
 from .objectives import MlpObjective, check_classifier
@@ -28,7 +29,7 @@ CHOICES = {
     "scaffold_anchor": ("persistent", "within_round"),
     "scenario": ("round_robin", "static", "weighted"),
     "rate_kind": ("constant", "exponential", "inverse_time"),
-    "expected_mode": ("fullbatch", "mc"),
+    "expected_mode": EXPECTED_MODES,
 }
 
 # A config is refused as it loads when its run would hold more than
@@ -105,14 +106,7 @@ class ExperimentConfig:
             raise ConfigError(f"{len(self.seeds)} seeds x {self.iterations} iterations x "
                               f"{self.clients} clients need about {need / 2**30:.3g} GiB, over "
                               f"the budget of {MEMORY_BUDGET / 2**30:g} GiB")
-        if self.phi_replays == 1 or self.phi_replays < 0:
-            raise ConfigError(f"phi_replays must be 0 (off) or >= 2, got {self.phi_replays}")
-        if self.phi_every < 0:
-            raise ConfigError(f"phi_every must be >= 0 (0: off), got {self.phi_every}")
-        if self.expected_mode == "mc" and self.expected_replays < 1:
-            raise ConfigError(
-                f"expected_mode = mc needs expected_replays >= 1, got {self.expected_replays}"
-            )
+        check_replicas(self.phi_replays, self.phi_every, self.expected_mode, self.expected_replays)
         if self.algorithm == "mifa" and self.scenario == "static" and not self.force_full_start:
             raise ConfigError(
                 "mifa needs every client's update before it aggregates; "

@@ -28,6 +28,21 @@ import numpy as np
 from .errors import ConfigError
 from .objectives import Objective
 
+EXPECTED_MODES = ("fullbatch", "mc")
+
+
+def check_replicas(phi_replays: int, phi_every: int, expected_mode: str,
+                   expected_replays: int) -> None:
+    """Refuse replica options under which E_t or phi_hat would silently measure nothing."""
+    if expected_mode not in EXPECTED_MODES:
+        raise ConfigError(f"expected_mode must be one of {EXPECTED_MODES}, got {expected_mode!r}")
+    if phi_replays == 1 or phi_replays < 0:
+        raise ConfigError(f"phi_replays must be 0 (off) or >= 2, got {phi_replays}")
+    if phi_every < 0:
+        raise ConfigError(f"phi_every must be >= 0 (0: off), got {phi_every}")
+    if expected_mode == "mc" and expected_replays < 1:
+        raise ConfigError(f"expected_mode = mc needs expected_replays >= 1, got {expected_replays}")
+
 
 def expected_update_error(v_expected: np.ndarray, grad: np.ndarray) -> float:
     """Squared distance between an expected update and the global gradient."""

@@ -29,6 +29,7 @@ from .config import ExperimentConfig
 from .data import make_synthetic_classification, partition_shards
 from .diagnostics import (
     RoundMetrics,
+    check_replicas,
     evaluate,
     expected_update_error,
     update_variance,
@@ -137,6 +138,7 @@ def run_trials(
     model, still measured because rows never interact, is no longer
     recorded.  The other seeds go on; with none live, nothing more is measured.
     """
+    check_replicas(phi_replays, phi_every, expected_mode, expected_replays)
     for task in tasks:
         if len(task.rates.values) != task.schedule.iterations:
             raise ConfigError(f"{len(task.rates.values)} step sizes for {task.schedule.iterations} "
@@ -145,7 +147,7 @@ def run_trials(
         raise ConfigError("either every seed has a test set or none has")
     if tasks[0].test_data is not None and tasks[0].population.kind == "quadratic":
         raise ConfigError("a quadratic task predicts no labels, so it takes no test set")
-    seeds = [task.seed for task in tasks]
+    seeds = tuple(task.seed for task in tasks)
     n = tasks[0].population.num_clients
     masks = np.stack([task.schedule.mask for task in tasks])  # (S, T, N)
     participants = masks.sum(axis=2)  # (S, T)
@@ -196,16 +198,17 @@ def run_trials(
         at, seed, client = np.nonzero((masks[:, t0:t1] & live[:, None, None]).transpose(1, 0, 2))
         per = np.bincount(at, minlength=t1 - t0)  # participants of each round
         bounds = np.concatenate([[0], np.cumsum(per * copies[t0:t1])])
-        at = np.repeat(np.arange(t1 - t0), np.diff(bounds))  # now each row's round
-        copy, who = np.divmod(np.arange(bounds[-1]) - bounds[at], per[at])
-        who += (np.cumsum(per) - per)[at]
-        owner, client = seed[who], client[who]
-        spawn = np.stack([np.where(copy, streams.REPLAY, streams.BATCH), client, t0 + at,
-                          np.maximum(copy - 1, 0)], axis=1).astype(np.uint64)
-        master, lengths = np.array(seeds, dtype=object)[owner], 3 + (copy > 0)
-        pieces = [draw_batches(population.n, owner[p] * n + client[p], local_cfg.batch_size,
-                               streams.StreamKeys(master[p], spawn[p], lengths[p]), steps)
-                  for p in (slice(a, a + budget) for a in range(0, max(len(owner), 1), budget))]
+        pieces = []
+        for a in range(0, max(bounds[-1], 1), budget):  # key each piece's rows as it is drawn
+            row = np.arange(a, min(a + budget, bounds[-1]))
+            at = np.searchsorted(bounds, row, side="right") - 1  # each row's round
+            copy, who = np.divmod(row - bounds[at], per[at])
+            who += (np.cumsum(per) - per)[at]
+            spawn = np.stack([np.where(copy, streams.REPLAY, streams.BATCH), client[who], t0 + at,
+                              np.maximum(copy - 1, 0)], axis=1).astype(np.uint64)
+            keys = streams.StreamKeys(seeds, seed[who], spawn, 3 + (copy > 0))
+            pieces.append(draw_batches(population.n, seed[who] * n + client[who],
+                                       local_cfg.batch_size, keys, steps))
         batches = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
         return np.split(batches, bounds[1:-1], axis=1)
 

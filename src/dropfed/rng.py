@@ -5,22 +5,20 @@ Every consumer of randomness gets its own counter-based generator keyed by
 that replays a round) never shifts the draws seen by any other consumer.
 
 Mini-batches are drawn in bulk.  StreamKeys names many batch streams as
-arrays without building them, and draw_keyed gives every row exactly what
-`count` calls of choice(n, size, replace=False) on that row's own stream
-(keys.generator(r)) would give.  A vectorised kernel does so for nearly
-every row by redoing numpy's own steps (SeedSequence's hash, Philox words,
-Lemire's bounded draw, Floyd's selection and the shuffle) on whole arrays;
-a row that needs a branch it does not redo is drawn from its built stream
-instead.  The equality was checked against numpy 2.4.6 and is pinned by
-tests/test_rng.py.
+arrays without building them, the master seeds once and each row by its
+seed's index, and draw_keyed gives every row exactly what `count` calls of
+choice(n, size, replace=False) on that row's own stream (keys.generator(r))
+would give.  A vectorised kernel does so for nearly every row by redoing
+numpy's own steps (SeedSequence's hash, Philox words, Lemire's bounded
+draw, Floyd's selection and the shuffle) on whole arrays; a row that needs
+a branch it does not redo is drawn from its built stream instead.  The
+equality was checked against numpy 2.4.6 and is pinned by tests/test_rng.py.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,16 +58,20 @@ def replay_stream(master_seed: int, client: int, iteration: int, replica: int) -
 
 @dataclass(frozen=True)
 class StreamKeys:
-    """Many slots as arrays, not yet built: row r is (master_seeds[r], spawn[r, :lengths[r]])."""
+    """Many slots as arrays, not yet built: row r is (seeds[owner[r]], spawn[r, :lengths[r]]).
 
-    master_seeds: Sequence[int]  # (R,), ints of any size
+    A run's master seeds are named once; each row holds its own seed's index.
+    """
+
+    seeds: tuple[int, ...]  # ints of any size; a seed may own no row
+    owner: np.ndarray  # (R,) indices into seeds
     spawn: np.ndarray  # (R, width) uint64, zero past each row's length
     lengths: np.ndarray  # (R,)
 
     def generator(self, r: int) -> np.random.Generator:
-        """Row r's stream, as stream(master_seeds[r], *spawn_key) builds it."""
+        """Row r's stream, as stream(seeds[owner[r]], *spawn_key) builds it."""
         spawn_key = tuple(self.spawn[r, : self.lengths[r]].tolist())
-        return generator(np.random.SeedSequence(self.master_seeds[r], spawn_key=spawn_key))
+        return generator(np.random.SeedSequence(self.seeds[self.owner[r]], spawn_key=spawn_key))
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -111,18 +113,16 @@ def _run_pool(master_seed: int) -> tuple[np.ndarray, int]:
 _STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 4)
 
 
-def _philox_keys(master_seeds: Sequence[int], spawn: np.ndarray,
-                 lengths: np.ndarray) -> list[list[int]]:
-    """Philox(SeedSequence(master_seeds[r], spawn_key=spawn[r, :lengths[r]])) keys, spawn (R, m).
+def _philox_keys(keys: StreamKeys) -> list[list[int]]:
+    """Philox keys of each row's stream, keys.generator(r), for spawn words below 2**32.
 
     Each row starts from its own master seed's pool and hash constant (the
-    constant differs only between seeds of different word counts); rows that
-    share one master seed share one pool, and each pool mixes only its own words.
+    constant differs only between seeds of different word counts), looked up
+    by its owner; each pool mixes only its own words.
     """
-    which = {seed: j for j, seed in enumerate(dict.fromkeys(master_seeds))}
-    at = [which[seed] for seed in master_seeds] if len(which) > 1 else [0]
-    pools, constants = zip(*map(_run_pool, which))
-    pool = np.array(pools)[at]
+    pools, constants = zip(*map(_run_pool, keys.seeds))
+    at = keys.owner if len(keys.seeds) > 1 else [0]  # one seed: its pool broadcasts
+    pool, spawn, lengths = np.array(pools)[at], keys.spawn.astype(np.uint32), keys.lengths
     # Spawn word c goes into pool word d with hash step 4 c + d: the row's
     # constant times a power of _MULT_A, all modulo 2**32.
     powers = _hash_steps(1, _MULT_A, 4 * spawn.shape[1]).reshape(-1, 4, 2)
@@ -211,11 +211,10 @@ def draw_keyed(keys: StreamKeys, n: int, size: int, count: int) -> np.ndarray:
 
 def _draw(keys: StreamKeys, n, size, count) -> tuple[np.ndarray, np.ndarray] | None:
     """draw_keyed's kernel: indices and which rows they reproduce; None for keys that do not fit."""
-    if not keys.spawn.shape[1] or min(map(operator.index, set(keys.master_seeds))) < 0:
+    if not keys.spawn.shape[1] or min(keys.seeds) < 0:
         return None
     wide = (keys.spawn > _MASK32).any(axis=1) | (keys.lengths == 0)
-    philox_keys = _philox_keys(keys.master_seeds, keys.spawn.astype(np.uint32), keys.lengths)
-    raw = _raw_words(philox_keys, -(-count * (2 * size - 1) // 2))
+    raw = _raw_words(_philox_keys(keys), -(-count * (2 * size - 1) // 2))
     idx, exact = _batches_from_words(raw, n, size, count)
     return idx, exact & ~wide
 
@@ -226,8 +225,8 @@ def _matches_numpy() -> bool:
 
     The kernel copies numpy's internals, which another numpy may change.
     """
-    keys = StreamKeys((3, 2**40 + 7, 11), np.array([[BATCH, 1, 2], [BATCH, 5, 0], [BATCH, 2, 7]],
-                                                   dtype=np.uint64), np.full(3, 3))
+    keys = StreamKeys((3, 2**40 + 7, 11), np.arange(3), np.array(
+        [[BATCH, 1, 2], [BATCH, 5, 0], [BATCH, 2, 7]], dtype=np.uint64), np.full(3, 3))
     streams = [keys.generator(r) for r in range(3)]
     want = [[g.choice(30, 6, replace=False) for _ in range(2)] for g in streams]
     try:

@@ -37,13 +37,16 @@ def replay_key(master_seed: int, client: int, iteration: int, replica: int) -> S
 
 
 def stream_keys(keys: Sequence[Slot]) -> StreamKeys:
-    """The slots as arrays, each row's spawn words zero-padded past its own length."""
-    seeds, spawn = zip(*keys) if keys else ((), ())
+    """The slots as arrays: each master seed named once, in order of first use, and each
+    row's spawn words zero-padded past its own length."""
+    masters, spawn = zip(*keys) if keys else ((), ())
+    seeds = tuple(dict.fromkeys(masters))
+    owner = np.array([seeds.index(m) for m in masters], dtype=np.intp)
     lengths = np.fromiter(map(len, spawn), dtype=np.intp, count=len(spawn))
     width = lengths.max(initial=0)
     spawn = np.array([(*words, *[0] * (width - len(words))) for words in spawn],
                      dtype=np.uint64).reshape(len(keys), width)
-    return StreamKeys(seeds, spawn, lengths)
+    return StreamKeys(seeds, owner, spawn, lengths)
 
 
 def draw_without_replacement(keys: Sequence[Slot], n: int, size: int, count: int):

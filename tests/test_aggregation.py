@@ -17,7 +17,7 @@ from keyed_streams import batch_key, replay_key, round_batches
 
 from dropfed.aggregation import ALGORITHMS, aggregate, init_state, play_round
 from dropfed.errors import ConfigError, IntegrityError
-from dropfed.local_trainer import LocalConfig
+from dropfed.local_trainer import LocalConfig, draw_batches
 from dropfed.objectives import ClientDataset, QuadraticObjective
 
 
@@ -34,9 +34,9 @@ def rng_factory(salt):
 
 
 def as_rows(uploads):
-    """Sorted ids and (S, dim) rows of a {client: vector} dict."""
+    """Sorted ids and the (1, R, dim) uploads of one round, from a {client: vector} dict."""
     ids = np.array(sorted(uploads))
-    return ids, np.array([uploads[i] for i in ids], dtype=np.float64)
+    return ids, np.array([[uploads[i] for i in ids]], dtype=np.float64)
 
 
 FULL_CFG = LocalConfig(steps=1, lr=0.1, batch_size=1)
@@ -75,6 +75,34 @@ def test_play_round_checks_active_ids():
     for active in ([0, 2, 2], [0, 3], [5], [-1, 0]):
         with pytest.raises(ConfigError, match=r"distinct rows of 0\.\.2"):
             play_round(st, objs, active, FULL_CFG, 0.1, None)
+
+
+def test_play_round_refuses_groups_of_part_copies():
+    # A group of 3 rows for 2 participants, or no rows at all, is not a
+    # round and its replicas: refused before any row trains.
+    objs = [point_client(0.0, 0), point_client(1.0, 1), point_client(2.0, 2)]
+    st = init_state("fedavg", np.array([0.0]), 3)
+    whole = draw_batches(1, np.array([0, 2, 0, 2]), 1, None, 1)
+    for groups in ([whole[:, :3]], [whole[:, :2], whole[:, :1]], [], [whole[:, :0]]):
+        sizes = [group.shape[1] for group in groups]
+        with pytest.raises(ConfigError, match=rf"^batch groups of {re.escape(str(sizes))} rows "
+                                              r"for 2 participants; each group must hold whole"):
+            play_round(st, objs, [0, 2], FULL_CFG, 0.1, None, batches=groups)
+    np.testing.assert_array_equal(
+        play_round(st, objs, [0, 2], FULL_CFG, 0.1, None, batches=[whole]).v, [[-1.0]])
+
+
+@pytest.mark.parametrize("algorithm", ["fedavg", "mimic", "mifa"])
+def test_aggregate_refuses_uploads_of_another_layout(algorithm):
+    # Uploads are (copies, participants, dim): 5 rows for 2 participants,
+    # flat rows, the wrong dimension or no copy at all name their shape.
+    st = init_state(algorithm, np.zeros(2), 2)
+    ids = np.array([0, 1])
+    for shape in ((1, 5, 2), (4, 2), (1, 2, 3), (0, 2, 2)):
+        with pytest.raises(ConfigError, match=rf"^uploads of shape {re.escape(str(shape))} for 2 "
+                                              r"participants of dimension 2; expected \(copies"):
+            aggregate(st, ids, np.ones(shape), 0.1)
+    np.testing.assert_array_equal(aggregate(st, ids, np.ones((2, 2, 2)), 0.1).replays, [[[1, 1]]])
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +188,14 @@ def test_mimic_correction_identity_and_mean_preservation():
     dim, n = 4, 6
     st = init_state("mimic", rng.normal(size=dim), n)
     # Seed corrections by a full round of random uploads.
-    st = aggregate(st, np.arange(n), rng.normal(size=(n, dim)), 0.1).state
+    st = aggregate(st, np.arange(n), rng.normal(size=(1, n, dim)), 0.1).state
     for _ in range(20):
         ids = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
-        uploads = rng.normal(size=(len(ids), dim))
+        uploads = rng.normal(size=(1, len(ids), dim))
         before = st.rows[ids].mean(axis=0)
         res = aggregate(st, ids, uploads, 0.1)
         # v - upload_i - correction_i = 0 after the write.
-        np.testing.assert_allclose(res.v - uploads - res.state.rows[ids], 0.0, atol=1e-12)
+        np.testing.assert_allclose(res.v - uploads[0] - res.state.rows[ids], 0.0, atol=1e-12)
         after = res.state.rows[ids].mean(axis=0)
         np.testing.assert_allclose(after, before, atol=1e-10)
         st = res.state
@@ -175,7 +203,7 @@ def test_mimic_correction_identity_and_mean_preservation():
 
 def test_mimic_first_round_matches_fedavg():
     rng = np.random.default_rng(9)
-    ids, uploads = np.arange(5), rng.normal(size=(5, 3))
+    ids, uploads = np.arange(5), rng.normal(size=(1, 5, 3))
     v_avg = aggregate(init_state("fedavg", np.zeros(3), 5), ids, uploads, 0.2)
     v_mim = aggregate(init_state("mimic", np.zeros(3), 5), ids, uploads, 0.2)
     np.testing.assert_array_equal(v_avg.v, v_mim.v)
@@ -388,7 +416,7 @@ def reference_aggregate(state, ids, uploads, eta, variates):
     n, (seeds, dim) = state.num_clients, state.w.shape
     algo = state.algorithm
     persistent = algo == "scaffold" and not state.scaffold_literal
-    copies = len(uploads) // len(ids)
+    copies = len(uploads)
     rows, written = state.rows.copy(), state.written.copy()
     server = None if state.server_variate is None else state.server_variate.copy()
     v = np.zeros((copies, seeds, dim))
@@ -400,7 +428,7 @@ def reference_aggregate(state, ids, uploads, eta, variates):
         if missing:
             raise IntegrityError(f"memorized updates missing for clients {missing}")
     for c in range(copies):
-        upload = {i: uploads[c * len(ids) + j] for j, i in enumerate(ids.tolist())}
+        upload = {i: uploads[c, j] for j, i in enumerate(ids.tolist())}
         for s in range(seeds):
             mine = [i for i in ids.tolist() if i // n == s]
             if not mine:
@@ -477,9 +505,9 @@ def test_aggregate_equals_per_client_reference(
         s * clients + np.sort(rng.choice(clients, size=rng.integers(1, clients + 1), replace=False))
         for s in range(seeds) if s != empty
     ])
-    uploads = rng.normal(size=(copies * len(ids), dim))
+    uploads = rng.normal(size=(copies, len(ids), dim))
     if negative_zeros:
-        uploads[rng.random(len(uploads)) < 0.7] = -0.0
+        uploads.reshape(-1, dim)[rng.random(copies * len(ids)) < 0.7] = -0.0
     variates = rng.normal(size=(len(ids), dim)) if algo == "scaffold" else None
     eta = rng.uniform(0.1, 0.5, size=seeds)
     before = [bits(state.w), bits(state.rows), state.written.tobytes()]

@@ -2,6 +2,7 @@
 
 import configparser
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -100,6 +101,24 @@ def test_trial_rejects_mismatched_rates():
     sched = periodic_schedule([1, 1], 5)
     with pytest.raises(ConfigError):
         run_trial(objs, sched, constant_rates(0.1, 4), "fedavg", K1, np.zeros(1), 1)
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"expected_mode": "bogus"}, "expected_mode must be one of ('fullbatch', 'mc'), got 'bogus'"),
+    ({"expected_mode": "mc", "expected_replays": 0},
+     "expected_mode = mc needs expected_replays >= 1, got 0"),
+    ({"phi_replays": 1, "phi_every": 1}, "phi_replays must be 0 (off) or >= 2, got 1"),
+    ({"phi_replays": 2, "phi_every": -1}, "phi_every must be >= 0 (0: off), got -1"),
+], ids=["expected_mode", "expected_replays", "phi_replays", "phi_every"])
+def test_trial_refuses_the_replica_options_a_config_refuses(monkeypatch, options, message):
+    # Each is refused with the config's own message before any seed is
+    # settled, not run into E_t = nan in every round or no phi_hat.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**options)
+    monkeypatch.setattr(harness, "settle_seeds", None)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_trial(point_clients([[0.0], [1.0], [2.0]]), periodic_schedule([1, 1, 1], 4),
+                  constant_rates(0.1, 4), "fedavg", K1, np.zeros(1), 1, **options)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -524,16 +543,13 @@ def test_a_measured_round_trains_in_one_pass(monkeypatch):
 
 
 def test_one_draw_holds_at_most_draw_chunk_bytes(monkeypatch):
-    # Batch size 1 and 1 local step, where a row's keys outweigh its batch:
-    # the first draw holds part of the run's 8,000 rows, and its peak above
-    # what the run held before it (tracemalloc) is within DRAW_CHUNK_BYTES.
+    # Batch size 1 and 1 local step, where a row's keys outweigh its batch.
+    # 100 clients x 80 rounds: the first draw holds part of the run's 8,000
+    # rows, and its peak above what the run held before it (tracemalloc) is
+    # within DRAW_CHUNK_BYTES.  One round of 100,000 clients, larger than a
+    # draw, is drawn in pieces, each keyed as it is drawn: only the round's
+    # participant list and its batches may add to the bound, 40 bytes each.
     rng = np.random.default_rng(3)
-    clients, rounds = 100, 80
-    population = make_objective("quadratic", [ClientDataset(rng.normal(size=(4, 1)),
-                                                            np.zeros(4, dtype=int))
-                                              for _ in range(clients)])
-    task = SeedTask(7, population, AvailabilitySchedule(np.ones((rounds, clients), dtype=bool)),
-                    constant_rates(0.1, rounds), np.zeros(1), None)
     marks, drawn = {}, []
 
     class Drawn(Exception):
@@ -557,14 +573,26 @@ def test_one_draw_holds_at_most_draw_chunk_bytes(monkeypatch):
     monkeypatch.setattr(harness, "init_state", settled)
     monkeypatch.setattr(harness, "draw_batches", draw)
     monkeypatch.setattr(harness, "play_round", play)
-    tracemalloc.start()
-    try:
-        with pytest.raises(Drawn):
-            run_trials([task], "fedavg", K1)
-    finally:
-        tracemalloc.stop()
-    assert len(drawn) == 1 and drawn[0] < clients * rounds
-    assert marks["peak"] - marks["before"] <= harness.DRAW_CHUNK_BYTES
+    for clients, rounds, per_participant in ((100, 80, 0), (100_000, 1, 40)):
+        population = make_objective("quadratic", [ClientDataset(rng.normal(size=(4, 1)),
+                                                                np.zeros(4, dtype=int))
+                                                  for _ in range(clients)])
+        mask = np.ones((rounds, clients), dtype=bool)
+        task = SeedTask(7, population, AvailabilitySchedule(mask), constant_rates(0.1, rounds),
+                        np.zeros(1), None)
+        drawn.clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(Drawn):
+                run_trials([task], "fedavg", K1)
+        finally:
+            tracemalloc.stop()
+        if rounds > 1:
+            assert len(drawn) == 1 and drawn[0] < clients * rounds
+        else:
+            assert len(drawn) > 1 and sum(drawn) == clients
+        bound = harness.DRAW_CHUNK_BYTES + per_participant * clients
+        assert marks["peak"] - marks["before"] <= bound, (clients, rounds)
 
 
 def test_build_schedule_dispatch():

@@ -187,6 +187,37 @@ def test_keys_of_both_lengths_share_one_call(masters, count, n, data):
                                         for g in streams])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**130), min_size=1, max_size=5, unique=True),
+    count=st.integers(1, 4),
+    n=st.integers(2, 200),
+    data=st.data(),
+)
+def test_rows_index_the_seeds_named_once(seeds, count, n, data):
+    # A run's master seeds are named once, and each row holds its seed's
+    # index in any order.  With several seeds one owns no row; with one, its
+    # pool is shared as a broadcast.  Every row is drawn by the kernel, and
+    # is exactly count choices on its own stream, as keys.generator(r) builds it.
+    b = data.draw(st.integers(1, n - 1))
+    unused = data.draw(st.integers(0, len(seeds) - 1)) if len(seeds) > 1 else None
+    slot = st.tuples(st.sampled_from([j for j in range(len(seeds)) if j != unused]),
+                     st.integers(0, 2**32 - 1), st.integers(0, 999), st.integers(-1, 3))
+    slots = data.draw(st.lists(slot, min_size=1, max_size=12))
+    spawn = [(BATCH, client, t) if r < 0 else (REPLAY, client, t, r) for _, client, t, r in slots]
+    keys = StreamKeys(tuple(seeds), np.array([s[0] for s in slots]),
+                      np.array([(*key, 0)[:4] for key in spawn], dtype=np.uint64),
+                      np.array([len(key) for key in spawn]))
+    idx, exact = rng._draw(keys, n, b, count)
+    assert exact.all()
+    want = [[g.choice(n, b, replace=False) for _ in range(count)]
+            for g in (stream(seeds[s[0]], *key) for s, key in zip(slots, spawn))]
+    np.testing.assert_array_equal(idx, want)
+    np.testing.assert_array_equal(rng.draw_keyed(keys, n, b, count), want)
+    np.testing.assert_array_equal(draws(keys.generator(len(slots) - 1)),
+                                  draws(stream(seeds[slots[-1][0]], *spawn[-1])))
+
+
 def test_a_run_builds_no_batch_stream(monkeypatch, tmp_path):
     # Two seeds, a Monte Carlo expectation and phi samples: every round's
     # training and replay keys are drawn by the kernel, and no row falls
@@ -293,8 +324,7 @@ def test_rejected_draw_flags_only_its_row():
     # draw again: the row must be flagged, its neighbours kept.
     n, b, count = 7, 3, 2
     keys = [batch_key(9, i, 4) for i in range(3)]
-    spawn = np.array([key.spawn_key for key in keys], dtype=np.uint32)
-    words = rng._raw_words(rng._philox_keys([9] * len(keys), spawn, np.full(len(keys), 3)), 5)
+    words = rng._raw_words(rng._philox_keys(stream_keys(keys)), 5)
     words[1] = 0
     idx, exact = rng._batches_from_words(words, n, b, count)
     np.testing.assert_array_equal(exact, [True, False, True])
