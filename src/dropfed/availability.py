@@ -1,11 +1,17 @@
 """Client availability: who participates at each global iteration.
 
-A schedule is materialized up front as one boolean mask of shape (T, N):
-mask[t, i] is True when client i is active at iteration t.  Training,
-diagnostics, and exported artifacts all read that one mask, so they see the
-identical participation pattern.  Every generator forces full participation
-at iteration 0 (static_prob_schedule can switch that off to study cold
-starts); later rounds follow the scenario's own law.
+A schedule is a boolean mask of shape (T, N): mask[t, i] is True when client
+i is active at iteration t.  Training, diagnostics, and exported artifacts
+all read that one mask, so they see the identical participation pattern.
+A random schedule is drawn into its mask up front.  A periodic one (round
+robin) is held as its N periods and T, which give its round sizes and worst
+staleness without the mask; its mask is built on the first read of it (a
+training loop, the active sets, the text form) and kept.  Every schedule
+counts its round sizes once and hands out that one read-only array.
+
+Every generator forces full participation at iteration 0
+(static_prob_schedule can switch that off to study cold starts); later
+rounds follow the scenario's own law.
 
 A client's staleness is the gap between two of its consecutive
 appearances.  A first appearance has no earlier one and adds nothing, so a
@@ -13,9 +19,6 @@ cold start needs no special case.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,27 +28,36 @@ from .rng import Seed, generator
 _BLOCK_CELLS = 1 << 16
 
 
-@dataclass
 class AvailabilitySchedule:
     """Active clients for iterations 0..T-1 over clients 0..N-1, as a (T, N) mask."""
 
-    mask: np.ndarray
+    _mask: np.ndarray | None = None
+    _sizes: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        if self.mask.dtype != np.bool_ or self.mask.ndim != 2:
-            raise ConfigError(f"need a 2-D boolean mask, got {self.mask.dtype} {self.mask.shape}")
-        if self.num_clients < 1:
-            raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+    def __init__(self, mask: np.ndarray) -> None:
+        if mask.dtype != np.bool_ or mask.ndim != 2:
+            raise ConfigError(f"need a 2-D boolean mask, got {mask.dtype} {mask.shape}")
+        self._mask = mask
+        self._set_shape(*mask.shape)
+
+    def _set_shape(self, iterations: int, num_clients: int) -> None:
+        if num_clients < 1:
+            raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
+        if iterations < 1:
+            raise ConfigError(f"iterations must be >= 1, got {iterations}")
+        self._shape = (iterations, num_clients)
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self._mask
 
     @property
     def iterations(self) -> int:
-        return self.mask.shape[0]
+        return self._shape[0]
 
     @property
     def num_clients(self) -> int:
-        return self.mask.shape[1]
+        return self._shape[1]
 
     @property
     def active_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -53,6 +65,13 @@ class AvailabilitySchedule:
         return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.mask)
 
     def sizes(self) -> np.ndarray:
+        """Active clients of each round (int64), counted on the first call; read-only."""
+        if self._sizes is None:
+            self._sizes = self._count()
+            self._sizes.flags.writeable = False
+        return self._sizes
+
+    def _count(self) -> np.ndarray:
         return np.count_nonzero(self.mask, axis=1)
 
     def max_staleness(self) -> int:
@@ -76,18 +95,41 @@ class AvailabilitySchedule:
         """One line per iteration, comma-separated active client ids."""
         return "\n".join(",".join(str(i) for i in ids) for ids in self.active_sets) + "\n"
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text())
+
+class PeriodicSchedule(AvailabilitySchedule):
+    """Client i is active exactly when t is a multiple of periods[i], held as periods and T.
+
+    Client i appears at t = 0, periods[i], 2 periods[i], ..., so its gaps all
+    equal its period when that is below T; a longer period shows it at t = 0
+    alone.  The mask is built on its first read.
+    """
+
+    def __init__(self, periods: np.ndarray, iterations: int) -> None:
+        if np.any(periods < 1):
+            raise ConfigError(f"periods must be >= 1, got {periods.tolist()}")
+        self._distinct, self._column = np.unique(periods, return_inverse=True)
+        self._set_shape(iterations, len(self._column))
+
+    @property
+    def mask(self) -> np.ndarray:
+        if self._mask is None:
+            on = np.arange(self.iterations)[:, None] % self._distinct == 0
+            self._mask = on[:, self._column]
+        return self._mask
+
+    def _count(self) -> np.ndarray:
+        sizes = np.zeros(self.iterations, dtype=np.int64)
+        for period, clients in zip(self._distinct.tolist(), np.bincount(self._column).tolist()):
+            sizes[::period] += clients
+        return sizes
+
+    def max_staleness(self) -> int:
+        return int(self._distinct[self._distinct < self.iterations].max(initial=0))
 
 
 def periodic_schedule(periods: np.ndarray | list[int], iterations: int) -> AvailabilitySchedule:
     """Client i participates exactly when t is a multiple of periods[i]."""
-    periods = np.asarray(periods, dtype=np.int64)
-    if np.any(periods < 1):
-        raise ConfigError(f"periods must be >= 1, got {periods.tolist()}")
-    distinct, column = np.unique(periods, return_inverse=True)
-    mask = (np.arange(iterations)[:, None] % distinct == 0)[:, column]
-    return AvailabilitySchedule(mask)
+    return PeriodicSchedule(np.asarray(periods, dtype=np.int64), iterations)
 
 
 def check_tau_max(tau_max: int) -> None:
@@ -130,13 +172,17 @@ def static_prob_schedule(
 
     Rounds may be empty.  force_full_start keeps the conventional full round
     at t = 0; switch it off to study cold starts.  The flips of all drawn
-    rounds come from one call, row by row, so they are the doubles a
-    per-round draw of N would take, in the same order.
+    rounds come from one Generator, row by row, in blocks of whole rounds
+    of about _BLOCK_CELLS doubles each, so they are the doubles a per-round
+    draw of N would take, in the same order, and no float array as large as
+    the mask is ever held.
     """
     check_prob(prob)
-    first = 1 if force_full_start else 0
     mask = np.ones((iterations, num_clients), dtype=bool)
-    mask[first:] = generator(seed).random((max(iterations - first, 0), num_clients)) <= prob
+    rng, rows = generator(seed), max(1, _BLOCK_CELLS // max(num_clients, 1))
+    for t in range(1 if force_full_start else 0, iterations, rows):
+        block = mask[t : t + rows]
+        np.less_equal(rng.random(block.shape), prob, out=block)
     return AvailabilitySchedule(mask)
 
 

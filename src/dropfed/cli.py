@@ -72,10 +72,10 @@ def _cmd_dump_availability(args: argparse.Namespace) -> int:
     if args.out:
         outdir = resolve_outdir(args.out)
         for seed in cfg.seeds:
-            schedule = build_schedule(cfg, seed)
-            outdir.mkdir(parents=True, exist_ok=True)  # once a schedule is built
+            text = build_schedule(cfg, seed).to_text()
+            outdir.mkdir(parents=True, exist_ok=True)  # once a schedule's text is made
             path = outdir / f"availability_{cfg.scenario}_seed{seed}.txt"
-            schedule.save(path)
+            path.write_text(text)
             print(path)
     else:
         print(build_schedule(cfg, cfg.seeds[0]).to_text(), end="")

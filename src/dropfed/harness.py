@@ -150,7 +150,7 @@ def run_trials(
     seeds = tuple(task.seed for task in tasks)
     n = tasks[0].population.num_clients
     masks = np.stack([task.schedule.mask for task in tasks])  # (S, T, N)
-    participants = masks.sum(axis=2)  # (S, T)
+    participants = np.stack([task.schedule.sizes() for task in tasks])  # (S, T)
     # Scaffold's control variates cross the wire with each upload.
     uploads = np.cumsum(participants, axis=1) * (2 if algorithm == "scaffold" else 1)
     population, smoothness, outs = settle_seeds(tasks, local_cfg, audit_nu)

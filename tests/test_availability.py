@@ -145,13 +145,39 @@ def test_weighted_sample_covers_all_clients_eventually():
     assert sched.max_staleness() >= 1
 
 
-def test_text_including_empty_rounds(tmp_path):
+def test_sizes_are_counted_once_and_read_only():
+    for sched in (periodic_schedule([1, 2], 5), AvailabilitySchedule(np.eye(3, dtype=bool))):
+        sizes = sched.sizes()
+        assert sizes.dtype == np.int64
+        assert sched.sizes() is sizes
+        with pytest.raises(ValueError):
+            sizes[0] = 7
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    iters=st.integers(min_value=1, max_value=200),
+    data=st.data(),
+)
+def test_periodic_schedule_equals_its_mask(n, iters, data):
+    # Periods up to T + 3, so that some clients appear at t = 0 alone.
+    periods = data.draw(st.lists(st.integers(1, iters + 3), min_size=n, max_size=n))
+    sched = periodic_schedule(periods, iters)
+    sizes, staleness = sched.sizes(), sched.max_staleness()
+    assert sched._mask is None  # counted from the periods, with no mask built
+    want = AvailabilitySchedule(sched.mask)
+    np.testing.assert_array_equal(sizes, want.sizes())
+    assert sizes.dtype == want.sizes().dtype
+    assert staleness == want.max_staleness() == _max_gap_reference(sched.mask)
+    assert sched.active_sets == want.active_sets
+    assert (sched.iterations, sched.num_clients) == (want.iterations, want.num_clients)
+    assert sched.mask is sched.mask  # built once and kept
+
+
+def test_text_including_empty_rounds():
     mask = np.array([[1, 1, 1], [0, 0, 0], [0, 1, 0], [1, 0, 1]], dtype=bool)
-    sched = AvailabilitySchedule(mask)
-    assert sched.to_text() == "0,1,2\n\n1\n0,2\n"
-    path = tmp_path / "sched.txt"
-    sched.save(path)
-    assert path.read_text() == sched.to_text()
+    assert AvailabilitySchedule(mask).to_text() == "0,1,2\n\n1\n0,2\n"
 
 
 def _max_gap_reference(mask: np.ndarray) -> int:
@@ -232,13 +258,28 @@ def test_round_robin_staleness_property(n, tau, iters, seed):
     prob=st.floats(min_value=0.01, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     force_full_start=st.booleans(),
+    cells=st.integers(min_value=1, max_value=3000),
 )
-def test_static_mask_matches_per_round_draws(n, iters, prob, seed, force_full_start):
-    # Up to twice the logistic_wide benchmark's 100 clients x 20 rounds each way.
-    sched = static_prob_schedule(n, iters, prob, seed, force_full_start)
+def test_static_mask_matches_per_round_draws(n, iters, prob, seed, force_full_start, cells):
+    # Up to twice the logistic_wide benchmark's 100 clients x 20 rounds each
+    # way, drawn in blocks of one round up to all of them.
+    with mock.patch.object(availability, "_BLOCK_CELLS", cells):
+        sched = static_prob_schedule(n, iters, prob, seed, force_full_start)
     want = _static_reference(n, iters, prob, seed, force_full_start)
     np.testing.assert_array_equal(sched.mask, want)
     np.testing.assert_array_equal(sched.sizes(), want.sum(axis=1))
+
+
+def test_static_draw_memory_stays_near_the_mask():
+    # 1000 clients x 2000 rounds: a 2 MB mask, whose doubles drawn at once
+    # would take 16 MB.
+    tracemalloc.start()
+    try:
+        sched = static_prob_schedule(1000, 2000, 0.3, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sched.mask.nbytes
 
 
 @settings(max_examples=30, deadline=None)
@@ -303,8 +344,9 @@ def test_blocked_staleness_equals_one_pass(n, iters, density, empty, cold, cells
 
 def test_staleness_memory_stays_below_the_mask():
     # 1000 clients x 20000 rounds: a 20 MB mask with 7.26 M entries, whose
-    # int64 positions alone would take 58 MB.
-    sched = round_robin_schedule(1000, 20000, 10, 3)
+    # int64 positions alone would take 58 MB.  The round-robin mask is taken
+    # as a plain mask, so that the blocked scan runs, not the periods' max.
+    sched = AvailabilitySchedule(round_robin_schedule(1000, 20000, 10, 3).mask)
     tracemalloc.start()
     try:
         staleness = sched.max_staleness()

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -192,6 +193,25 @@ def test_check_schedule_prints_the_audit_that_run_records(tmp_path, capsys, kind
         section = summary.split(f"[trial.{seed}.conditions]\n")[1].split("\n\n")[0]
         assert head == f"{seed}:" and lines
         assert lines == [f"  {line}" for line in section.splitlines()]
+
+
+def test_check_schedule_on_round_robin_builds_no_mask(tmp_path, capsys):
+    # 1000 round-robin clients x 20,000 rounds, whose mask would take 20 MB:
+    # the audit reads the schedule's periods, so it holds a fraction of that.
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(AUDIT_CONFIG.format(kind="logistic", iterations=20_000,
+                                            availability="scenario = round_robin\ntau_max = 10",
+                                            out=tmp_path)
+                        .replace("clients = 4", "clients = 1000\nshards_per_client = 2")
+                        .replace("per_class = 12", "per_class = 2000"))
+    tracemalloc.start()
+    try:
+        assert main(["check-schedule", str(cfg_path), "--seed-override", "3"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "seed 3:" in capsys.readouterr().out
+    assert peak < 20_000 * 1000 // 4
 
 
 def refuse_data(monkeypatch):
@@ -515,9 +535,10 @@ sys.exit(main(sys.argv[1:]))
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
 def test_a_run_too_large_for_memory_is_one_config_error(tmp_path, command):
-    # 2 seeds x 500,000 rounds x 40 clients is under the budget, but one
-    # seed's 160 MB static draw is over the child's limit, so its first large
-    # allocation fails at once and nothing much is ever allocated.
+    # 2 seeds x 500,000 rounds x 40 clients is under the budget, but not
+    # under the child's limit: one seed's 20 MB mask fits, and the first
+    # large work on it fails at once (run's stack of both masks, the audit's
+    # float arrays, the text of dump-availability), before anything is written.
     cfg_path, out = write_config(tmp_path, iterations=500_000)
     text = cfg_path.read_text().replace("clients = 4\n", "clients = 40\n")
     cfg_path.write_text(text.replace("per_class = 10\n", "per_class = 20\n"))  # a shard each
