@@ -2,12 +2,12 @@
 
 A schedule is a boolean mask of shape (T, N): mask[t, i] is True when client
 i is active at iteration t.  Training, diagnostics, and exported artifacts
-all read that one mask, so they see the identical participation pattern.
-A random schedule is drawn into its mask up front.  A periodic one (round
-robin) is held as its N periods and T, which give its round sizes and worst
-staleness without the mask; its mask is built on the first read of it (a
-training loop, the active sets, the text form) and kept.  Every schedule
-counts its round sizes once and hands out that one read-only array.
+all read that one mask, a window of rounds at a time (rounds), so they see
+the identical participation pattern.  A random schedule is drawn into its
+mask up front.  A periodic one (round robin) is held as its N periods and T,
+which give its round sizes and worst staleness; it computes each window's
+rows when asked and keeps no mask.  Every schedule counts its round sizes as
+it is made and hands out that one read-only array.
 
 Every generator forces full participation at iteration 0
 (static_prob_schedule can switch that off to study cold starts); later
@@ -31,33 +31,27 @@ _BLOCK_CELLS = 1 << 16
 class AvailabilitySchedule:
     """Active clients for iterations 0..T-1 over clients 0..N-1, as a (T, N) mask."""
 
-    _mask: np.ndarray | None = None
-    _sizes: np.ndarray | None = None
-
     def __init__(self, mask: np.ndarray) -> None:
         if mask.dtype != np.bool_ or mask.ndim != 2:
             raise ConfigError(f"need a 2-D boolean mask, got {mask.dtype} {mask.shape}")
-        self._mask = mask
         self._set_shape(*mask.shape)
+        self._mask, self._sizes = mask, np.count_nonzero(mask, axis=1)
+        self._sizes.flags.writeable = False
 
     def _set_shape(self, iterations: int, num_clients: int) -> None:
         if num_clients < 1:
             raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
         if iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {iterations}")
-        self._shape = (iterations, num_clients)
+        self.iterations, self.num_clients = iterations, num_clients
+
+    def rounds(self, t0: int, t1: int) -> np.ndarray:
+        """Rows t0..t1-1 of the mask, (t1 - t0, N)."""
+        return self._mask[t0:t1]
 
     @property
     def mask(self) -> np.ndarray:
-        return self._mask
-
-    @property
-    def iterations(self) -> int:
-        return self._shape[0]
-
-    @property
-    def num_clients(self) -> int:
-        return self._shape[1]
+        return self.rounds(0, self.iterations)
 
     @property
     def active_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -65,14 +59,8 @@ class AvailabilitySchedule:
         return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.mask)
 
     def sizes(self) -> np.ndarray:
-        """Active clients of each round (int64), counted on the first call; read-only."""
-        if self._sizes is None:
-            self._sizes = self._count()
-            self._sizes.flags.writeable = False
+        """Active clients of each round (int64), counted as the schedule was made; read-only."""
         return self._sizes
-
-    def _count(self) -> np.ndarray:
-        return np.count_nonzero(self.mask, axis=1)
 
     def max_staleness(self) -> int:
         """Largest gap between consecutive appearances of one client; 0 if none.
@@ -93,7 +81,7 @@ class AvailabilitySchedule:
 
     def to_text(self) -> str:
         """One line per iteration, comma-separated active client ids."""
-        return "\n".join(",".join(str(i) for i in ids) for ids in self.active_sets) + "\n"
+        return "".join(",".join(map(str, np.flatnonzero(row).tolist())) + "\n" for row in self.mask)
 
 
 class PeriodicSchedule(AvailabilitySchedule):
@@ -101,7 +89,7 @@ class PeriodicSchedule(AvailabilitySchedule):
 
     Client i appears at t = 0, periods[i], 2 periods[i], ..., so its gaps all
     equal its period when that is below T; a longer period shows it at t = 0
-    alone.  The mask is built on its first read.
+    alone.  Each distinct period adds its clients to the sizes of its multiples.
     """
 
     def __init__(self, periods: np.ndarray, iterations: int) -> None:
@@ -109,19 +97,14 @@ class PeriodicSchedule(AvailabilitySchedule):
             raise ConfigError(f"periods must be >= 1, got {periods.tolist()}")
         self._distinct, self._column = np.unique(periods, return_inverse=True)
         self._set_shape(iterations, len(self._column))
-
-    @property
-    def mask(self) -> np.ndarray:
-        if self._mask is None:
-            on = np.arange(self.iterations)[:, None] % self._distinct == 0
-            self._mask = on[:, self._column]
-        return self._mask
-
-    def _count(self) -> np.ndarray:
-        sizes = np.zeros(self.iterations, dtype=np.int64)
+        self._sizes = np.zeros(iterations, dtype=np.int64)
         for period, clients in zip(self._distinct.tolist(), np.bincount(self._column).tolist()):
-            sizes[::period] += clients
-        return sizes
+            self._sizes[::period] += clients
+        self._sizes.flags.writeable = False
+
+    def rounds(self, t0: int, t1: int) -> np.ndarray:
+        on = np.arange(t0, t1)[:, None] % self._distinct == 0
+        return on[:, self._column]
 
     def max_staleness(self) -> int:
         return int(self._distinct[self._distinct < self.iterations].max(initial=0))

@@ -34,9 +34,9 @@ CHOICES = {
 
 # A config is refused as it loads when its run would hold more than
 # MEMORY_BUDGET bytes, a fixed budget so it fails alike on every machine: 10
-# bytes a mask cell (seeds x iterations x clients) and 256 a seed's round, as
-# measured for `run` (10.1 at 1000 clients x 20,000 rounds; at 1 client, about
-# 100 before training and 140 for the recorded row).
+# bytes a mask cell (seeds x iterations x clients), near what dump-availability
+# of a full schedule takes (11.2 at 1000 clients x 20,000 rounds; run, 1.8), and
+# 256 a seed's round (at 1 client, about 100 before training, 140 for the row).
 CELL_BYTES, ROUND_BYTES, MEMORY_BUDGET = 10, 256, 2**30
 
 

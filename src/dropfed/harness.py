@@ -118,18 +118,20 @@ def run_trials(
 ) -> list[TrialOutput]:
     """Run every seed's trial in one lockstep pass and measure every round.
 
-    The seeds share N, T and the client data shape, and either all have a
-    test set of one size or none has.  Before round 0, settle_seeds stacks
-    their clients once into one population and gives each seed's L, worst
-    staleness and audit, and the loop each seed's optimum and upload counts,
-    so an audit that cannot be computed stops the run before any training.
+    The seeds share N, T and the client data shape (a schedule of another
+    shape is a ConfigError), and either all have a test set of one size or
+    none has.  Before round 0, settle_seeds stacks their clients once into
+    one population and gives each seed's L, worst staleness and audit, and
+    the loop each seed's optimum and upload counts, so an audit that cannot
+    be computed stops the run before any training.
     A round trains every seed's participants and the replicas its
     measurements need in one pass over that stack (see play_round); in
     fullbatch mode the expectation is the last copy.  The other batches are
-    drawn ahead, keyed as arrays from the masks, in one draw per chunk of
-    whole rounds (DRAW_CHUNK_BYTES).  The test sets are stacked once, and one
-    helper measures every seed's model in one population pass and one pass
-    over the stacked test sets, each round and once more for the final models.
+    drawn ahead, with each round's rows, from each schedule's rounds of one
+    chunk of whole rounds a draw (DRAW_CHUNK_BYTES).  The test sets are
+    stacked once, and one helper measures every seed's model in one
+    population pass and one pass over the stacked test sets, each round and
+    once more for the final models.
 
     Per-round columns describe the broadcast model w_t before the update;
     the *final* fields describe the model after the last round.  A seed
@@ -139,17 +141,19 @@ def run_trials(
     recorded.  The other seeds go on; with none live, nothing more is measured.
     """
     check_replicas(phi_replays, phi_every, expected_mode, expected_replays)
+    T, n = tasks[0].schedule.iterations, tasks[0].population.num_clients
     for task in tasks:
-        if len(task.rates.values) != task.schedule.iterations:
-            raise ConfigError(f"{len(task.rates.values)} step sizes for {task.schedule.iterations} "
-                              "iterations")
+        shape = (task.schedule.iterations, task.schedule.num_clients, task.population.num_clients)
+        if shape != (T, n, n):
+            raise ConfigError("seed {}'s schedule is {} x {} for {} clients; every seed needs "
+                              "{} x {}".format(task.seed, *shape, T, n))
+        if len(task.rates.values) != T:
+            raise ConfigError(f"{len(task.rates.values)} step sizes for {T} iterations")
     if len({task.test_data is None for task in tasks}) > 1:
         raise ConfigError("either every seed has a test set or none has")
     if tasks[0].test_data is not None and tasks[0].population.kind == "quadratic":
         raise ConfigError("a quadratic task predicts no labels, so it takes no test set")
     seeds = tuple(task.seed for task in tasks)
-    n = tasks[0].population.num_clients
-    masks = np.stack([task.schedule.mask for task in tasks])  # (S, T, N)
     participants = np.stack([task.schedule.sizes() for task in tasks])  # (S, T)
     # Scaffold's control variates cross the wire with each upload.
     uploads = np.cumsum(participants, axis=1) * (2 if algorithm == "scaffold" else 1)
@@ -181,7 +185,6 @@ def run_trials(
 
     rates = np.stack([task.rates.values for task in tasks])  # (S, T)
     state = init_state(algorithm, np.stack([task.w0 for task in tasks]), n, scaffold_literal)
-    T = masks.shape[1]
     phi_rounds = (phi_replays >= 2 and phi_every > 0) & (np.arange(T) % max(phi_every, 1) == 0)
     # The phi samples and a Monte Carlo expectation read the first replicas; fullbatch, the last.
     copies = 1 + np.maximum(expected_replays * (expected_mode == "mc"), phi_replays * phi_rounds)
@@ -190,42 +193,43 @@ def run_trials(
     row_bytes = 576 + 18 * steps * (2 * min(local_cfg.batch_size, population.n) - 1)
     budget = max(1, DRAW_CHUNK_BYTES // row_bytes)  # rows of one draw
 
-    def draw(t0: int) -> list[np.ndarray]:
-        """Batches (steps, rows, b) of each round from t0 on, whole rounds up to budget rows
-        (a larger round in pieces), in play_round's row order for the live seeds."""
+    def draw(t0: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Rows and batches (steps, rows, b) of each round from t0 on, whole rounds up to
+        budget rows (a larger round in pieces), in play_round's row order for the live seeds."""
         sizes = np.cumsum(participants[live, t0:].sum(axis=0) * copies[t0:])
         t1 = t0 + max(1, int(np.searchsorted(sizes, budget, side="right")))
-        at, seed, client = np.nonzero((masks[:, t0:t1] & live[:, None, None]).transpose(1, 0, 2))
+        window = np.stack([task.schedule.rounds(t0, t1) for task in tasks]) & live[:, None, None]
+        at, seed, client = np.nonzero(window.transpose(1, 0, 2))
+        playing = seed * n + client
         per = np.bincount(at, minlength=t1 - t0)  # participants of each round
+        ends = np.cumsum(per)
         bounds = np.concatenate([[0], np.cumsum(per * copies[t0:t1])])
         pieces = []
         for a in range(0, max(bounds[-1], 1), budget):  # key each piece's rows as it is drawn
             row = np.arange(a, min(a + budget, bounds[-1]))
             at = np.searchsorted(bounds, row, side="right") - 1  # each row's round
             copy, who = np.divmod(row - bounds[at], per[at])
-            who += (np.cumsum(per) - per)[at]
+            who += (ends - per)[at]
             spawn = np.stack([np.where(copy, streams.REPLAY, streams.BATCH), client[who], t0 + at,
                               np.maximum(copy - 1, 0)], axis=1).astype(np.uint64)
             keys = streams.StreamKeys(seeds, seed[who], spawn, 3 + (copy > 0))
-            pieces.append(draw_batches(population.n, seed[who] * n + client[who],
-                                       local_cfg.batch_size, keys, steps))
+            pieces.append(draw_batches(population.n, playing[who], local_cfg.batch_size, keys,
+                                       steps))
         batches = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
-        return np.split(batches, bounds[1:-1], axis=1)
+        return list(zip(np.split(playing, ends[:-1]), np.split(batches, bounds[1:-1], axis=1)))
 
-    drawn: list[np.ndarray] = []
+    drawn: list[tuple[np.ndarray, np.ndarray]] = []
     for t in range(T):
         if not live.any():
             break
         drawn = drawn or draw(t)
-        playing = masks[:, t] & live[:, None]
-        rows = np.flatnonzero(playing)
-        eta = rates[:, t]
-        batches = [drawn.pop(0)]
+        rows, round_batches = drawn.pop(0)
+        eta, batches = rates[:, t], [round_batches]
         if expected_mode == "fullbatch":  # the noise-free update trains as the last copy
             batches.append(draw_batches(population.n, rows, population.n, None, steps))
         result = play_round(state, population, rows, local_cfg, eta, None, batches=batches)
         for k, loss, grad, grads, acc in measure(state.w):
-            active = np.flatnonzero(playing[k])
+            active = rows[rows // n == k] - k * n
             gamma = e_t = phi = math.nan
             if active.size:
                 gamma = expected_update_error(np.mean(grads[active], axis=0), grad)

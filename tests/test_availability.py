@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dropfed import availability
 from dropfed.availability import (
     AvailabilitySchedule,
+    PeriodicSchedule,
     periodic_schedule,
     round_robin_schedule,
     static_prob_schedule,
@@ -163,21 +164,39 @@ def test_sizes_are_counted_once_and_read_only():
 def test_periodic_schedule_equals_its_mask(n, iters, data):
     # Periods up to T + 3, so that some clients appear at t = 0 alone.
     periods = data.draw(st.lists(st.integers(1, iters + 3), min_size=n, max_size=n))
-    sched = periodic_schedule(periods, iters)
-    sizes, staleness = sched.sizes(), sched.max_staleness()
-    assert sched._mask is None  # counted from the periods, with no mask built
+    # Sizes and staleness come from the periods, with no round read.
+    with mock.patch.object(PeriodicSchedule, "rounds", side_effect=AssertionError("read")):
+        sched = periodic_schedule(periods, iters)
+        sizes, staleness = sched.sizes(), sched.max_staleness()
     want = AvailabilitySchedule(sched.mask)
+    for _ in range(3):
+        t0 = data.draw(st.integers(0, iters))
+        t1 = data.draw(st.integers(t0, iters))
+        np.testing.assert_array_equal(sched.rounds(t0, t1), want.mask[t0:t1])
     np.testing.assert_array_equal(sizes, want.sizes())
     assert sizes.dtype == want.sizes().dtype
     assert staleness == want.max_staleness() == _max_gap_reference(sched.mask)
     assert sched.active_sets == want.active_sets
     assert (sched.iterations, sched.num_clients) == (want.iterations, want.num_clients)
-    assert sched.mask is sched.mask  # built once and kept
 
 
 def test_text_including_empty_rounds():
     mask = np.array([[1, 1, 1], [0, 0, 0], [0, 1, 0], [1, 0, 1]], dtype=bool)
     assert AvailabilitySchedule(mask).to_text() == "0,1,2\n\n1\n0,2\n"
+
+
+def test_text_memory_stays_near_the_text():
+    # 40 clients x 50,000 rounds at prob 0.5: about 2.6 MB of text, made
+    # from the mask's rows with no tuple of ids kept for every round.
+    sched = static_prob_schedule(40, 50_000, 0.5, 3)
+    tracemalloc.start()
+    try:
+        text = sched.to_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 50_000
+    assert peak < 4 * len(text)
 
 
 def _max_gap_reference(mask: np.ndarray) -> int:

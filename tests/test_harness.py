@@ -13,6 +13,7 @@ import pytest
 from dropfed import aggregation, harness
 from dropfed.availability import (
     AvailabilitySchedule,
+    PeriodicSchedule,
     periodic_schedule,
     round_robin_schedule,
     static_prob_schedule,
@@ -41,6 +42,7 @@ from dropfed.objectives import (
     QuadraticObjective,
     global_optimum,
     make_objective,
+    stack,
 )
 from dropfed.rng import AVAILABILITY, DATA, seed_for
 from dropfed.schedules import constant_rates, inverse_time_rates
@@ -101,6 +103,22 @@ def test_trial_rejects_mismatched_rates():
     sched = periodic_schedule([1, 1], 5)
     with pytest.raises(ConfigError):
         run_trial(objs, sched, constant_rates(0.1, 4), "fedavg", K1, np.zeros(1), 1)
+
+
+def test_a_schedule_of_another_shape_is_refused_before_any_seed_is_settled(monkeypatch):
+    # Two seeds of 4 clients: 3-client schedules would train the wrong rows,
+    # a 5-client one would name a row past the population, and 6 rounds
+    # would not line up with seed 1's 5.
+    monkeypatch.setattr(harness, "settle_seeds", None)
+    population = stack(point_clients([[0.0], [1.0], [2.0], [3.0]]))
+    for shapes, bad in ((((5, 3), (5, 3)), 1), (((5, 4), (5, 5)), 2), (((5, 4), (6, 4)), 2)):
+        tasks = [SeedTask(seed, population, periodic_schedule([1] * n, T), constant_rates(0.1, T),
+                          np.zeros(1)) for seed, (T, n) in enumerate(shapes, 1)]
+        T, n = shapes[bad - 1]
+        message = (f"seed {bad}'s schedule is {T} x {n} for 4 clients; every seed needs "
+                   f"{shapes[0][0]} x 4")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_trials(tasks, "fedavg", K1)
 
 
 @pytest.mark.parametrize("options, message", [
@@ -540,6 +558,32 @@ def test_a_measured_round_trains_in_one_pass(monkeypatch):
             chunks.append(0)
         chunks[-1] += r
     assert drawn == chunks and len(chunks) > 1
+
+
+def test_a_round_robin_run_reads_each_round_once_and_keeps_no_mask(monkeypatch):
+    # 2 seeds x 60 rounds of 5 round-robin clients, drawn a round or two at
+    # a time: each seed's schedule hands out windows that tile [0, T) once,
+    # and keeps no (T, N) array.
+    cfg = ExperimentConfig(clients=5, iterations=60, scenario="round_robin", tau_max=3,
+                           seeds=(1, 2))
+    tasks = [seed_task(cfg, seed) for seed in cfg.seeds]
+    windows = {id(task.schedule): [] for task in tasks}
+    rounds = PeriodicSchedule.rounds
+
+    def spy(schedule, t0, t1):
+        windows[id(schedule)].append((t0, t1))
+        return rounds(schedule, t0, t1)
+
+    monkeypatch.setattr(PeriodicSchedule, "rounds", spy)
+    monkeypatch.setattr(harness, "DRAW_CHUNK_BYTES", 10_000)
+    run_trials(tasks, cfg.algorithm, cfg.local_config())
+    for task in tasks:
+        spans = windows[id(task.schedule)]
+        assert len(spans) > 10
+        assert [t0 for t0, _ in spans] == [0] + [t1 for _, t1 in spans[:-1]]
+        assert spans[-1][1] == cfg.iterations
+        assert not [name for name, value in vars(task.schedule).items()
+                    if np.shape(value) == (cfg.iterations, cfg.clients)]
 
 
 def test_one_draw_holds_at_most_draw_chunk_bytes(monkeypatch):

@@ -36,9 +36,7 @@ PINNED = {
 # Members whose name another class family also defines, by family root, and
 # where the program uses them.
 SHARED = {
-    "AvailabilitySchedule.iterations": "harness.run_trials and settle_seeds read task.schedule's",
     "AvailabilitySchedule.max_staleness": "harness.settle_seeds",
-    "AvailabilitySchedule.num_clients": "its own check and max_staleness",
     "ClientDataset.n": "data.partition_shards checks its pool's shards",
     "Objective.dim": "objectives, local_trainer and harness shape models by it",
     "Objective.loss": "harness.run_trials takes the loss at the optimum",
