@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 configuration error (an allocation that fails too),
 2 numerical failure, 141 (128 + SIGPIPE) when standard output is closed before
-everything was written.
+everything was written. `main(argv)` may be called many times in one process;
+it builds its parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -115,8 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # build_parser() itself stays fresh on every call
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -4,6 +4,7 @@ import configparser
 import csv
 import dataclasses
 import io
+import json
 import os
 import re
 import shutil
@@ -268,6 +269,71 @@ def test_parser_requires_subcommand():
     args = parser.parse_args(["run", "conf.ini", "--workers", "2"])
     assert args.command == "run"
     assert args.workers == 2
+
+
+# Run by a child process: counts the argparse parsers built while main runs
+# each command of argv[1] (JSON), and prints each command's exit code, stdout
+# and the files under argv[2] after it.
+REPEATED_MAIN = """\
+import argparse, contextlib, io, json, pathlib, sys
+from dropfed.cli import main
+built, init = [], argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+argparse.ArgumentParser.__init__ = counting_init
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    outputs.append([code, out.getvalue(), sorted(map(str, pathlib.Path(sys.argv[2]).rglob("*")))])
+print(json.dumps({"built": built, "outputs": outputs}))
+"""
+
+
+def test_main_builds_one_parser_per_process_and_forgets_each_commands_flags(tmp_path):
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "x"
+    commands = [["run", str(cfg_path), "--out", str(out), "--seed-override", "5"],
+                ["check-schedule", str(cfg_path)], ["dump-availability", str(cfg_path)]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("DROPFED_OUT", None)
+    proc = subprocess.run([sys.executable, "-c", REPEATED_MAIN, json.dumps(commands), str(out)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    # One parser and its four sub-parsers, for all three commands.
+    assert report["built"] == ["dropfed", "dropfed run", "dropfed compare",
+                               "dropfed check-schedule", "dropfed dump-availability"]
+    (run_code, run_out, written), (chk_code, chk_out, after_chk), (dmp_code, dmp_out, after_dmp) = (
+        report["outputs"])
+    assert run_code == chk_code == dmp_code == 0
+    assert "seed 5: " in run_out and written
+    # check-schedule audits the config's own seeds, not the run's --seed-override.
+    assert re.findall(r"^seed (\d+):", chk_out, re.M) == ["1", "2"]
+    # dump-availability prints seed 1's schedule rather than writing under the run's --out.
+    with redirect_stdout(io.StringIO()) as alone:
+        assert main(commands[2]) == 0
+    assert dmp_out == alone.getvalue() != ""
+    assert after_chk == after_dmp == written
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], []], ids=" ".join)
+def test_repeated_help_and_usage_errors_match_a_fresh_parser(monkeypatch, argv):
+    def outcome(parse):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr), pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return stdout.getvalue(), stderr.getvalue(), exc.value.code
+
+    by_width = {}
+    for columns in ("60", "200", "60"):  # a parser kept from one width must not freeze it
+        monkeypatch.setenv("COLUMNS", columns)
+        fresh = outcome(lambda a: build_parser().parse_args(a))
+        assert [outcome(main) for _ in range(3)] == [fresh] * 3
+        assert by_width.setdefault(columns, fresh) == fresh
+    assert by_width["60"] != by_width["200"]
 
 
 def test_summary_is_wellformed_ini_after_cli_run(tmp_path):
@@ -537,8 +603,9 @@ sys.exit(main(sys.argv[1:]))
 def test_a_run_too_large_for_memory_is_one_config_error(tmp_path, command):
     # 2 seeds x 500,000 rounds x 40 clients is under the budget, but not
     # under the child's limit: one seed's 20 MB mask fits, and the first
-    # large work on it fails at once (run's stack of both masks, the audit's
-    # float arrays, the text of dump-availability), before anything is written.
+    # large work on it fails at once (run's (S, T) cumulative upload counts,
+    # check-schedule's staleness pass over the mask, the text of
+    # dump-availability), before anything is written.
     cfg_path, out = write_config(tmp_path, iterations=500_000)
     text = cfg_path.read_text().replace("clients = 4\n", "clients = 40\n")
     cfg_path.write_text(text.replace("per_class = 10\n", "per_class = 20\n"))  # a shard each
