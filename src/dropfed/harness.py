@@ -1,10 +1,10 @@
 """Experiment orchestration: the lockstep trial loop over a run's seeds.
 
-A run is: build a synthetic task, deal it to clients, draw an availability
-schedule, then iterate broadcast -> local training -> aggregation while
-recording per-round diagnostics.  Every random draw comes from a stream
-keyed by (master seed, purpose, indices), so runs are bit-reproducible and
-diagnostics can replay any round without disturbing the training draws.
+A run builds a synthetic task, deals it to clients and draws availability
+schedules.  Each round play_round trains on batches draw_rounds drew ahead,
+and measure records every seed's loss, gradients and accuracy.  Every draw
+comes from a stream keyed by (master seed, purpose, indices), so runs are
+bit-reproducible and replays disturb no training draw.
 """
 
 from __future__ import annotations
@@ -124,14 +124,12 @@ def run_trials(
     one population and gives each seed's L, worst staleness and audit, and
     the loop each seed's optimum and upload counts, so an audit that cannot
     be computed stops the run before any training.
-    A round trains every seed's participants and the replicas its
-    measurements need in one pass over that stack (see play_round); in
-    fullbatch mode the expectation is the last copy.  The other batches are
-    drawn ahead, with each round's rows, from each schedule's rounds of one
-    chunk of whole rounds a draw (DRAW_CHUNK_BYTES).  The test sets are
-    stacked once, and one helper measures every seed's model in one
-    population pass and one pass over the stacked test sets, each round and
-    once more for the final models.
+    Each round is drawn ahead, played, measured and recorded: draw_rounds
+    draws the rows and batches of whole rounds, DRAW_CHUNK_BYTES a draw;
+    play_round trains every seed's participants and replicas in one pass
+    over that stack, the fullbatch expectation as the last copy; measure
+    takes every seed's model through one population pass and one pass over
+    the test sets, stacked once.  The final models take one more measure.
 
     Per-round columns describe the broadcast model w_t before the update;
     the *final* fields describe the model after the last round.  A seed
@@ -170,19 +168,6 @@ def run_trials(
     if tasks[0].test_data is not None:
         test_sets = make_objective(population.kind, [task.test_data for task in tasks],
                                    **population.params)
-
-    def measure(models: np.ndarray) -> list[tuple[int, float, np.ndarray, np.ndarray, float]]:
-        """Each live seed's index, loss, mean and client (N, dim) gradients, and accuracy.
-
-        Every seed's model goes through the one pass; rows never interact,
-        so a failed seed's non-finite model leaves the others' bits alone.
-        """
-        losses, grads = population.losses_and_grads(models)
-        losses, grads = losses.reshape(len(models), n), grads.reshape(len(models), n, -1)
-        acc = np.full(len(models), math.nan) if test_sets is None else evaluate(test_sets, models)
-        return [(k, float(np.mean(losses[k])), np.mean(grads[k], axis=0), grads[k], float(acc[k]))
-                for k in np.flatnonzero(live)]
-
     rates = np.stack([task.rates.values for task in tasks])  # (S, T)
     state = init_state(algorithm, np.stack([task.w0 for task in tasks]), n, scaffold_literal)
     phi_rounds = (phi_replays >= 2 and phi_every > 0) & (np.arange(T) % max(phi_every, 1) == 0)
@@ -190,45 +175,17 @@ def run_trials(
     copies = 1 + np.maximum(expected_replays * (expected_mode == "mc"), phi_replays * phi_rounds)
     expected = slice(-1, None) if expected_mode == "fullbatch" else slice(expected_replays)
     steps = local_cfg.steps + state.scaffold_literal  # scaffold's anchor batch comes first
-    row_bytes = 576 + 18 * steps * (2 * min(local_cfg.batch_size, population.n) - 1)
-    budget = max(1, DRAW_CHUNK_BYTES // row_bytes)  # rows of one draw
-
-    def draw(t0: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Rows and batches (steps, rows, b) of each round from t0 on, whole rounds up to
-        budget rows (a larger round in pieces), in play_round's row order for the live seeds."""
-        sizes = np.cumsum(participants[live, t0:].sum(axis=0) * copies[t0:])
-        t1 = t0 + max(1, int(np.searchsorted(sizes, budget, side="right")))
-        window = np.stack([task.schedule.rounds(t0, t1) for task in tasks]) & live[:, None, None]
-        at, seed, client = np.nonzero(window.transpose(1, 0, 2))
-        playing = seed * n + client
-        per = np.bincount(at, minlength=t1 - t0)  # participants of each round
-        ends = np.cumsum(per)
-        bounds = np.concatenate([[0], np.cumsum(per * copies[t0:t1])])
-        pieces = []
-        for a in range(0, max(bounds[-1], 1), budget):  # key each piece's rows as it is drawn
-            row = np.arange(a, min(a + budget, bounds[-1]))
-            at = np.searchsorted(bounds, row, side="right") - 1  # each row's round
-            copy, who = np.divmod(row - bounds[at], per[at])
-            who += (ends - per)[at]
-            spawn = np.stack([np.where(copy, streams.REPLAY, streams.BATCH), client[who], t0 + at,
-                              np.maximum(copy - 1, 0)], axis=1).astype(np.uint64)
-            keys = streams.StreamKeys(seeds, seed[who], spawn, 3 + (copy > 0))
-            pieces.append(draw_batches(population.n, playing[who], local_cfg.batch_size, keys,
-                                       steps))
-        batches = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
-        return list(zip(np.split(playing, ends[:-1]), np.split(batches, bounds[1:-1], axis=1)))
-
     drawn: list[tuple[np.ndarray, np.ndarray]] = []
     for t in range(T):
         if not live.any():
             break
-        drawn = drawn or draw(t)
+        drawn = drawn or draw_rounds(tasks, live, copies, t, local_cfg.batch_size, steps)
         rows, round_batches = drawn.pop(0)
         eta, batches = rates[:, t], [round_batches]
         if expected_mode == "fullbatch":  # the noise-free update trains as the last copy
             batches.append(draw_batches(population.n, rows, population.n, None, steps))
         result = play_round(state, population, rows, local_cfg, eta, None, batches=batches)
-        for k, loss, grad, grads, acc in measure(state.w):
+        for k, loss, grad, grads, acc in measure(population, test_sets, state.w, live):
             active = rows[rows // n == k] - k * n
             gamma = e_t = phi = math.nan
             if active.size:
@@ -246,7 +203,8 @@ def run_trials(
             outs[k].final_w = state.w[k]
             drawn = []  # its rows drawn ahead go unread, and the next chunk holds none
 
-    for k, loss, grad, _, acc in measure(state.w) if live.any() else []:
+    finals = measure(population, test_sets, state.w, live) if live.any() else []
+    for k, loss, grad, _, acc in finals:
         out = outs[k]
         out.final_w, out.final_loss, out.final_acc = state.w[k], loss, acc
         out.final_grad_norm2 = float(grad @ grad)
@@ -262,6 +220,55 @@ def run_trials(
             executed, np.array([r.gamma_t for r in out.rows])
         )
     return outs
+
+
+def draw_rounds(tasks: list[SeedTask], live: np.ndarray, copies: np.ndarray, t0: int,
+                batch_size: int, steps: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rows and batches (steps, rows, b) of each round from t0 on, in play_round's row order.
+
+    The live seeds' participants of whole rounds, round t's copies[t] times,
+    up to DRAW_CHUNK_BYTES of the drawer's peak (a larger round alone, in
+    pieces): client i's copy 0 at t on (BATCH, i, t), copy c on (REPLAY, i, t, c - 1).
+    """
+    seeds, population = tuple(task.seed for task in tasks), tasks[0].population
+    row_bytes = 576 + 18 * steps * (2 * min(batch_size, population.n) - 1)
+    budget = max(1, DRAW_CHUNK_BYTES // row_bytes)  # rows of one draw
+    sizes = sum(task.schedule.sizes()[t0:] for task, on in zip(tasks, live) if on) * copies[t0:]
+    t1 = t0 + max(1, int(np.searchsorted(np.cumsum(sizes), budget, side="right")))
+    window = np.stack([task.schedule.rounds(t0, t1) for task in tasks]) & live[:, None, None]
+    at, seed, client = np.nonzero(window.transpose(1, 0, 2))
+    playing = seed * population.num_clients + client
+    per = np.bincount(at, minlength=t1 - t0)  # participants of each round
+    ends = np.cumsum(per)
+    bounds = np.concatenate([[0], np.cumsum(per * copies[t0:t1])])
+    pieces = []
+    for a in range(0, max(bounds[-1], 1), budget):  # key each piece's rows as it is drawn
+        row = np.arange(a, min(a + budget, bounds[-1]))
+        at = np.searchsorted(bounds, row, side="right") - 1  # each row's round
+        copy, who = np.divmod(row - bounds[at], per[at])
+        who += (ends - per)[at]
+        spawn = np.stack([np.where(copy, streams.REPLAY, streams.BATCH), client[who], t0 + at,
+                          np.maximum(copy - 1, 0)], axis=1).astype(np.uint64)
+        keys = streams.StreamKeys(seeds, seed[who], spawn, 3 + (copy > 0))
+        pieces.append(draw_batches(population.n, playing[who], batch_size, keys, steps))
+    batches = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+    return list(zip(np.split(playing, ends[:-1]), np.split(batches, bounds[1:-1], axis=1)))
+
+
+def measure(population: Objective, test_sets: Objective | None, models: np.ndarray,
+            live: np.ndarray) -> list[tuple[int, float, np.ndarray, np.ndarray, float]]:
+    """Each live seed's index, loss, mean and client (N, dim) gradients, and accuracy.
+
+    Model k on seed k's run of clients and on client k of test_sets (NaN
+    accuracy without).  Every model goes through the one pass; rows never
+    interact, so a failed seed's non-finite model leaves the others' bits alone.
+    """
+    n = population.num_clients // len(models)
+    losses, grads = population.losses_and_grads(models)
+    losses, grads = losses.reshape(len(models), n), grads.reshape(len(models), n, -1)
+    acc = np.full(len(models), math.nan) if test_sets is None else evaluate(test_sets, models)
+    return [(k, float(np.mean(losses[k])), np.mean(grads[k], axis=0), grads[k], float(acc[k]))
+            for k in np.flatnonzero(live)]
 
 
 def settle_seeds(

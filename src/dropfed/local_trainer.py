@@ -8,9 +8,9 @@ RNG rule: every row has its own stream, one per (client, round) or per
 (client, round, replica), and takes its batches from it in step order, each
 one choice(n, b, replace=False), so a row's batches never depend on which
 other rows share the call.  The caller draws the batches up front with
-draw_batches, a run's for several rounds at once: rows named by StreamKeys
-in one call of rng.draw_keyed, rows given a Generator from it directly.
-Full-batch rows draw nothing and need no stream.
+draw_batches, harness.draw_rounds a run's for several rounds at once: rows
+named by StreamKeys in one rng.draw_keyed call, rows given a Generator
+from it directly.  Full-batch rows draw nothing and need no stream.
 """
 
 from __future__ import annotations

@@ -267,7 +267,7 @@ class _Classifier(Objective):
         self.reg = float(reg)
 
     def _penalties(self, W: np.ndarray) -> np.ndarray:
-        return np.array([0.5 * self.reg * np.dot(w, w) for w in W])
+        return 0.5 * self.reg * np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0]
 
     def predict(self, W: np.ndarray) -> np.ndarray:
         W = np.asarray(W, dtype=np.float64)

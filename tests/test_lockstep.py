@@ -12,9 +12,12 @@ run alone, bit for bit, and so must its stacked measurements: the
 population pass with one model per seed, the stacked test sets, and every
 kind's smoothness, the MLP probe included.  A run whose batches are drawn
 ahead, whole rounds at a time, must equal one that draws each round's
-batches from its own keys.  Every recorded gamma_t must equal the gap of
-the participants' gradients, client by client, to the population's.  The
-softmax kernel's class-by-class folds must equal numpy's axis reductions.
+batches from its own keys, and each of draw_rounds' windows, which tile the
+run once, must hold each round as that round drawn alone; measure must
+equal a per-seed loop over each seed's own passes.  Every recorded gamma_t
+must equal the gap of the participants' gradients, client by client, to
+the population's.  The softmax kernel's class-by-class folds must equal
+numpy's axis reductions.
 """
 
 from dataclasses import astuple
@@ -538,6 +541,108 @@ def test_batches_drawn_ahead_equal_batches_drawn_each_round(
         assert same_bits(got.final_w, want.final_w)
     if bad >= 0:
         assert ahead[bad].failed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**70), min_size=1, max_size=3, unique=True),
+    clients=st.integers(1, 12),
+    n=st.integers(1, 5),
+    iterations=st.integers(1, 40),
+    steps=st.integers(1, 3),
+    phi=st.sampled_from(((0, 1), (2, 1), (3, 4))),  # (phi_replays, phi_every)
+    mc=st.sampled_from((0, 1, 3)),
+    data=st.data(),
+)
+def test_drawn_rounds_equal_each_round_drawn_alone(
+    seeds, clients, n, iterations, steps, phi, mc, data
+):
+    # draw_rounds' windows, from one row a draw to the whole run, tile
+    # [0, T) once; each round's rows and batches equal that round drawn
+    # alone from batch_key and replay_key.  A seed dropped before a window
+    # holds no row of it.  A window of several rounds holds at most a
+    # draw's rows, and one round more would exceed them.
+    rng = np.random.default_rng(seeds[0] % 2**32)
+    batch_size = data.draw(st.integers(1, n + 1))
+    tasks = []
+    for seed in seeds:
+        mask = rng.random((iterations, clients)) < rng.uniform(0.0, 1.0)
+        tasks.append(SeedTask(seed, stack(client_objectives("quadratic", rng, clients, n, 1)),
+                              AvailabilitySchedule(mask), constant_rates(0.1, iterations),
+                              np.zeros(1)))
+    masks = np.stack([task.schedule.mask for task in tasks])
+    phi_replays, phi_every = phi
+    copies = 1 + np.maximum(mc, phi_replays * (np.arange(iterations) % phi_every == 0))
+    rows_of = masks.sum(axis=2) * copies  # (S, T)
+    budget = data.draw(st.integers(1, max(1, int(rows_of.sum()))))
+    row_bytes = 576 + 18 * steps * (2 * min(batch_size, n) - 1)
+    cfg = LocalConfig(steps=steps, batch_size=batch_size)
+    live, windows = np.ones(len(seeds), dtype=bool), []
+    with mock.patch.object(harness, "DRAW_CHUNK_BYTES", budget * row_bytes):
+        while not windows or windows[-1][1] < iterations:
+            drop = data.draw(st.integers(-1, len(seeds) - 1))
+            if drop >= 0 and live.sum() > 1:
+                live[drop] = False
+            t0 = windows[-1][1] if windows else 0
+            drawn = harness.draw_rounds(tasks, live, copies, t0, batch_size, steps)
+            windows.append((t0, t0 + len(drawn)))
+            held = rows_of[live, t0:t0 + len(drawn) + 1].sum(axis=0).cumsum()
+            assert len(drawn) == 1 or held[len(drawn) - 1] <= budget
+            assert len(held) == len(drawn) or held[-1] > budget
+            for t, (rows, batches) in enumerate(drawn, start=t0):
+                want = np.concatenate([k * clients + np.flatnonzero(masks[k, t])
+                                       for k in np.flatnonzero(live)])
+                assert rows.tolist() == want.tolist()
+                own = round_batches(n, want, cfg, False,
+                                    lambda i: batch_key(seeds[i // clients], i % clients, t),
+                                    copies[t] - 1,
+                                    lambda i, r: replay_key(seeds[i // clients], i % clients, t, r))
+                assert batches.dtype == own[0].dtype and batches.shape[:2] == own[0].shape[:2]
+                assert batches.tobytes() == own[0].tobytes()
+    assert [t0 for t0, _ in windows] == [0] + [t1 for _, t1 in windows[:-1]]
+    assert windows[-1][1] == iterations and all(t1 > t0 for t0, t1 in windows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    seeds=st.integers(1, 3),
+    clients=st.integers(1, 4),
+    n=st.integers(1, 5),
+    data=st.data(),
+)
+def test_measure_equals_a_per_seed_loop(kind, seed, seeds, clients, n, data):
+    # Each live seed's loss, mean gradient, client gradients and accuracy
+    # from the stacked passes equal its own population's losses_and_grads
+    # and its own test set's evaluate; a seed whose model turns non-finite
+    # leaves every other seed's values byte-identical.
+    rng = np.random.default_rng(seed)
+    populations = [stack(client_objectives(kind, rng, clients, n, 2)) for _ in range(seeds)]
+    population, tests, test_sets = populations[0], [], None
+    if kind != "quadratic":
+        tests = [make_objective(population.kind, ClientDataset(rng.normal(size=(4, 2)),
+                                                               rng.integers(0, 2, size=4)),
+                                **population.params) for _ in range(seeds)]
+        test_sets = stack(tests)
+    W = rng.normal(size=(seeds, population.dim))
+    live = np.array(data.draw(st.lists(st.booleans(), min_size=seeds, max_size=seeds)))
+    got = harness.measure(stack(populations), test_sets, W, live)
+    assert [k for k, *_ in got] == np.flatnonzero(live).tolist()
+    for k, loss, grad, grads, acc in got:
+        own_losses, own_grads = populations[k].losses_and_grads(W[k])
+        assert same_bits(loss, float(np.mean(own_losses)))
+        assert same_bits(grad, np.mean(own_grads, axis=0))
+        assert same_bits(grads, own_grads) and grads.shape == own_grads.shape
+        assert same_bits(acc, evaluate(tests[k], W[k][None])[0] if tests else np.nan)
+    bad = data.draw(st.integers(0, seeds - 1))
+    W[bad] = data.draw(st.sampled_from((np.inf, -np.inf, np.nan)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        again = harness.measure(stack(populations), test_sets, W, live)
+    for before, after in zip(got, again):
+        assert before[0] == after[0]
+        if before[0] != bad:
+            assert all(same_bits(a, b) for a, b in zip(before[1:], after[1:]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -223,6 +223,21 @@ def test_logistic_validation():
         LogisticObjective(ds, num_classes=3).loss(np.zeros(5))
 
 
+@pytest.mark.parametrize("reg", [0.0, 0.01, 2.5])
+def test_ridge_penalty_is_each_rows_own_dot_product(reg):
+    # One batched product gives each model's 0.5 * reg * w.w, bit for bit,
+    # from tiny to huge scales and for every model count.
+    rng = np.random.default_rng(5)
+    obj = LogisticObjective(small_dataset(rng, n=6, dim=2, classes=3), num_classes=3, reg=reg)
+    for rows, dim in itertools.product((1, 2, 8), (1, 9, 999)):
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            W = scale * rng.normal(size=(rows, dim))
+            with np.errstate(over="ignore"):
+                want = np.array([0.5 * reg * np.dot(w, w) for w in W])
+                got = obj._penalties(W)
+            assert got.tobytes() == want.tobytes(), (rows, dim, scale)
+
+
 # ---------------------------------------------------------------------------
 # mlp objective
 
