@@ -32,8 +32,9 @@ local_trainer), or the whole client dataset every step.  Rows never
 interact, so blocks of ROW_BLOCK_BYTES give the bits of one call.  One
 aggregate call then gives every copy's v (the replicas' seed-major); only the
 round's own copy builds a state and writes the rule's memory.  Averages add
-rows in id order, one at a time, so every path that averages the same rows
-agrees bit for bit.
+rows in id order, one at a time, through objectives.group_sums, the kernel
+that the diagnostics' averages share, so every path that averages the same
+rows, the rule's or a measurement's, agrees bit for bit.
 
 aggregate and play_round never mutate their input state, nor does anything
 else: a round with no participant returns a state that shares its arrays.
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrityError
 from .local_trainer import LocalConfig, draw_batches, local_train
-from .objectives import Objective, ParamVector, stack
+from .objectives import Objective, ParamVector, group_means, group_sums, stack
 
 ALGORITHMS = ("fedavg", "fedprox", "mifa", "mimic", "scaffold")
 
@@ -103,28 +104,6 @@ def init_state(
     )
 
 
-def _sums(groups: np.ndarray, values: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums (count, dim) of the rows of values in each of count sorted groups, and their sizes.
-
-    Every sum adds its rows in order, one at a time: the one accumulation
-    order all paths share, so alternate paths agree bit for bit (sum(axis=0)
-    is pairwise when dim == 1).  Several groups go into a zero-padded
-    (count, largest size, dim) block, and each sum is read at its group's
-    last real row: summing on into the padding could turn a -0.0 into 0.0.
-    An empty group sums to zero.
-    """
-    sizes = np.bincount(groups, minlength=count)
-    padded = np.zeros((count, max(1, sizes.max()), values.shape[-1]))
-    padded[groups, np.arange(len(groups)) - (np.cumsum(sizes) - sizes)[groups]] = values
-    return np.cumsum(padded, axis=1)[np.arange(count), np.maximum(sizes - 1, 0)], sizes
-
-
-def _means(groups: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
-    """Each group's mean (count, dim); zero for an empty group."""
-    sums, sizes = _sums(groups, values, count)
-    return sums / np.maximum(sizes, 1)[:, None]
-
-
 def _write(state: ServerState, ids: np.ndarray, values: np.ndarray) -> dict:
     """Fresh rows and written arrays with the participants' rows replaced."""
     rows = state.rows.copy()
@@ -174,20 +153,21 @@ def aggregate(
         missing = np.flatnonzero((changes["written"] < 0) & np.repeat(playing, n))
         if missing.size:
             raise IntegrityError(f"memorized updates missing for clients {missing.tolist()}")
-        every, memory, v = np.arange(seeds * n) // n, state.rows.copy(), []
+        memory, v = state.rows.copy(), []
         for block in uploads:  # each copy puts its rows into one scratch copy of the memory
             memory[ids] = block
-            v.append(np.where(playing[:, None], _sums(every, memory, seeds)[0] / n, 0.0))
+            v.append(np.where(playing[:, None], group_means(None, memory, seeds), 0.0))
         v = np.array(v)
     else:
         if state.algorithm == "mimic":
             uploads = uploads + state.rows[ids]
         groups = (np.arange(copies)[:, None] * seeds + owner).ravel()
-        v = _means(groups, uploads.reshape(-1, dim), copies * seeds).reshape(copies, seeds, dim)
+        v = group_means(groups, uploads.reshape(-1, dim), copies * seeds)
+        v = v.reshape(copies, seeds, dim)
     if state.algorithm == "mimic":
         changes = _write(state, ids, v[0][owner] - real)
     elif state.algorithm == "scaffold" and not state.scaffold_literal:
-        change = _sums(owner, variates - state.rows[ids], seeds)[0]
+        change = group_sums(owner, variates - state.rows[ids], seeds)[0]
         changes = {"server_variate": state.server_variate + change / n,
                    **_write(state, ids, variates)}
     w = state.w - np.asarray(eta)[..., None] * v[0]
@@ -198,8 +178,8 @@ def aggregate(
 # Bytes of one (rows, dim) float64 array of a training block; local_train
 # holds about ten such arrays, so this bounds its working memory.  A round
 # still holds several (copies * R, dim) arrays whole: the uploads, scaffold's
-# anchors and shifts under within_round, mimic's shifted uploads, and _sums'
-# padded block with its cumulative sum.
+# anchors and shifts under within_round, mimic's shifted uploads, and
+# group_sums' padded block when the seeds' groups differ in size.
 ROW_BLOCK_BYTES = 192 * 1024
 
 
@@ -260,7 +240,7 @@ def play_round(
         anchors = np.concatenate([population.batch_grad(state.w[owner[b]], batch[0])
                                   for b, batch in blocks])
         groups = np.repeat(np.arange(copies) * seeds, len(ids)) + owner
-        anchor_shift = _means(groups, anchors, copies * seeds)[groups] - anchors
+        anchor_shift = group_means(groups, anchors, copies * seeds)[groups] - anchors
     # Only the round's own rows keep their mean raw gradients: scaffold's new variates.
     uploads, grad_means = np.empty((copies, len(ids), dim)), np.empty((len(ids), dim))
     for b, batch in blocks:

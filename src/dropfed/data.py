@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .objectives import ClientDataset, Objective, stack
+from .objectives import ClientDataset, Objective, group_means, stack
 from .rng import Seed, generator
 
 
@@ -94,5 +94,5 @@ def heterogeneity_stats(objectives: Objective | list[Objective], probes: np.ndar
     worst = np.zeros(population.num_clients)
     for w in np.atleast_2d(np.asarray(probes, dtype=np.float64)):
         grads = population.losses_and_grads(w)[1]
-        worst = np.maximum(worst, np.linalg.norm(grads - np.mean(grads, axis=0), axis=1))
+        worst = np.maximum(worst, np.linalg.norm(grads - group_means(None, grads, 1), axis=1))
     return worst

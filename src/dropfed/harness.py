@@ -42,6 +42,7 @@ from .objectives import (
     ClientDataset,
     Objective,
     global_optimum,
+    group_means,
     make_objective,
     stack,
 )
@@ -185,17 +186,21 @@ def run_trials(
         if expected_mode == "fullbatch":  # the noise-free update trains as the last copy
             batches.append(draw_batches(population.n, rows, population.n, None, steps))
         result = play_round(state, population, rows, local_cfg, eta, None, batches=batches)
-        for k, loss, grad, grads, acc in measure(population, test_sets, state.w, live):
-            active = rows[rows // n == k] - k * n
-            gamma = e_t = phi = math.nan
-            if active.size:
-                gamma = expected_update_error(np.mean(grads[active], axis=0), grad)
-                e_t = expected_update_error(result.replays[k, expected].mean(axis=0), grad)
+        losses, grads, client_grads, accs = measure(population, test_sets, state.w)
+        owner, held = rows // n, result.replays[:, expected]
+        active = np.bincount(owner, minlength=len(tasks))
+        means = (group_means(owner, client_grads[rows], len(tasks)),
+                 group_means(None, held.reshape(-1, held.shape[2]), len(tasks)))
+        for k in np.flatnonzero(live):
+            grad, gamma, e_t, phi = grads[k], math.nan, math.nan, math.nan
+            if active[k]:
+                gamma, e_t = (expected_update_error(mean[k], grad) for mean in means)
                 if phi_rounds[t]:
                     phi = update_variance(result.replays[k, :phi_replays])
             outs[k].rows.append(RoundMetrics(
-                t=t, loss=loss, grad_norm2=float(grad @ grad), E_t=e_t, gamma_t=gamma, phi_hat=phi,
-                n_active=len(active), uploads=int(uploads[k, t]), acc=acc, eta_t=float(eta[k])))
+                t=t, loss=float(losses[k]), grad_norm2=float(grad @ grad), E_t=e_t, gamma_t=gamma,
+                phi_hat=phi, n_active=int(active[k]), uploads=int(uploads[k, t]),
+                acc=float(accs[k]), eta_t=float(eta[k])))
         state = result.state
         failed = np.flatnonzero(live & ~np.isfinite(state.w).all(axis=1))
         for k in failed:
@@ -203,15 +208,15 @@ def run_trials(
             outs[k].final_w = state.w[k]
             drawn = []  # its rows drawn ahead go unread, and the next chunk holds none
 
-    finals = measure(population, test_sets, state.w, live) if live.any() else []
-    for k, loss, grad, _, acc in finals:
-        out = outs[k]
-        out.final_w, out.final_loss, out.final_acc = state.w[k], loss, acc
-        out.final_grad_norm2 = float(grad @ grad)
-    for out, task, optimum in zip(outs, tasks, optima):
-        if not out.failed and optimum is not None:
-            out.optimum_distance = float(np.linalg.norm(out.final_w - optimum))
-            out.initial_gap = out.rows[0].loss - task.population.loss(optimum)
+    if live.any():
+        losses, grads, _, accs = measure(population, test_sets, state.w)
+    for k, (out, task, optimum) in enumerate(zip(outs, tasks, optima)):
+        if live[k]:
+            out.final_w, out.final_loss, out.final_acc = state.w[k], float(losses[k]), float(accs[k])
+            out.final_grad_norm2 = float(grads[k] @ grads[k])
+            if optimum is not None:
+                out.optimum_distance = float(np.linalg.norm(out.final_w - optimum))
+                out.initial_gap = out.rows[0].loss - task.population.loss(optimum)
         out.uploads_total = out.rows[-1].uploads
         out.min_grad_norm2 = min(r.grad_norm2 for r in out.rows)
         executed = task.rates.values[: len(out.rows)]
@@ -228,12 +233,14 @@ def draw_rounds(tasks: list[SeedTask], live: np.ndarray, copies: np.ndarray, t0:
 
     The live seeds' participants of whole rounds, round t's copies[t] times,
     up to DRAW_CHUNK_BYTES of the drawer's peak (a larger round alone, in
-    pieces): client i's copy 0 at t on (BATCH, i, t), copy c on (REPLAY, i, t, c - 1).
+    pieces) and of 8-byte (S, rounds, N) window cells: client i's copy 0 at t
+    on (BATCH, i, t), copy c on (REPLAY, i, t, c - 1).
     """
     seeds, population = tuple(task.seed for task in tasks), tasks[0].population
     row_bytes = 576 + 18 * steps * (2 * min(batch_size, population.n) - 1)
     budget = max(1, DRAW_CHUNK_BYTES // row_bytes)  # rows of one draw
-    sizes = sum(task.schedule.sizes()[t0:] for task, on in zip(tasks, live) if on) * copies[t0:]
+    t2 = t0 + max(1, DRAW_CHUNK_BYTES // (8 * len(tasks) * population.num_clients))  # cells
+    sizes = sum(task.schedule.sizes()[t0:t2] for task, on in zip(tasks, live) if on) * copies[t0:t2]
     t1 = t0 + max(1, int(np.searchsorted(np.cumsum(sizes), budget, side="right")))
     window = np.stack([task.schedule.rounds(t0, t1) for task in tasks]) & live[:, None, None]
     at, seed, client = np.nonzero(window.transpose(1, 0, 2))
@@ -255,20 +262,18 @@ def draw_rounds(tasks: list[SeedTask], live: np.ndarray, copies: np.ndarray, t0:
     return list(zip(np.split(playing, ends[:-1]), np.split(batches, bounds[1:-1], axis=1)))
 
 
-def measure(population: Objective, test_sets: Objective | None, models: np.ndarray,
-            live: np.ndarray) -> list[tuple[int, float, np.ndarray, np.ndarray, float]]:
-    """Each live seed's index, loss, mean and client (N, dim) gradients, and accuracy.
+def measure(population: Objective, test_sets: Objective | None,
+            models: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Losses (S,), population gradients (S, dim), client gradients (S * N, dim), accuracies (S,).
 
     Model k on seed k's run of clients and on client k of test_sets (NaN
     accuracy without).  Every model goes through the one pass; rows never
     interact, so a failed seed's non-finite model leaves the others' bits alone.
     """
-    n = population.num_clients // len(models)
+    seeds = len(models)
     losses, grads = population.losses_and_grads(models)
-    losses, grads = losses.reshape(len(models), n), grads.reshape(len(models), n, -1)
-    acc = np.full(len(models), math.nan) if test_sets is None else evaluate(test_sets, models)
-    return [(k, float(np.mean(losses[k])), np.mean(grads[k], axis=0), grads[k], float(acc[k]))
-            for k in np.flatnonzero(live)]
+    acc = np.full(seeds, math.nan) if test_sets is None else evaluate(test_sets, models)
+    return np.mean(losses.reshape(seeds, -1), axis=1), group_means(None, grads, seeds), grads, acc
 
 
 def settle_seeds(

@@ -11,7 +11,8 @@ order.  losses_and_grads(w) is the fused population pass: every client's
 full loss and gradient at one w, or with one w per equal run of clients
 (each seed's clients in a stack), and smoothness(runs) gives the L of each
 such run.  loss(w) and grad(w) both read that one pass and average it over
-the clients, so for one client they are its own.  All randomness stays with
+the clients, so for one client they are its own; grad, like every average of
+client or copy vectors, goes through group_sums.  All randomness stays with
 the caller, which passes explicit sample indices; the full gradient is the
 batch gradient over all of a client's indices, bit for bit.
 """
@@ -61,6 +62,39 @@ def _stacked(parts: Sequence) -> ClientDataset:
     ((n, d),) = shapes
     return ClientDataset(np.concatenate([p.features.reshape(-1, n, d) for p in parts]),
                          np.concatenate([p.labels.reshape(-1, n) for p in parts]))
+
+
+def group_sums(groups: np.ndarray | None, rows: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    """Sums (count, dim) of the rows in each of count groups, and the groups' sizes.
+
+    groups holds each row's group, sorted; None cuts the rows into count equal
+    runs.  The one kernel that adds client or copy vectors: each sum adds its
+    rows in order, one at a time (numpy's mean(axis=0) is pairwise when dim ==
+    1), so paths that average the same rows agree bit for bit.  Grouped rows
+    are zero-padded, and no sum runs on into its padding, which could turn
+    -0.0 into 0.0.  Under 128 cells a row position, one cumulative sum is
+    cheaper than an add per position.  An empty group sums to zero.
+    """
+    dim = rows.shape[-1]
+    if groups is None:  # read in place
+        sizes = np.full(count, len(rows) // count)
+        block = rows.reshape(count, -1, dim) if len(rows) else np.zeros((count, 1, dim))
+    else:
+        sizes = np.bincount(groups, minlength=count)
+        block = np.zeros((count, max(1, sizes.max()), dim))
+        block[groups, np.arange(len(groups)) - (np.cumsum(sizes) - sizes)[groups]] = rows
+    if count * dim < 128:  # an empty group reads its padding's last cumulative sum, 0.0
+        return np.cumsum(block, axis=1)[np.arange(count), sizes - 1], sizes
+    sums = block[:, 0].copy()
+    for j in range(1, block.shape[1]):
+        np.add(sums, block[:, j], out=sums, where=(sizes > j)[:, None])
+    return sums, sizes
+
+
+def group_means(groups: np.ndarray | None, rows: np.ndarray, count: int) -> np.ndarray:
+    """Each group's mean (count, dim), by group_sums; zero for an empty group."""
+    sums, sizes = group_sums(groups, rows, count)
+    return sums / np.maximum(sizes, 1)[:, None]
 
 
 def _augment(features: np.ndarray) -> np.ndarray:
@@ -183,7 +217,7 @@ class Objective:
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.dim,):
             raise ConfigError(f"parameter vector has shape {w.shape}, expected ({self.dim},)")
-        return np.mean(self.losses_and_grads(w)[1], axis=0)
+        return group_means(None, self.losses_and_grads(w)[1], 1)[0]
 
     def grad_variance(self, batch_size: int) -> float | None:
         """Analytic E||batch grad - full grad||^2 where known, else None."""
@@ -459,4 +493,4 @@ def global_optimum(objectives: Objective | Sequence[Objective]) -> ParamVector |
     dims = {o.dim for o in objectives}
     if len(dims) != 1:
         raise ConfigError(f"objectives disagree on dimension: {sorted(dims)}")
-    return np.mean(np.concatenate([o.means for o in objectives]), axis=0)
+    return group_means(None, np.concatenate([o.means for o in objectives]), 1)[0]

@@ -77,6 +77,12 @@ EXTRA = {
                                            scenario="weighted", ratio=0.5,
                                            rate_kind="inverse_time", scale=0.1)),
     "binary_fedavg_full_batch": ("binary", dict(algorithm="fedavg", batch_size=1000)),
+    # One coordinate, 12 clients, K = 1 and full batches: E_t equals gamma_t
+    # and is 0 on the full round 0 only if every average adds its rows in
+    # the rule's order (numpy's mean(axis=0) sums 12 scalars pairwise).
+    # Written after that order became the one order.
+    "quadratic_fedavg_1d": ("quadratic", dict(algorithm="fedavg", dim=1, clients=12,
+                                              local_steps=1, batch_size=1000)),
     # No probe ratio exceeds 1 here, so the smoothness is the floor 2.0.
     "mlp_flat_probe_scaffold_mc": ("mlp", dict(
         algorithm="scaffold", classes=4, per_class=40, dim=10, hidden=16, reg=0.0,

@@ -157,16 +157,23 @@ def test_trial_flags_divergence():
 
 def test_e_t_equals_gamma_t_for_plain_averaging():
     # Partial participation, K = 1, full batch: the expected update is the
-    # participants' mean gradient, so E_t and gamma_t coincide row by row.
-    objs = point_clients([[0.0], [2.0], [4.0], [6.0]])
-    T = 8
-    sched = periodic_schedule([1, 2, 3, 4], T)
-    rates = constant_rates(0.1, T)
-    trial = run_trial(objs, sched, rates, "fedavg", K1, np.array([0.5]), 3)
-    for row in trial.rows:
-        assert row.E_t == pytest.approx(row.gamma_t, abs=1e-12)
-    # Uneven periods produce genuinely positive selection bias somewhere.
-    assert max(r.gamma_t for r in trial.rows) > 0
+    # participants' mean gradient, and both means add the same rows in the
+    # same order, so E_t and gamma_t coincide row by row, bit for bit, and
+    # E_t is 0 on the full rounds 0 and 12.  With 12 clients of one
+    # coordinate numpy's mean(axis=0) would sum pairwise, in another order
+    # than the rule's.
+    for clients in (4, 12):
+        objs = point_clients([[2.0 * i + 0.1 * i * i] for i in range(clients)])
+        T = 13
+        sched = periodic_schedule([1 + i % 4 for i in range(clients)], T)
+        rates = constant_rates(0.1, T)
+        trial = run_trial(objs, sched, rates, "fedavg", K1, np.array([0.5]), 3)
+        for row in trial.rows:
+            assert row.E_t == row.gamma_t
+            assert row.n_active < clients or row.E_t == 0.0
+        assert [r.t for r in trial.rows if r.n_active == clients] == [0, 12]
+        # Uneven periods produce genuinely positive selection bias somewhere.
+        assert max(r.gamma_t for r in trial.rows) > 0
 
 
 def test_gamma_t_hand_value():
@@ -584,6 +591,34 @@ def test_a_round_robin_run_reads_each_round_once_and_keeps_no_mask(monkeypatch):
         assert spans[-1][1] == cfg.iterations
         assert not [name for name, value in vars(task.schedule).items()
                     if np.shape(value) == (cfg.iterations, cfg.clients)]
+
+
+def test_a_draw_window_holds_at_most_draw_chunk_bytes_of_mask_cells(monkeypatch):
+    # 2 seeds x 50 round-robin clients whose periods reach 10**6 rounds:
+    # after the full round 0 hardly a round has a participant, so a window
+    # bounded in rows alone would span all 400 rounds.  At 8 bytes a cell
+    # of the (seeds, rounds, clients) window, one spans at most 81 rounds,
+    # and the windows still tile [0, T) once.
+    cfg = ExperimentConfig(task="quadratic", classes=2, per_class=50, clients=50,
+                           shards_per_client=1, iterations=400, scenario="round_robin",
+                           tau_max=10**6, seeds=(1, 2))
+    tasks = [seed_task(cfg, seed) for seed in cfg.seeds]
+    windows = {id(task.schedule): [] for task in tasks}
+    rounds = PeriodicSchedule.rounds
+
+    def spy(schedule, t0, t1):
+        windows[id(schedule)].append((t0, t1))
+        return rounds(schedule, t0, t1)
+
+    monkeypatch.setattr(PeriodicSchedule, "rounds", spy)
+    monkeypatch.setattr(harness, "DRAW_CHUNK_BYTES", 1 << 16)
+    run_trials(tasks, cfg.algorithm, K1)
+    cap = (1 << 16) // (8 * len(tasks) * cfg.clients)
+    for task in tasks:
+        spans = windows[id(task.schedule)]
+        assert cap == 81 and max(t1 - t0 for t0, t1 in spans) == cap
+        assert [t0 for t0, _ in spans] == [0] + [t1 for _, t1 in spans[:-1]]
+        assert spans[-1][1] == cfg.iterations
 
 
 def test_one_draw_holds_at_most_draw_chunk_bytes(monkeypatch):

@@ -16,7 +16,8 @@ batches from its own keys, and each of draw_rounds' windows, which tile the
 run once, must hold each round as that round drawn alone; measure must
 equal a per-seed loop over each seed's own passes.  Every recorded gamma_t
 must equal the gap of the participants' gradients, client by client, to
-the population's.  The softmax kernel's class-by-class folds must equal
+the population's; with fedavg, K = 1 and full batches, E_t must equal
+gamma_t bit for bit and be 0.0 on a full round.  The softmax kernel's class-by-class folds must equal
 numpy's axis reductions.
 """
 
@@ -458,6 +459,55 @@ def test_gamma_t_equals_a_per_client_reference(kind, algo, seeds, clients, n, it
             assert abs(row.gamma_t - float(gap @ gap)) <= 1e-9 * scale or not np.isfinite(scale)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2, unique=True),
+    dim=st.integers(1, 3),
+    clients=st.integers(1, 16),
+    n=st.integers(1, 3),
+    iterations=st.integers(1, 6),
+    data=st.data(),
+)
+@example(seeds=[2], dim=1, clients=12, n=2, iterations=2, data=None)
+def test_plain_averaging_measures_with_the_rules_own_sums(seeds, dim, clients, n, iterations,
+                                                           data):
+    # fedavg, K = 1, full batches and the full-batch expectation: each upload
+    # is its client's full gradient, so the expected update is the
+    # participants' mean gradient.  Both means, and the population gradient,
+    # add the same rows in the same order, so E_t equals gamma_t bit for bit
+    # and is 0.0 on a round where all of a seed's clients take part, and
+    # each recorded grad_norm2 is g @ g for g = population.grad(w_t).
+    rng = np.random.default_rng(seeds[0])
+    tasks = []
+    for seed in seeds:
+        if data is None:
+            mask = np.ones((iterations, clients), dtype=bool)
+        else:
+            cells = iterations * clients
+            mask = np.array(data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+        tasks.append(SeedTask(seed, stack(client_objectives("quadratic", rng, clients, n, dim)),
+                              AvailabilitySchedule(mask.reshape(iterations, clients)),
+                              constant_rates(rng.uniform(0.05, 0.5), iterations),
+                              rng.normal(size=dim)))
+    models = []  # every round's broadcast models (S, dim)
+
+    def play(state, *args, **kwargs):
+        models.append(state.w)
+        return play_round(state, *args, **kwargs)
+
+    with mock.patch.object(harness, "play_round", play):
+        outs = run_trials(tasks, "fedavg", LocalConfig(steps=1, lr=0.1, batch_size=n))
+    for k, (task, out) in enumerate(zip(tasks, outs)):
+        assert not out.failed and len(out.rows) == iterations
+        for t, row in enumerate(out.rows):
+            g = task.population.grad(models[t][k])
+            assert same_bits(row.grad_norm2, float(g @ g))
+            if row.n_active:
+                assert same_bits(row.E_t, row.gamma_t)
+            if row.n_active == clients:
+                assert row.E_t == 0.0
+
+
 def per_round_play(seeds, clients):
     """play_round with the round's drawn rows redrawn from its own keys, one row at a time.
 
@@ -561,7 +611,9 @@ def test_drawn_rounds_equal_each_round_drawn_alone(
     # [0, T) once; each round's rows and batches equal that round drawn
     # alone from batch_key and replay_key.  A seed dropped before a window
     # holds no row of it.  A window of several rounds holds at most a
-    # draw's rows, and one round more would exceed them.
+    # draw's rows, and one round more would exceed them, unless the window
+    # already spans a draw's bytes of (seeds, rounds, clients) mask cells,
+    # 8 bytes each.
     rng = np.random.default_rng(seeds[0] % 2**32)
     batch_size = data.draw(st.integers(1, n + 1))
     tasks = []
@@ -578,6 +630,7 @@ def test_drawn_rounds_equal_each_round_drawn_alone(
     row_bytes = 576 + 18 * steps * (2 * min(batch_size, n) - 1)
     cfg = LocalConfig(steps=steps, batch_size=batch_size)
     live, windows = np.ones(len(seeds), dtype=bool), []
+    cap = max(1, budget * row_bytes // (8 * len(seeds) * clients))  # rounds of one window
     with mock.patch.object(harness, "DRAW_CHUNK_BYTES", budget * row_bytes):
         while not windows or windows[-1][1] < iterations:
             drop = data.draw(st.integers(-1, len(seeds) - 1))
@@ -587,8 +640,8 @@ def test_drawn_rounds_equal_each_round_drawn_alone(
             drawn = harness.draw_rounds(tasks, live, copies, t0, batch_size, steps)
             windows.append((t0, t0 + len(drawn)))
             held = rows_of[live, t0:t0 + len(drawn) + 1].sum(axis=0).cumsum()
-            assert len(drawn) == 1 or held[len(drawn) - 1] <= budget
-            assert len(held) == len(drawn) or held[-1] > budget
+            assert len(drawn) <= cap and (len(drawn) == 1 or held[len(drawn) - 1] <= budget)
+            assert len(held) == len(drawn) or held[-1] > budget or len(drawn) == cap
             for t, (rows, batches) in enumerate(drawn, start=t0):
                 want = np.concatenate([k * clients + np.flatnonzero(masks[k, t])
                                        for k in np.flatnonzero(live)])
@@ -613,10 +666,10 @@ def test_drawn_rounds_equal_each_round_drawn_alone(
     data=st.data(),
 )
 def test_measure_equals_a_per_seed_loop(kind, seed, seeds, clients, n, data):
-    # Each live seed's loss, mean gradient, client gradients and accuracy
-    # from the stacked passes equal its own population's losses_and_grads
-    # and its own test set's evaluate; a seed whose model turns non-finite
-    # leaves every other seed's values byte-identical.
+    # Each seed's loss, population gradient, client gradients and accuracy
+    # from the stacked passes equal its own population's loss, grad and
+    # losses_and_grads, and its own test set's evaluate; a seed whose model
+    # turns non-finite leaves every other seed's values byte-identical.
     rng = np.random.default_rng(seed)
     populations = [stack(client_objectives(kind, rng, clients, n, 2)) for _ in range(seeds)]
     population, tests, test_sets = populations[0], [], None
@@ -626,23 +679,27 @@ def test_measure_equals_a_per_seed_loop(kind, seed, seeds, clients, n, data):
                                 **population.params) for _ in range(seeds)]
         test_sets = stack(tests)
     W = rng.normal(size=(seeds, population.dim))
-    live = np.array(data.draw(st.lists(st.booleans(), min_size=seeds, max_size=seeds)))
-    got = harness.measure(stack(populations), test_sets, W, live)
-    assert [k for k, *_ in got] == np.flatnonzero(live).tolist()
-    for k, loss, grad, grads, acc in got:
-        own_losses, own_grads = populations[k].losses_and_grads(W[k])
-        assert same_bits(loss, float(np.mean(own_losses)))
-        assert same_bits(grad, np.mean(own_grads, axis=0))
+
+    def per_seed(got):
+        losses, grads, client_grads, accs = got
+        assert losses.shape == accs.shape == (seeds,) and grads.shape == (seeds, population.dim)
+        return [(losses[k], grads[k], client_grads[k * clients:(k + 1) * clients], accs[k])
+                for k in range(seeds)]
+
+    got = per_seed(harness.measure(stack(populations), test_sets, W))
+    for k, (loss, grad, grads, acc) in enumerate(got):
+        own = populations[k]
+        assert same_bits(loss, own.loss(W[k])) and same_bits(grad, own.grad(W[k]))
+        own_grads = own.losses_and_grads(W[k])[1]
         assert same_bits(grads, own_grads) and grads.shape == own_grads.shape
         assert same_bits(acc, evaluate(tests[k], W[k][None])[0] if tests else np.nan)
     bad = data.draw(st.integers(0, seeds - 1))
     W[bad] = data.draw(st.sampled_from((np.inf, -np.inf, np.nan)))
     with np.errstate(over="ignore", invalid="ignore"):
-        again = harness.measure(stack(populations), test_sets, W, live)
-    for before, after in zip(got, again):
-        assert before[0] == after[0]
-        if before[0] != bad:
-            assert all(same_bits(a, b) for a, b in zip(before[1:], after[1:]))
+        again = per_seed(harness.measure(stack(populations), test_sets, W))
+    for k, (before, after) in enumerate(zip(got, again)):
+        if k != bad:
+            assert all(same_bits(a, b) for a, b in zip(before, after))
 
 
 @settings(max_examples=60, deadline=None)

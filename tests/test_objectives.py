@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropfed.errors import ConfigError
 from dropfed.objectives import (
@@ -17,6 +19,8 @@ from dropfed.objectives import (
     MlpObjective,
     QuadraticObjective,
     global_optimum,
+    group_means,
+    group_sums,
     make_objective,
 )
 
@@ -298,6 +302,36 @@ def test_make_objective_dispatch():
         make_objective("svm", ds)
     with pytest.raises(ConfigError):
         make_objective("quadratic", ds, num_classes=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 40), min_size=1, max_size=24),
+    dim=st.sampled_from((1, 2, 3, 12, 244)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_sums_add_each_groups_rows_in_order(sizes, dim, seed):
+    # Narrow blocks take a cumulative sum, wide ones an add per row position,
+    # equal runs (groups None) are read in place and groups padded: every way
+    # gives each group's rows added one at a time, in order, bit for bit,
+    # a -0.0 kept where the rows sum to it, and zero for an empty group.
+    rng = np.random.default_rng(seed)
+    groups = np.repeat(np.arange(len(sizes)), sizes)
+    values = rng.normal(size=(len(groups), dim)) * rng.integers(0, 2, size=(len(groups), dim))
+    values[rng.random(values.shape) < 0.3] = -0.0
+    sums, counted = group_sums(groups, values, len(sizes))
+    assert counted.tolist() == sizes and sums.shape == (len(sizes), dim)
+    means = group_means(groups, values, len(sizes))
+    if len(set(sizes)) == 1:  # equal runs, also as groups None
+        alike = group_sums(None, values, len(sizes))
+        assert alike[0].tobytes() == sums.tobytes() and alike[1].tolist() == sizes
+    for g, size in enumerate(sizes):
+        rows = values[groups == g]
+        want = rows[0].copy() if size else np.zeros(dim)
+        for row in rows[1:]:
+            want = want + row
+        assert sums[g].tobytes() == want.tobytes()
+        assert means[g].tobytes() == (want / max(size, 1)).tobytes()
 
 
 def test_global_optimum_is_mean_of_client_means():
