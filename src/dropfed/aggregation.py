@@ -31,10 +31,8 @@ drawn ahead by the caller from a stream per client, round and replica (see
 local_trainer), or the whole client dataset every step.  Rows never
 interact, so blocks of ROW_BLOCK_BYTES give the bits of one call.  One
 aggregate call then gives every copy's v (the replicas' seed-major); only the
-round's own copy builds a state and writes the rule's memory.  Averages add
-rows in id order, one at a time, through objectives.group_sums, the kernel
-that the diagnostics' averages share, so every path that averages the same
-rows, the rule's or a measurement's, agrees bit for bit.
+round's own copy builds a state and writes the rule's memory.  Averages go
+through objectives.group_sums, in the one order the measurements share.
 
 aggregate and play_round never mutate their input state, nor does anything
 else: a round with no participant returns a state that shares its arrays.
@@ -162,8 +160,7 @@ def aggregate(
         if state.algorithm == "mimic":
             uploads = uploads + state.rows[ids]
         groups = (np.arange(copies)[:, None] * seeds + owner).ravel()
-        v = group_means(groups, uploads.reshape(-1, dim), copies * seeds)
-        v = v.reshape(copies, seeds, dim)
+        v = group_means(groups, uploads.reshape(-1, dim), copies * seeds).reshape(copies, seeds, dim)
     if state.algorithm == "mimic":
         changes = _write(state, ids, v[0][owner] - real)
     elif state.algorithm == "scaffold" and not state.scaffold_literal:
@@ -179,7 +176,7 @@ def aggregate(
 # holds about ten such arrays, so this bounds its working memory.  A round
 # still holds several (copies * R, dim) arrays whole: the uploads, scaffold's
 # anchors and shifts under within_round, mimic's shifted uploads, and
-# group_sums' padded block when the seeds' groups differ in size.
+# group_sums' padded block with its cumulative sum.
 ROW_BLOCK_BYTES = 192 * 1024
 
 

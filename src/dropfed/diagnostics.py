@@ -11,11 +11,9 @@ central step at the broadcast model w_t:
   replays of the same round, batch noise only.
 
 The first two are expected_update_error of the round's expectation and of
-the participants' mean, against the global gradient; that mean and the
-global gradient read the client gradients of one fused population pass,
-which also gives the round's loss.  Every one of these means adds its rows
-in the rule's order (objectives.group_sums), so with fedavg, K = 1 and full
-batches E_t equals gamma_t bit for bit, and is 0.0 on a full round.
+the participants' mean against the global gradient of one fused population
+pass; objectives.group_sums takes these means as it takes the rule's, so with
+fedavg, K = 1 and full batches E_t == gamma_t, and E_t == 0.0 on a full round.
 """
 
 from __future__ import annotations

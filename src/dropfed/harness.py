@@ -140,7 +140,7 @@ def run_trials(
     recorded.  The other seeds go on; with none live, nothing more is measured.
     """
     check_replicas(phi_replays, phi_every, expected_mode, expected_replays)
-    T, n = tasks[0].schedule.iterations, tasks[0].population.num_clients
+    S, T, n = len(tasks), tasks[0].schedule.iterations, tasks[0].population.num_clients
     for task in tasks:
         shape = (task.schedule.iterations, task.schedule.num_clients, task.population.num_clients)
         if shape != (T, n, n):
@@ -163,7 +163,7 @@ def run_trials(
     if steep:
         log.warning("local lr %r exceeds 1/(10 L), so small-step analysis does not apply, for %s",
                     local_cfg.lr, steep)
-    live = np.ones(len(tasks), dtype=bool)
+    live = np.ones(S, dtype=bool)
     # Seed s's test set is client s of one more stacked objective.
     test_sets = None
     if tasks[0].test_data is not None:
@@ -187,19 +187,17 @@ def run_trials(
             batches.append(draw_batches(population.n, rows, population.n, None, steps))
         result = play_round(state, population, rows, local_cfg, eta, None, batches=batches)
         losses, grads, client_grads, accs = measure(population, test_sets, state.w)
-        owner, held = rows // n, result.replays[:, expected]
-        active = np.bincount(owner, minlength=len(tasks))
-        means = (group_means(owner, client_grads[rows], len(tasks)),
-                 group_means(None, held.reshape(-1, held.shape[2]), len(tasks)))
+        held = result.replays[:, expected].reshape(-1, population.dim)  # each seed's run
+        means = group_means(rows // n, client_grads[rows], S), group_means(None, held, S)
         for k in np.flatnonzero(live):
             grad, gamma, e_t, phi = grads[k], math.nan, math.nan, math.nan
-            if active[k]:
+            if participants[k, t]:
                 gamma, e_t = (expected_update_error(mean[k], grad) for mean in means)
                 if phi_rounds[t]:
                     phi = update_variance(result.replays[k, :phi_replays])
             outs[k].rows.append(RoundMetrics(
                 t=t, loss=float(losses[k]), grad_norm2=float(grad @ grad), E_t=e_t, gamma_t=gamma,
-                phi_hat=phi, n_active=int(active[k]), uploads=int(uploads[k, t]),
+                phi_hat=phi, n_active=int(participants[k, t]), uploads=int(uploads[k, t]),
                 acc=float(accs[k]), eta_t=float(eta[k])))
         state = result.state
         failed = np.flatnonzero(live & ~np.isfinite(state.w).all(axis=1))
@@ -231,10 +229,9 @@ def draw_rounds(tasks: list[SeedTask], live: np.ndarray, copies: np.ndarray, t0:
                 batch_size: int, steps: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Rows and batches (steps, rows, b) of each round from t0 on, in play_round's row order.
 
-    The live seeds' participants of whole rounds, round t's copies[t] times,
-    up to DRAW_CHUNK_BYTES of the drawer's peak (a larger round alone, in
-    pieces) and of 8-byte (S, rounds, N) window cells: client i's copy 0 at t
-    on (BATCH, i, t), copy c on (REPLAY, i, t, c - 1).
+    Participants of whole rounds of the live seeds, round t's copies[t] times, up to
+    DRAW_CHUNK_BYTES of the drawer's peak and of the (S, rounds, N) mask (a larger round
+    alone, in pieces): copy 0 of client i at t on (BATCH, i, t), copy c on (REPLAY, i, t, c - 1).
     """
     seeds, population = tuple(task.seed for task in tasks), tasks[0].population
     row_bytes = 576 + 18 * steps * (2 * min(batch_size, population.n) - 1)

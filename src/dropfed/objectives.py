@@ -11,8 +11,7 @@ order.  losses_and_grads(w) is the fused population pass: every client's
 full loss and gradient at one w, or with one w per equal run of clients
 (each seed's clients in a stack), and smoothness(runs) gives the L of each
 such run.  loss(w) and grad(w) both read that one pass and average it over
-the clients, so for one client they are its own; grad, like every average of
-client or copy vectors, goes through group_sums.  All randomness stays with
+the clients, so for one client they are its own.  All randomness stays with
 the caller, which passes explicit sample indices; the full gradient is the
 batch gradient over all of a client's indices, bit for bit.
 """
@@ -67,28 +66,21 @@ def _stacked(parts: Sequence) -> ClientDataset:
 def group_sums(groups: np.ndarray | None, rows: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
     """Sums (count, dim) of the rows in each of count groups, and the groups' sizes.
 
-    groups holds each row's group, sorted; None cuts the rows into count equal
-    runs.  The one kernel that adds client or copy vectors: each sum adds its
-    rows in order, one at a time (numpy's mean(axis=0) is pairwise when dim ==
-    1), so paths that average the same rows agree bit for bit.  Grouped rows
-    are zero-padded, and no sum runs on into its padding, which could turn
-    -0.0 into 0.0.  Under 128 cells a row position, one cumulative sum is
-    cheaper than an add per position.  An empty group sums to zero.
+    groups holds each row's group, sorted; None reads count equal runs in place.
+    The one kernel that adds client or copy vectors: each sum adds its rows in
+    order, one at a time (numpy's mean(axis=0) is pairwise when dim == 1), so the
+    rule and the measurements agree bit for bit.  Grouped rows are zero-padded and
+    read at each group's last real row (the padding could turn -0.0 into 0.0).
     """
     dim = rows.shape[-1]
-    if groups is None:  # read in place
+    if groups is None:
         sizes = np.full(count, len(rows) // count)
         block = rows.reshape(count, -1, dim) if len(rows) else np.zeros((count, 1, dim))
     else:
         sizes = np.bincount(groups, minlength=count)
         block = np.zeros((count, max(1, sizes.max()), dim))
         block[groups, np.arange(len(groups)) - (np.cumsum(sizes) - sizes)[groups]] = rows
-    if count * dim < 128:  # an empty group reads its padding's last cumulative sum, 0.0
-        return np.cumsum(block, axis=1)[np.arange(count), sizes - 1], sizes
-    sums = block[:, 0].copy()
-    for j in range(1, block.shape[1]):
-        np.add(sums, block[:, j], out=sums, where=(sizes > j)[:, None])
-    return sums, sizes
+    return np.cumsum(block, axis=1)[np.arange(count), sizes - 1], sizes  # empty: 0.0 padding
 
 
 def group_means(groups: np.ndarray | None, rows: np.ndarray, count: int) -> np.ndarray:

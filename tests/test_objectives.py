@@ -311,8 +311,7 @@ def test_make_objective_dispatch():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_group_sums_add_each_groups_rows_in_order(sizes, dim, seed):
-    # Narrow blocks take a cumulative sum, wide ones an add per row position,
-    # equal runs (groups None) are read in place and groups padded: every way
+    # Equal runs (groups None) are read in place and groups padded: either way
     # gives each group's rows added one at a time, in order, bit for bit,
     # a -0.0 kept where the rows sum to it, and zero for an empty group.
     rng = np.random.default_rng(seed)
