@@ -2,12 +2,13 @@
 
 A schedule is a boolean mask of shape (T, N): mask[t, i] is True when client
 i is active at iteration t.  Training, diagnostics, and exported artifacts
-all read that one mask, a window of rounds at a time (rounds), so they see
-the identical participation pattern.  A random schedule is drawn into its
-mask up front.  A periodic one (round robin) is held as its N periods and T,
-which give its round sizes and worst staleness; it computes each window's
-rows when asked and keeps no mask.  Every schedule counts its round sizes as
-it is made and hands out that one read-only array.
+all read it one way, a window of rounds at a time (rounds(t0, t1) gives rows
+t0 to min(t1, T) - 1), so they see the identical participation pattern.  A
+random schedule is drawn into its mask up front.  A periodic one (round
+robin) is held as its N periods and T, which give its round sizes and worst
+staleness; it computes each window's rows when asked and keeps no mask.
+Every schedule counts its round sizes as it is made and hands out that one
+read-only array.
 
 Every generator forces full participation at iteration 0
 (static_prob_schedule can switch that off to study cold starts); later
@@ -19,6 +20,8 @@ cold start needs no special case.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -46,17 +49,13 @@ class AvailabilitySchedule:
         self.iterations, self.num_clients = iterations, num_clients
 
     def rounds(self, t0: int, t1: int) -> np.ndarray:
-        """Rows t0..t1-1 of the mask, (t1 - t0, N)."""
+        """Rows t0..min(t1, T)-1 of the mask, (min(t1, T) - t0, N)."""
         return self._mask[t0:t1]
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.rounds(0, self.iterations)
 
     @property
     def active_sets(self) -> tuple[tuple[int, ...], ...]:
         """Each round's active client ids in ascending order, derived from the mask."""
-        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.mask)
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.rounds(0, self.iterations))
 
     def sizes(self) -> np.ndarray:
         """Active clients of each round (int64), counted as the schedule was made; read-only."""
@@ -70,7 +69,7 @@ class AvailabilitySchedule:
         """
         worst, width = 0, max(1, _BLOCK_CELLS // self.iterations)
         for c in range(0, self.num_clients, width):
-            block = self.mask[:, c : c + width]
+            block = self._mask[:, c : c + width]
             seen = np.flatnonzero(block.T)  # client * T + round, by client then round
             gaps = np.diff(seen)
             # The step into a client's first appearance comes from another client.
@@ -79,9 +78,12 @@ class AvailabilitySchedule:
             worst = max(worst, int(gaps.max(initial=0)))
         return worst
 
-    def to_text(self) -> str:
-        """One line per iteration, comma-separated active client ids."""
-        return "".join(",".join(map(str, np.flatnonzero(row).tolist())) + "\n" for row in self.mask)
+    def lines(self) -> Iterator[str]:
+        """One line per iteration, comma-separated active client ids, made a window at a time."""
+        step = max(1, _BLOCK_CELLS // self.num_clients)  # rounds of about _BLOCK_CELLS cells
+        for t0 in range(0, self.iterations, step):
+            yield from (",".join(map(str, np.flatnonzero(row).tolist())) + "\n"
+                        for row in self.rounds(t0, t0 + step))
 
 
 class PeriodicSchedule(AvailabilitySchedule):
@@ -103,7 +105,7 @@ class PeriodicSchedule(AvailabilitySchedule):
         self._sizes.flags.writeable = False
 
     def rounds(self, t0: int, t1: int) -> np.ndarray:
-        on = np.arange(t0, t1)[:, None] % self._distinct == 0
+        on = np.arange(t0, min(t1, self.iterations))[:, None] % self._distinct == 0
         return on[:, self._column]
 
     def max_staleness(self) -> int:

@@ -38,7 +38,7 @@ def _load_with_overrides(args: argparse.Namespace):
     return cfg
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> None:
     cfg = _load_with_overrides(args)
     result = run_experiment(cfg)
     for trial, path in zip(result.trials, result.csv_paths):
@@ -47,16 +47,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"summary: {result.summary_path}")
     if result.any_failed:
         raise NumericalError("one or more trials diverged; see summary")
-    return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> None:
     _, table = compare_runs(args.summaries)
     print(table, end="")
-    return 0
 
 
-def _cmd_check_schedule(args: argparse.Namespace) -> int:
+def _cmd_check_schedule(args: argparse.Namespace) -> None:
     cfg = _load_with_overrides(args)
     cfg.check_partition()
     if cfg.iterations < 2:
@@ -66,22 +64,21 @@ def _cmd_check_schedule(args: argparse.Namespace) -> int:
         print(f"seed {out.seed}:")
         for line in out.conditions.summary_lines():
             print(f"  {line}")
-    return 0
 
 
-def _cmd_dump_availability(args: argparse.Namespace) -> int:
+def _cmd_dump_availability(args: argparse.Namespace) -> None:
     cfg = _load_with_overrides(args)
     if args.out:
         outdir = resolve_outdir(args.out)
         for seed in cfg.seeds:
-            text = build_schedule(cfg, seed).to_text()
-            outdir.mkdir(parents=True, exist_ok=True)  # once a schedule's text is made
+            schedule = build_schedule(cfg, seed)
+            outdir.mkdir(parents=True, exist_ok=True)  # once a schedule is built
             path = outdir / f"availability_{cfg.scenario}_seed{seed}.txt"
-            path.write_text(text)
+            with path.open("w") as file:
+                file.writelines(schedule.lines())
             print(path)
     else:
-        print(build_schedule(cfg, cfg.seeds[0]).to_text(), end="")
-    return 0
+        sys.stdout.writelines(build_schedule(cfg, cfg.seeds[0]).lines())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +120,9 @@ _parser = functools.cache(build_parser)  # build_parser() itself stays fresh on 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        sys.stdout.flush()  # a closed pipe is met here, not as the interpreter exits
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

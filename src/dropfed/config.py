@@ -34,9 +34,10 @@ CHOICES = {
 
 # A config is refused as it loads when its run would hold more than
 # MEMORY_BUDGET bytes, a fixed budget so it fails alike on every machine: 10
-# bytes a mask cell (seeds x iterations x clients), near what dump-availability
-# of a full schedule takes (11.2 at 1000 clients x 20,000 rounds; run, 1.8), and
-# 256 a seed's round (at 1 client, about 100 before training, 140 for the row).
+# bytes a mask cell (seeds x iterations x clients), above every command's peak
+# at 1000 clients x 20,000 rounds (run 1.87, check-schedule 1.12 and
+# dump-availability 1.04 on a static mask; 0.93, 0.13 and 0.05 round robin),
+# and 256 a seed's round (at 1 client, about 100 before training, 140 for the row).
 CELL_BYTES, ROUND_BYTES, MEMORY_BUDGET = 10, 256, 2**30
 
 

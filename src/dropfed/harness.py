@@ -369,7 +369,7 @@ def resolve_outdir(out: str) -> Path:
     if root and not path.is_absolute():
         path = Path(root) / path
     for part in (path, *path.parents):
-        if part.exists() and not part.is_dir():
+        if (part.exists() or part.is_symlink()) and not part.is_dir():  # a dangling link too
             raise ConfigError(f"output path {part} exists and is not a directory")
     return path
 

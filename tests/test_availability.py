@@ -168,21 +168,25 @@ def test_periodic_schedule_equals_its_mask(n, iters, data):
     with mock.patch.object(PeriodicSchedule, "rounds", side_effect=AssertionError("read")):
         sched = periodic_schedule(periods, iters)
         sizes, staleness = sched.sizes(), sched.max_staleness()
-    want = AvailabilitySchedule(sched.mask)
+    want = AvailabilitySchedule(sched.rounds(0, iters))
     for _ in range(3):
+        # Windows that run past T end at T, as the mask's slice does.
         t0 = data.draw(st.integers(0, iters))
-        t1 = data.draw(st.integers(t0, iters))
-        np.testing.assert_array_equal(sched.rounds(t0, t1), want.mask[t0:t1])
+        t1 = data.draw(st.integers(t0, iters + 5))
+        rows = sched.rounds(t0, t1)
+        assert rows.shape == (min(t1, iters) - t0, n)
+        np.testing.assert_array_equal(rows, want.rounds(t0, t1))
     np.testing.assert_array_equal(sizes, want.sizes())
     assert sizes.dtype == want.sizes().dtype
-    assert staleness == want.max_staleness() == _max_gap_reference(sched.mask)
+    assert staleness == want.max_staleness() == _max_gap_reference(sched.rounds(0, iters))
     assert sched.active_sets == want.active_sets
+    assert list(sched.lines()) == list(want.lines())  # T lines, though a window runs past T
     assert (sched.iterations, sched.num_clients) == (want.iterations, want.num_clients)
 
 
 def test_text_including_empty_rounds():
     mask = np.array([[1, 1, 1], [0, 0, 0], [0, 1, 0], [1, 0, 1]], dtype=bool)
-    assert AvailabilitySchedule(mask).to_text() == "0,1,2\n\n1\n0,2\n"
+    assert "".join(AvailabilitySchedule(mask).lines()) == "0,1,2\n\n1\n0,2\n"
 
 
 def test_text_memory_stays_near_the_text():
@@ -191,7 +195,7 @@ def test_text_memory_stays_near_the_text():
     sched = static_prob_schedule(40, 50_000, 0.5, 3)
     tracemalloc.start()
     try:
-        text = sched.to_text()
+        text = "".join(sched.lines())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -264,10 +268,11 @@ def test_round_robin_staleness_property(n, tau, iters, seed):
     # Up to the audit_scale benchmark's 1000 clients x 1000 rounds.
     sched = round_robin_schedule(n, iters, tau, seed)
     assert sched.max_staleness() <= tau
-    assert sched.mask[0].all()
-    np.testing.assert_array_equal(sched.sizes(), sched.mask.sum(axis=1))
+    mask = sched.rounds(0, iters)
+    assert mask[0].all()
+    np.testing.assert_array_equal(sched.sizes(), mask.sum(axis=1))
     if n * iters <= 2000:
-        assert sched.max_staleness() == _max_gap_reference(sched.mask)
+        assert sched.max_staleness() == _max_gap_reference(mask)
 
 
 @settings(max_examples=30, deadline=None)
@@ -285,7 +290,7 @@ def test_static_mask_matches_per_round_draws(n, iters, prob, seed, force_full_st
     with mock.patch.object(availability, "_BLOCK_CELLS", cells):
         sched = static_prob_schedule(n, iters, prob, seed, force_full_start)
     want = _static_reference(n, iters, prob, seed, force_full_start)
-    np.testing.assert_array_equal(sched.mask, want)
+    np.testing.assert_array_equal(sched.rounds(0, iters), want)
     np.testing.assert_array_equal(sched.sizes(), want.sum(axis=1))
 
 
@@ -298,7 +303,7 @@ def test_static_draw_memory_stays_near_the_mask():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * sched.mask.nbytes
+    assert peak < 2 * sched.rounds(0, 2000).nbytes
 
 
 @settings(max_examples=30, deadline=None)
@@ -312,7 +317,7 @@ def test_weighted_mask_matches_per_pick_draws(n, iters, ratio, seed):
     assume(1 <= int(round(ratio * n)) <= n)
     sched = weighted_sample_schedule(n, iters, ratio, seed)
     assert sched.active_sets == tuple(_weighted_reference(n, iters, ratio, seed))
-    np.testing.assert_array_equal(sched.sizes(), sched.mask.sum(axis=1))
+    np.testing.assert_array_equal(sched.sizes(), sched.rounds(0, iters).sum(axis=1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -365,7 +370,7 @@ def test_staleness_memory_stays_below_the_mask():
     # 1000 clients x 20000 rounds: a 20 MB mask with 7.26 M entries, whose
     # int64 positions alone would take 58 MB.  The round-robin mask is taken
     # as a plain mask, so that the blocked scan runs, not the periods' max.
-    sched = AvailabilitySchedule(round_robin_schedule(1000, 20000, 10, 3).mask)
+    sched = AvailabilitySchedule(round_robin_schedule(1000, 20000, 10, 3).rounds(0, 20000))
     tracemalloc.start()
     try:
         staleness = sched.max_staleness()
@@ -373,4 +378,4 @@ def test_staleness_memory_stays_below_the_mask():
     finally:
         tracemalloc.stop()
     assert staleness == 10
-    assert peak < sched.mask.nbytes
+    assert peak < sched.rounds(0, 20000).nbytes

@@ -545,19 +545,28 @@ def test_failing_audit_stops_the_run_before_training(tmp_path, capsys, monkeypat
     assert main(["check-schedule", str(cfg_path)]) == 2
 
 
-def test_closed_stdout_exits_quietly(tmp_path):
-    # 600 seeds print over 100 kB, more than a pipe holds, so the writer
-    # still has output left when the reader goes away after the first line.
-    cfg_path, _ = write_config(tmp_path)
+@pytest.mark.parametrize("command, iterations, first", [
+    (["check-schedule", "--seed-override", ",".join(map(str, range(600)))], 8, b"seed 0:\n"),
+    (["dump-availability"], 50_000, b"0,1,2,3\n"),
+    (["dump-availability"], 8, None),
+], ids=["check-schedule", "dump-availability", "dump-availability-unread"])
+def test_closed_stdout_exits_quietly(tmp_path, command, iterations, first):
+    # The first two print over 100 kB, more than a pipe holds (600 seeds'
+    # audits, or 50,000 rounds of text), so the writer still has output left
+    # when the reader goes away after the first line.  The last prints a few
+    # bytes to a reader gone before it starts: they stay buffered unless the
+    # command flushes them, and the interpreter's own flush at exit would
+    # print a traceback.  stdout is buffered, as it is by default on a pipe.
+    cfg_path, _ = write_config(tmp_path, iterations=iterations)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    seeds = ",".join(str(s) for s in range(600))
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dropfed.cli", "check-schedule", str(cfg_path),
-         "--seed-override", seeds],
+        [sys.executable, "-m", "dropfed.cli", command[0], str(cfg_path), *command[1:]],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
-    assert proc.stdout.readline() == b"seed 0:\n"
+    if first is not None:
+        assert proc.stdout.readline() == first
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141
@@ -586,41 +595,78 @@ def test_a_run_over_the_memory_budget_fails_before_any_work(tmp_path, capsys, mo
     assert files_under(tmp_path) == before and not out.exists()
 
 
-# Run by a child process: it lowers its own address-space limit to 64 MB
-# above what it has mapped once dropfed is loaded, then runs the command line.
+# Run by a child process: it lowers its own address-space limit to argv[1]
+# MiB above what it has mapped once dropfed is loaded, then runs the rest of
+# the command line.
 LOW_MEMORY_MAIN = """\
 import resource, sys
 from dropfed.cli import main
 with open("/proc/self/status") as status:
     mapped = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) * 1024
-resource.setrlimit(resource.RLIMIT_AS, (mapped + (64 << 20), resource.RLIM_INFINITY))
-sys.exit(main(sys.argv[1:]))
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (int(sys.argv[1]) << 20), resource.RLIM_INFINITY))
+sys.exit(main(sys.argv[2:]))
 """
+
+
+def run_child(tmp_path, argv, headroom=None):
+    """The CLI run in a child process in tmp_path, with headroom MiB of LOW_MEMORY_MAIN's limit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env.pop("DROPFED_OUT", None)
+    main_of = ["-m", "dropfed.cli"] if headroom is None else ["-c", LOW_MEMORY_MAIN, str(headroom)]
+    return subprocess.run([sys.executable, *main_of, *argv], capture_output=True, env=env,
+                          cwd=tmp_path, timeout=120)
+
+
+def sized_config(tmp_path, seeds, iterations, clients, prob="0.7"):
+    """write_config's file at the given seeds, rounds and clients, with a shard each."""
+    cfg_path, out = write_config(tmp_path, iterations=iterations)
+    text = cfg_path.read_text().replace("seeds = 1, 2\n", f"seeds = {seeds}\n")
+    text = text.replace("clients = 4\n", f"clients = {clients}\n")
+    text = text.replace("per_class = 10\n", f"per_class = {clients // 2}\n")
+    cfg_path.write_text(text.replace("prob = 0.7\n", f"prob = {prob}\n"))
+    return cfg_path, out
+
+
+# Seeds, rounds and clients of each command under the budget, but not under
+# the child's limit.  run and check-schedule hold one seed's 20 MB mask, and
+# their first large work on it fails at once (run's (S, T) cumulative upload
+# counts, check-schedule's staleness pass over the mask).  dump-availability
+# writes its text a line at a time, so it needs a mask too large to make:
+# 95 MB, under the budget's 1.03e9 bytes.
+TOO_LARGE = {"run": ("1, 2", 500_000, 40), "check-schedule": ("1, 2", 500_000, 40),
+             "dump-availability": ("1", 100_000, 1000)}
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
 def test_a_run_too_large_for_memory_is_one_config_error(tmp_path, command):
-    # 2 seeds x 500,000 rounds x 40 clients is under the budget, but not
-    # under the child's limit: one seed's 20 MB mask fits, and the first
-    # large work on it fails at once (run's (S, T) cumulative upload counts,
-    # check-schedule's staleness pass over the mask, the text of
-    # dump-availability), before anything is written.
-    cfg_path, out = write_config(tmp_path, iterations=500_000)
-    text = cfg_path.read_text().replace("clients = 4\n", "clients = 40\n")
-    cfg_path.write_text(text.replace("per_class = 10\n", "per_class = 20\n"))  # a shard each
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env.pop("DROPFED_OUT", None)
+    cfg_path, out = sized_config(tmp_path, *TOO_LARGE[command[0]])
     before = files_under(tmp_path)
-    proc = subprocess.run([sys.executable, "-c", LOW_MEMORY_MAIN, command[0], str(cfg_path),
-                           *command[1:]], capture_output=True, text=True, env=env, cwd=tmp_path,
-                          timeout=120)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("config error: out of memory") and proc.stderr.count("\n") == 1
+    proc = run_child(tmp_path, [command[0], str(cfg_path), *command[1:]], headroom=64)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert proc.stdout == b""
+    assert err.startswith("config error: out of memory") and err.count("\n") == 1
     assert files_under(tmp_path) == before and not out.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "--out"])
+def test_dump_availability_writes_a_large_schedule_in_little_memory(tmp_path, out):
+    # 400 clients x 20,000 rounds at prob 1.0: an 8 MB mask and 30 MB of
+    # text, made and written a line at a time within 32 MiB of headroom.
+    cfg_path, _ = sized_config(tmp_path, "5", 20_000, 400, prob="1.0")
+    written = {}
+    for name, headroom in (("limited", 32), ("free", None)):
+        argv = ["dump-availability", str(cfg_path), *(["--out", name] if out else [])]
+        proc = run_child(tmp_path, argv, headroom)
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode()
+        path = tmp_path / name / "availability_static_seed5.txt"
+        written[name] = path.read_bytes() if out else proc.stdout
+    assert written["limited"] == written["free"]
+    assert written["free"] == (",".join(map(str, range(400))) + "\n").encode() * 20_000
 
 
 def example_config() -> configparser.ConfigParser:
@@ -758,6 +804,30 @@ def test_out_through_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, com
     assert capsys.readouterr().err == (
         f"config error: output path {taken} exists and is not a directory\n")
     assert files_under(tmp_path) == before and taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["run", "dump-availability"])
+@pytest.mark.parametrize("via", ["--out", "DROPFED_OUT"])
+def test_out_through_a_dangling_link_is_a_config_error(tmp_path, capsys, monkeypatch, command,
+                                                       via):
+    # A link to nowhere does not exist for a check that follows links, but
+    # mkdir cannot make a directory through it: refused like a file, before
+    # any data is built.
+    refuse_data(monkeypatch)
+    cfg_path, _ = write_config(tmp_path)
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to("nowhere/deeper")
+    if via == "DROPFED_OUT":
+        monkeypatch.setenv("DROPFED_OUT", str(dangling))
+        out = "sub"
+    else:
+        monkeypatch.delenv("DROPFED_OUT", raising=False)
+        out = str(dangling / "sub")
+    before = files_under(tmp_path)
+    assert main([command, str(cfg_path), "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: output path {dangling} exists and is not a directory\n")
+    assert files_under(tmp_path) == before and not dangling.exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -537,7 +537,7 @@ def test_a_measured_round_trains_in_one_pass(monkeypatch):
     monkeypatch.setattr(harness, "play_round", play)
     run_trials(tasks, cfg.algorithm, cfg.local_config(), phi_replays=4, phi_every=2,
                expected_mode="mc", expected_replays=2)
-    masks = np.stack([task.schedule.mask for task in tasks])
+    masks = np.stack([task.schedule.rounds(0, cfg.iterations) for task in tasks])
     assert masks[0, 6].any() and not masks[1, 6].any()
     active = masks.sum(axis=(0, 2)).tolist()
     rows = [a * (1 + (4 if t % 2 == 0 else 2)) for t, a in enumerate(active)]
@@ -683,11 +683,11 @@ def test_build_schedule_dispatch():
         "static": static_prob_schedule(5, 10, cfg.prob, key, cfg.force_full_start),
         "weighted": weighted_sample_schedule(5, 10, cfg.ratio, key),
     }
-    masks = {m.mask.tobytes() for m in builders.values()}
+    masks = {m.rounds(0, 10).tobytes() for m in builders.values()}
     assert len(masks) == len(builders)  # so the comparison tells the builders apart
     for scenario, want in builders.items():
         sched = build_schedule(replace(cfg, scenario=scenario), seed=2)
-        np.testing.assert_array_equal(sched.mask, want.mask)
+        np.testing.assert_array_equal(sched.rounds(0, 10), want.rounds(0, 10))
         assert sched.iterations == 10
         assert sched.active_sets[0] == tuple(range(5))
 

@@ -447,7 +447,7 @@ def test_gamma_t_equals_a_per_client_reference(kind, algo, seeds, clients, n, it
     for k, (task, out) in enumerate(zip(tasks, outs)):
         assert len(out.rows) == (2 if k == bad else iterations)
         for t, row in enumerate(out.rows):
-            active = np.flatnonzero(task.schedule.mask[t])
+            active = np.flatnonzero(task.schedule.rounds(0, iterations)[t])
             if not active.size:
                 assert np.isnan(row.gamma_t)
                 continue
@@ -622,7 +622,7 @@ def test_drawn_rounds_equal_each_round_drawn_alone(
         tasks.append(SeedTask(seed, stack(client_objectives("quadratic", rng, clients, n, 1)),
                               AvailabilitySchedule(mask), constant_rates(0.1, iterations),
                               np.zeros(1)))
-    masks = np.stack([task.schedule.mask for task in tasks])
+    masks = np.stack([task.schedule.rounds(0, iterations) for task in tasks])
     phi_replays, phi_every = phi
     copies = 1 + np.maximum(mc, phi_replays * (np.arange(iterations) % phi_every == 0))
     rows_of = masks.sum(axis=2) * copies  # (S, T)
