@@ -37,7 +37,7 @@ CHOICES = {
 # bytes a mask cell (seeds x iterations x clients), above every command's peak
 # at 1000 clients x 20,000 rounds (run 1.87, check-schedule 1.12 and
 # dump-availability 1.04 on a static mask; 0.93, 0.13 and 0.05 round robin),
-# and 256 a seed's round (at 1 client, about 100 before training, 140 for the row).
+# and 256 a seed's round (at 1 client, peak RSS grows 171 a round, 80 of them its record).
 CELL_BYTES, ROUND_BYTES, MEMORY_BUDGET = 10, 256, 2**30
 
 

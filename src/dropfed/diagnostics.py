@@ -44,18 +44,20 @@ def check_replicas(phi_replays: int, phi_every: int, expected_mode: str,
         raise ConfigError(f"expected_mode = mc needs expected_replays >= 1, got {expected_replays}")
 
 
-def expected_update_error(v_expected: np.ndarray, grad: np.ndarray) -> float:
-    """Squared distance between an expected update and the global gradient."""
+def expected_update_error(v_expected: np.ndarray, grad: np.ndarray) -> float | np.ndarray:
+    """Squared distance between expected updates and global gradients, per (..., dim) row."""
     diff = v_expected - grad
-    return float(np.dot(diff, diff))
+    errors = np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0]  # np.dot's bits
+    return errors if errors.ndim else float(errors)
 
 
-def update_variance(samples: np.ndarray) -> float:
-    """Sample variance of replayed updates, summed over coordinates."""
+def update_variance(samples: np.ndarray) -> float | np.ndarray:
+    """Sample variance of replayed updates, summed over coordinates, per (..., R, dim) stack."""
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] < 2:
-        raise ConfigError("need a (replays >= 2, dim) sample matrix")
-    return float(samples.var(axis=0, ddof=1).sum())
+    if samples.ndim < 2 or samples.shape[-2] < 2:
+        raise ConfigError("need a (..., replays >= 2, dim) sample stack")
+    spread = samples.var(axis=-2, ddof=1).sum(axis=-1)
+    return spread if spread.ndim else float(spread)
 
 
 def update_variance_stderr(samples: np.ndarray) -> float:
@@ -98,20 +100,17 @@ class RoundMetrics:
 
 METRIC_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
 _INT_COLUMNS = ("t", "n_active", "uploads")
+# One record of a run's (seeds, rounds) table: 80 bytes, in the CSV's column order.
+METRIC_DTYPE = np.dtype([(c, "i8" if c in _INT_COLUMNS else "f8") for c in METRIC_COLUMNS])
 
 
-def _fmt(name: str, value) -> str:
-    if name in _INT_COLUMNS:
-        return str(int(value))
-    return repr(float(value))
-
-
-def write_metrics_csv(rows: list[RoundMetrics], path: str | Path) -> None:
+def write_metrics_csv(table: np.ndarray, path: str | Path) -> None:
+    """One seed's METRIC_DTYPE records as CSV, one row each: ints bare, floats by repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRIC_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(c, getattr(row, c)) for c in METRIC_COLUMNS])
+        for start in range(0, len(table), 1024):  # plain Python ints and floats, a block at a time
+            writer.writerows(map(repr, record) for record in table[start:start + 1024].tolist())
 
 
 def read_metrics_csv(path: str | Path) -> list[RoundMetrics]:
@@ -139,8 +138,6 @@ def weighted_participation_bias(etas: np.ndarray, gammas: np.ndarray) -> float:
     Rounds with undefined bias (empty rounds, recorded as NaN) are skipped
     along with their weight.
     """
-    etas = np.asarray(etas, dtype=np.float64)
-    gammas = np.asarray(gammas, dtype=np.float64)
     keep = ~np.isnan(gammas)
     if not keep.any():
         return math.nan

@@ -28,6 +28,7 @@ from .availability import (
 from .config import ExperimentConfig
 from .data import make_synthetic_classification, partition_shards
 from .diagnostics import (
+    METRIC_DTYPE,
     RoundMetrics,
     check_replicas,
     evaluate,
@@ -67,10 +68,10 @@ DRAW_CHUNK_BYTES = 1 << 22
 
 @dataclass
 class TrialOutput:
-    """Everything one seed produced: per-round rows plus end-of-run scalars."""
+    """One seed's output: its executed rounds, a view of its run's table, and end-of-run scalars."""
 
     seed: int
-    rows: list[RoundMetrics]
+    table: np.ndarray
     final_w: np.ndarray
     failed: bool = False
     failure_round: int = -1
@@ -85,6 +86,10 @@ class TrialOutput:
     uploads_total: int = 0
     max_staleness: int = 0
     conditions: ConditionReport | None = None
+
+    @property
+    def rows(self) -> list[RoundMetrics]:  # of plain Python values, built on each read
+        return [RoundMetrics(*record) for record in self.table.tolist()]
 
 
 @dataclass
@@ -123,8 +128,8 @@ def run_trials(
     shape is a ConfigError), and either all have a test set of one size or
     none has.  Before round 0, settle_seeds stacks their clients once into
     one population and gives each seed's L, worst staleness and audit, and
-    the loop each seed's optimum and upload counts, so an audit that cannot
-    be computed stops the run before any training.
+    the loop each seed's optimum, so an audit that cannot be computed stops
+    the run before any training.
     Each round is drawn ahead, played, measured and recorded: draw_rounds
     draws the rows and batches of whole rounds, DRAW_CHUNK_BYTES a draw;
     play_round trains every seed's participants and replicas in one pass
@@ -132,12 +137,13 @@ def run_trials(
     takes every seed's model through one population pass and one pass over
     the test sets, stacked once.  The final models take one more measure.
 
-    Per-round columns describe the broadcast model w_t before the update;
-    the *final* fields describe the model after the last round.  A seed
-    whose model turns non-finite stops at that round and is marked failed:
-    its clients train no more, its rows drawn ahead go unread, and its
-    model, still measured because rows never interact, is no longer
-    recorded.  The other seeds go on; with none live, nothing more is measured.
+    Each seed-round is one record of an (S, T) table, written a round at a
+    time; records describe the broadcast model w_t, the *final* fields the
+    model after the last round.  A seed whose model turns non-finite stops
+    at that round and is marked failed: its clients train no more, its rows
+    drawn ahead go unread, its table ends there, and its model, still
+    measured because rows never interact, is no longer read.  The other
+    seeds go on; with none live, nothing more is measured.
     """
     check_replicas(phi_replays, phi_every, expected_mode, expected_replays)
     S, T, n = len(tasks), tasks[0].schedule.iterations, tasks[0].population.num_clients
@@ -153,9 +159,12 @@ def run_trials(
     if tasks[0].test_data is not None and tasks[0].population.kind == "quadratic":
         raise ConfigError("a quadratic task predicts no labels, so it takes no test set")
     seeds = tuple(task.seed for task in tasks)
-    participants = np.stack([task.schedule.sizes() for task in tasks])  # (S, T)
+    table = np.zeros((S, T), METRIC_DTYPE)
+    table["t"], table["phi_hat"] = range(T), math.nan  # phi_hat is written on phi rounds
+    table["n_active"] = [task.schedule.sizes() for task in tasks]
+    table["eta_t"] = [task.rates.values for task in tasks]
     # Scaffold's control variates cross the wire with each upload.
-    uploads = np.cumsum(participants, axis=1) * (2 if algorithm == "scaffold" else 1)
+    table["uploads"] = np.cumsum(table["n_active"], axis=1) * (2 if algorithm == "scaffold" else 1)
     population, smoothness, outs = settle_seeds(tasks, local_cfg, audit_nu)
     optima = [global_optimum(task.population) for task in tasks]
     steep = ", ".join(f"seed {s} (L = {L:.6g}, 1/(10 L) = {1 / (10 * L):.6g})"
@@ -169,7 +178,6 @@ def run_trials(
     if tasks[0].test_data is not None:
         test_sets = make_objective(population.kind, [task.test_data for task in tasks],
                                    **population.params)
-    rates = np.stack([task.rates.values for task in tasks])  # (S, T)
     state = init_state(algorithm, np.stack([task.w0 for task in tasks]), n, scaffold_literal)
     phi_rounds = (phi_replays >= 2 and phi_every > 0) & (np.arange(T) % max(phi_every, 1) == 0)
     # The phi samples and a Monte Carlo expectation read the first replicas; fullbatch, the last.
@@ -182,26 +190,23 @@ def run_trials(
             break
         drawn = drawn or draw_rounds(tasks, live, copies, t, local_cfg.batch_size, steps)
         rows, round_batches = drawn.pop(0)
-        eta, batches = rates[:, t], [round_batches]
+        eta, batches = table["eta_t"][:, t], [round_batches]
         if expected_mode == "fullbatch":  # the noise-free update trains as the last copy
             batches.append(draw_batches(population.n, rows, population.n, None, steps))
         result = play_round(state, population, rows, local_cfg, eta, None, batches=batches)
         losses, grads, client_grads, accs = measure(population, test_sets, state.w)
         held = result.replays[:, expected].reshape(-1, population.dim)  # each seed's run
         means = group_means(rows // n, client_grads[rows], S), group_means(None, held, S)
-        for k in np.flatnonzero(live):
-            grad, gamma, e_t, phi = grads[k], math.nan, math.nan, math.nan
-            if participants[k, t]:
-                gamma, e_t = (expected_update_error(mean[k], grad) for mean in means)
-                if phi_rounds[t]:
-                    phi = update_variance(result.replays[k, :phi_replays])
-            outs[k].rows.append(RoundMetrics(
-                t=t, loss=float(losses[k]), grad_norm2=float(grad @ grad), E_t=e_t, gamma_t=gamma,
-                phi_hat=phi, n_active=int(participants[k, t]), uploads=int(uploads[k, t]),
-                acc=float(accs[k]), eta_t=float(eta[k])))
+        record, some = table[:, t], table["n_active"][:, t] > 0
+        record["loss"], record["acc"] = losses, accs
+        record["grad_norm2"] = np.matmul(grads[:, None, :], grads[:, :, None])[:, 0, 0]
+        record["gamma_t"], record["E_t"] = (
+            np.where(some, expected_update_error(mean, grads), math.nan) for mean in means)
+        if phi_rounds[t] and rows.size:  # a round without rows has no replays
+            phi = update_variance(result.replays[:, :phi_replays])
+            record["phi_hat"] = np.where(some, phi, math.nan)
         state = result.state
-        failed = np.flatnonzero(live & ~np.isfinite(state.w).all(axis=1))
-        for k in failed:
+        for k in np.flatnonzero(live & ~np.isfinite(state.w).all(axis=1)):
             outs[k].failed, outs[k].failure_round, live[k] = True, t, False
             outs[k].final_w = state.w[k]
             drawn = []  # its rows drawn ahead go unread, and the next chunk holds none
@@ -209,19 +214,17 @@ def run_trials(
     if live.any():
         losses, grads, _, accs = measure(population, test_sets, state.w)
     for k, (out, task, optimum) in enumerate(zip(outs, tasks, optima)):
+        out.table = table[k, : out.failure_round + 1 if out.failed else T]
         if live[k]:
             out.final_w, out.final_loss, out.final_acc = state.w[k], float(losses[k]), float(accs[k])
             out.final_grad_norm2 = float(grads[k] @ grads[k])
             if optimum is not None:
                 out.optimum_distance = float(np.linalg.norm(out.final_w - optimum))
-                out.initial_gap = out.rows[0].loss - task.population.loss(optimum)
-        out.uploads_total = out.rows[-1].uploads
-        out.min_grad_norm2 = min(r.grad_norm2 for r in out.rows)
-        executed = task.rates.values[: len(out.rows)]
-        out.rate_mass = float(executed.sum())
-        out.weighted_bias = weighted_participation_bias(
-            executed, np.array([r.gamma_t for r in out.rows])
-        )
+                out.initial_gap = float(out.table["loss"][0]) - task.population.loss(optimum)
+        out.uploads_total = int(out.table["uploads"][-1])
+        out.min_grad_norm2 = min(out.table["grad_norm2"].tolist())  # NaN only if the first is
+        out.rate_mass = float(out.table["eta_t"].sum())
+        out.weighted_bias = weighted_participation_bias(out.table["eta_t"], out.table["gamma_t"])
     return outs
 
 
@@ -286,8 +289,8 @@ def settle_seeds(
     """
     population = stack([task.population for task in tasks])
     smoothness = population.smoothness(len(tasks))
-    outs = [TrialOutput(task.seed, [], task.w0, max_staleness=task.schedule.max_staleness())
-            for task in tasks]
+    outs = [TrialOutput(task.seed, np.empty(0, METRIC_DTYPE), task.w0,
+                        max_staleness=task.schedule.max_staleness()) for task in tasks]
     for task, L, out in zip(tasks, smoothness, outs):
         if task.schedule.iterations >= 2:
             out.conditions = check_conditions(
@@ -387,7 +390,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     outdir.mkdir(parents=True, exist_ok=True)
     csv_paths = [outdir / f"{cfg.algorithm}_{cfg.scenario}_seed{seed}.csv" for seed in cfg.seeds]
     for trial, path in zip(trials, csv_paths):
-        write_metrics_csv(trial.rows, path)
+        write_metrics_csv(trial.table, path)
     summary_path = outdir / "summary.txt"
     summary_path.write_text(render_summary(cfg, trials, csv_paths))
     return ExperimentResult(cfg, outdir, trials, csv_paths, summary_path)

@@ -1,6 +1,7 @@
 """End-to-end harness behavior: trials, configs, summaries, comparisons."""
 
 import configparser
+import gc
 import math
 import re
 import tracemalloc
@@ -672,6 +673,30 @@ def test_one_draw_holds_at_most_draw_chunk_bytes(monkeypatch):
             assert len(drawn) > 1 and sum(drawn) == clients
         bound = harness.DRAW_CHUNK_BYTES + per_participant * clients
         assert marks["peak"] - marks["before"] <= bound, (clients, rounds)
+
+
+def test_a_run_holds_one_record_a_seed_round():
+    # Every seed-round is one 80-byte record of the run's (seeds, rounds)
+    # table; the audit adds 11 bytes a round (rho and three flags).  Four
+    # one-client seeds, run at two horizons 2,000 seed-rounds apart: the bytes
+    # the outputs hold (tracemalloc, after a collection) grow by at most 120
+    # a seed-round; a Python object a seed-round, its floats boxed, holds over 300.
+    def held(rounds):
+        tasks = [SeedTask(seed, stack(point_clients([[1.0, 2.0]])), periodic_schedule([1], rounds),
+                          constant_rates(0.1, rounds), np.zeros(2)) for seed in range(4)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            outs = run_trials(tasks, "mimic", LocalConfig(steps=2, lr=0.05, batch_size=1))
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before, outs
+        finally:
+            tracemalloc.stop()
+
+    (short, _), (long, outs) = held(200), held(700)
+    assert all(len(out.rows) == 700 for out in outs)
+    assert (long - short) / (4 * 500) <= 120
 
 
 def test_build_schedule_dispatch():

@@ -14,10 +14,11 @@ kind's smoothness, the MLP probe included.  A run whose batches are drawn
 ahead, whole rounds at a time, must equal one that draws each round's
 batches from its own keys, and each of draw_rounds' windows, which tile the
 run once, must hold each round as that round drawn alone; measure must
-equal a per-seed loop over each seed's own passes.  Every recorded gamma_t
-must equal the gap of the participants' gradients, client by client, to
-the population's; with fedavg, K = 1 and full batches, E_t must equal
-gamma_t bit for bit and be 0.0 on a full round.  The softmax kernel's class-by-class folds must equal
+equal a per-seed loop over each seed's own passes.  Every recorded column
+must equal a scalar reference taken seed by seed, gamma_t the gap of the
+participants' gradients, client by client, to the population's; with
+fedavg, K = 1 and full batches, E_t must equal gamma_t bit for bit and be
+0.0 on a full round.  The softmax kernel's class-by-class folds must equal
 numpy's axis reductions.
 """
 
@@ -45,7 +46,7 @@ from dropfed.objectives import (
     make_objective,
     stack,
 )
-from dropfed.schedules import constant_rates
+from dropfed.schedules import constant_rates, exponential_rates
 
 KINDS = ("quadratic", "binary", "softmax", "mlp")
 
@@ -406,26 +407,39 @@ def test_lockstep_seeds_equal_separate_trials(
         assert together[bad].failed
 
 
+def close(got, want, scale):
+    """Within 1e-9 of scale; past overflow (a non-finite scale), nothing is checked."""
+    return abs(got - want) <= 1e-9 * scale or not np.isfinite(scale)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
     algo=st.sampled_from(ALGORITHMS),
+    expected_mode=st.sampled_from(("fullbatch", "mc")),
+    phi=st.booleans(),
     seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True),
     clients=st.integers(1, 4),
     n=st.integers(1, 4),
     iterations=st.integers(2, 5),
     data=st.data(),
 )
-def test_gamma_t_equals_a_per_client_reference(kind, algo, seeds, clients, n, iterations, data):
-    # Each recorded gamma_t is |mean of the participants' gradients - the
-    # population gradient|^2 at the round's broadcast model, each gradient
-    # from its client's own Objective.grad; NaN in a round without
-    # participants.  One seed may have none after round 0, and one may
-    # overflow at round 1, which ends its rows there.
+def test_gamma_t_equals_a_per_client_reference(kind, algo, expected_mode, phi, seeds, clients, n,
+                                               iterations, data):
+    # Every recorded column equals a scalar reference taken seed by seed at
+    # the round's broadcast model w_t.  loss, grad_norm2 and gamma_t come from
+    # each client's own Objective.loss and Objective.grad: gamma_t is |mean of
+    # the participants' gradients - the population gradient|^2.  E_t is
+    # |mean of the round's expectation replicas - the population gradient|^2,
+    # phi_hat the replicas' variance on a phi round (bit for bit), acc the
+    # seed's own test set's evaluate, and t, n_active, uploads and eta_t come
+    # from the schedule and step sizes.  E_t, gamma_t and phi_hat are NaN in a
+    # round without participants.  One seed may have none after round 0, and
+    # one may overflow at round 1, which ends its rows there.
     rng = np.random.default_rng(seeds[0])
     empty, bad = (data.draw(st.integers(-1, len(seeds) - 1)) for _ in range(2))
     bad = -1 if bad == empty else bad  # -1: no such seed
-    tasks, objectives = [], []
+    tasks, objectives, tests = [], [], []
     for k, seed in enumerate(seeds):
         objectives.append(client_objectives(kind, rng, clients, n, 2))
         population = stack(objectives[-1])
@@ -434,29 +448,56 @@ def test_gamma_t_equals_a_per_client_reference(kind, algo, seeds, clients, n, it
         mask[1:] &= k != empty
         mask[1] |= k == bad
         eta = 1e200 if k == bad else rng.uniform(0.05, 0.5)
+        test_data = None
+        if kind != "quadratic":
+            test_data = ClientDataset(rng.normal(size=(5, 2)), rng.integers(0, 2, size=5))
+            tests.append(make_objective(population.kind, test_data, **population.params))
         tasks.append(SeedTask(seed, population, AvailabilitySchedule(mask),
-                              constant_rates(eta, iterations), rng.normal(size=population.dim)))
-    models = []  # every round's broadcast models (S, dim)
+                              exponential_rates(eta, 0.9, iterations),
+                              rng.normal(size=population.dim), test_data))
+    rounds = []  # every round's broadcast models (S, dim) and replicas (S, copies - 1, dim)
 
     def play(state, *args, **kwargs):
-        models.append(state.w)
-        return play_round(state, *args, **kwargs)
+        result = play_round(state, *args, **kwargs)
+        rounds.append((state.w, result.replays))
+        return result
 
+    replicas, phi_replays = 2, 3 if phi else 0
     with mock.patch.object(harness, "play_round", play):
-        outs = run_trials(tasks, algo, LocalConfig(steps=2, lr=0.05, batch_size=1))
+        outs = run_trials(tasks, algo, LocalConfig(steps=2, lr=0.05, batch_size=1),
+                          phi_replays=phi_replays, phi_every=2 if phi else 0,
+                          expected_mode=expected_mode, expected_replays=replicas)
+    per_upload = 2 if algo == "scaffold" else 1  # scaffold's control variates ride along
     for k, (task, out) in enumerate(zip(tasks, outs)):
         assert len(out.rows) == (2 if k == bad else iterations)
+        mask = task.schedule.rounds(0, iterations)
         for t, row in enumerate(out.rows):
-            active = np.flatnonzero(task.schedule.rounds(0, iterations)[t])
-            if not active.size:
-                assert np.isnan(row.gamma_t)
-                continue
+            assert (row.t, row.n_active, row.uploads) == (
+                t, mask[t].sum(), per_upload * mask[: t + 1].sum())
+            assert same_bits(row.eta_t, task.rates.values[t])
+            w, replays = rounds[t][0][k], rounds[t][1][k]
+            held = replays[-1:] if expected_mode == "fullbatch" else replays[:replicas]
             with np.errstate(over="ignore", invalid="ignore"):
-                grads = [objective.grad(models[t][k]) for objective in objectives[k]]
-                gap = np.mean([grads[i] for i in active], axis=0) - np.mean(grads, axis=0)
-                # The error allowed scales with the gradients; past overflow, none is checked.
-                scale = 1.0 + max(float(g @ g) for g in grads)
-            assert abs(row.gamma_t - float(gap @ gap)) <= 1e-9 * scale or not np.isfinite(scale)
+                grads = np.array([objective.grad(w) for objective in objectives[k]])
+                grad = grads.mean(axis=0)
+                loss = np.mean([objective.loss(w) for objective in objectives[k]])
+                # The error allowed scales with the vectors; past overflow, none is checked.
+                scale = 1.0 + max(float(v @ v) for v in [*grads, *held])
+                assert close(row.loss, loss, 1.0 + abs(loss))
+                assert close(row.grad_norm2, float(grad @ grad), scale)
+                if mask[t].any():
+                    gap, error = grads[mask[t]].mean(axis=0) - grad, held.mean(axis=0) - grad
+                    assert close(row.gamma_t, float(gap @ gap), scale)
+                    assert close(row.E_t, float(error @ error), scale)
+            assert same_bits(row.acc, evaluate(tests[k], w[None])[0] if tests else np.nan) or (
+                not np.isfinite(scale))
+            if not mask[t].any():
+                assert np.isnan([row.gamma_t, row.E_t, row.phi_hat]).all()
+                continue
+            spread = np.nan
+            if phi and t % 2 == 0:
+                spread = replays[:phi_replays].var(axis=0, ddof=1).sum()
+            assert same_bits(row.phi_hat, spread)
 
 
 @settings(max_examples=60, deadline=None)

@@ -40,6 +40,8 @@ SHARED = {
     "ClientDataset.n": "data.partition_shards checks its pool's shards",
     "Objective.dim": "objectives, local_trainer and harness shape models by it",
     "Objective.loss": "harness.run_trials takes the loss at the optimum",
+    "TrialOutput.rows": "no program use (ServerState.rows shares the name): the program reads "
+                        "TrialOutput.table, and tests/test_acceptance.py reads trial.rows",
 }
 
 
